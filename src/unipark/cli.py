@@ -26,12 +26,14 @@ from .controllers import ControllerId, Gains
 from .errors import ConfigError, InfeasiblePolesError, UniparkError
 from .linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 from .lyapunov import CompositeKind, CompositeOrder
-from .simulate import Scenario, Termination, Trajectory, integrate, sweep
+from .simulate import Scenario, Termination, Trajectory, integrate, sweep_point
 from .spaces import CartesianState, PolarState
 from .svg import SvgPath, render_paths
 from .verify import run_all
 
 SCHEMA_VERSION = 1
+# Terminations that make simulate and sweep exit 1.
+_FAILED_TERMINATIONS = (Termination.NUMERIC.value, Termination.BARRIER_GUARD.value)
 CSV_COLUMNS = ("t", "x", "y", "theta", "rho", "delta", "gamma", "v", "omega", "V", "metric")
 
 
@@ -211,7 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{scenario.controller.value}: {traj.termination.value} at t={traj.final_time:g}, "
         f"metric={traj.metric[-1]:.3e}, outputs in {out}"
     )
-    if traj.termination in (Termination.NUMERIC, Termination.BARRIER_GUARD):
+    if traj.termination.value in _FAILED_TERMINATIONS:
         print(f"run failed: termination {traj.termination.value}", file=sys.stderr)
         return 1
     return 0
@@ -257,9 +259,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             frame=args.frame, dt=args.dt, t_max=args.t_max, tol=args.tol,
             composite=args.composite,
         ))
-        records = sweep(base, grid, workers=args.workers)
         recs = []
-        for r in records:
+        for i, initial in enumerate(grid):
+            r, traj = sweep_point(base, i, initial)
+            if "svg" in fmts and traj is not None:
+                paths.append(SvgPath(traj.cartesian, label=cid.value,
+                                     color=_controller_color(ci)))
             recs.append({
                 "index": r.index,
                 "initial": list(r.initial),
@@ -272,15 +277,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "front_crossings": r.front_crossings,
                 "error": r.error,
             })
-            failures += int(r.termination == "numeric" or r.error is not None)
+            failures += int(r.termination in _FAILED_TERMINATIONS or r.error is not None)
         summary["controllers"][cid.value] = recs
-        if "svg" in fmts:
-            for r in records:
-                if r.error is not None:
-                    continue
-                traj = integrate(_scenario_with_initial(base, grid[r.index]))
-                paths.append(SvgPath(traj.cartesian, label=cid.value,
-                                     color=_controller_color(ci)))
     if "json" in fmts:
         _write_json(summary, out / "sweep_summary.json")
     if "txt" in fmts:
@@ -290,15 +288,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(_summary_text(summary), end="")
     print(f"outputs in {out}")
     return 1 if failures else 0
-
-
-def _scenario_with_initial(base: Scenario, initial) -> Scenario:
-    return Scenario(
-        controller=base.controller, gains=base.gains, initial=initial,
-        frame=base.frame, dt=base.dt, t_max=base.t_max, stop_tol=base.stop_tol,
-        barrier_margin=base.barrier_margin, composite=base.composite,
-        composite_order=base.composite_order,
-    )
 
 
 def _controller_color(i: int) -> str:
@@ -429,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--t-max", dest="t_max", type=float)
     sw.add_argument("--tol", type=float)
     sw.add_argument("--composite")
-    sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--format", default="json,svg,txt")
     add_common(sw)
     sw.set_defaults(fn=cmd_sweep)

@@ -62,19 +62,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BarrierDomainError, DomainError, SingularityError
-from .kernels import psi, sinc, sine_integral
+from .kernels import ARRAY, SCALAR
 from .spaces import PolarState, StateSpaceId, check_in_space
 
 __all__ = [
     "Gains",
     "ControllerId",
     "ControlInput",
-    "RETURNS_TOTAL_OMEGA",
     "controller_space",
     "all_controller_ids",
     "velocity",
@@ -151,31 +150,8 @@ class ControllerId(Enum):
     LIBAC = "libac"
 
 
-_SPACE: dict[ControllerId, StateSpaceId] = {
-    ControllerId.GENOVA: StateSpaceId.S,
-    ControllerId.BOLSA: StateSpaceId.S1,
-    ControllerId.BOPA: StateSpaceId.S2,
-    ControllerId.BAGAL: StateSpaceId.S3,
-    ControllerId.GLOFO: StateSpaceId.S,
-    ControllerId.BOFO: StateSpaceId.S1,
-    ControllerId.GLOBA: StateSpaceId.S,
-    ControllerId.GLOBA_INTERP: StateSpaceId.S,
-    ControllerId.GLOBA_CONS: StateSpaceId.S,
-    ControllerId.BARFLI: StateSpaceId.S2,
-    # libac's backstepping transform constrains only delta; gamma is left
-    # unwrapped and its excursions are recorded empirically, not asserted.
-    ControllerId.LIBAC: StateSpaceId.S2,
-}
-
-# Laws stated directly as the total steering input omega (no cancellation
-# term added on top).
-RETURNS_TOTAL_OMEGA = frozenset(
-    {ControllerId.GLOBA_INTERP, ControllerId.GLOBA_CONS, ControllerId.LIBAC}
-)
-
-
 def controller_space(cid: ControllerId) -> StateSpaceId:
-    return _SPACE[cid]
+    return _LAWS[cid].space
 
 
 def all_controller_ids() -> tuple[ControllerId, ...]:
@@ -193,100 +169,135 @@ def velocity_cartesian(x: float, y: float, theta: float, k1: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scalar steering laws.  Each returns omega_tilde unless noted.
+# Forwarding residuals zeta and backstepping residuals z, written over a
+# primitive namespace ``xp`` like the laws below; the certificates in
+# :mod:`unipark.lyapunov` are built on them too.
 # ---------------------------------------------------------------------------
 
 
-def _tilde_genova(g: Gains, d: float, c: float) -> float:
-    return g.k2 * c + g.k3 * sinc(2.0 * c) * d
+def zeta_glofo(xp, g: Gains, d, c):
+    return d + g.k1 / (2.0 * g.k2) * xp.si(2.0 * c)
 
 
-def _tilde_bolsa(g: Gains, d: float, c: float) -> float:
-    t2 = math.tan(0.5 * c) ** 2
-    return g.k2 * math.sin(c) + g.k3 * math.cos(c) / (1.0 + t2) ** 2 * d
+def zeta_bofo(xp, g: Gains, d, c):
+    return d + g.k1 / g.k2 * xp.sin(c)
 
 
-def _tilde_bopa(g: Gains, d: float, c: float) -> float:
-    s = math.tan(0.5 * d)
-    return g.k2 * c + 2.0 * g.k3 * sinc(2.0 * c) * (1.0 + s * s) * s
+def z_globa(xp, g: Gains, d, c):
+    """The residual of globa, globa-interp and globa-cons."""
+    return c + 0.5 * xp.atan(2.0 * g.k2 * d)
 
 
-def _tilde_bagal(g: Gains, d: float, c: float) -> float:
-    s = math.tan(0.5 * d)
-    t2 = math.tan(0.5 * c) ** 2
-    return g.k2 * math.sin(c) + 2.0 * g.k3 * math.cos(c) / (1.0 + t2) ** 2 * (1.0 + s * s) * s
+def z_barfli(xp, g: Gains, d, c):
+    return c + 0.5 * xp.atan(4.0 * g.k2 * xp.tan(0.5 * d))
 
 
-def _tilde_glofo(g: Gains, d: float, c: float) -> float:
-    zeta = d + g.k1 / (2.0 * g.k2) * sine_integral(2.0 * c)
-    return g.k2 * c + g.k3 * sinc(2.0 * c) * zeta
+def z_libac(xp, g: Gains, d, c):
+    return c + 0.5 * d
 
 
-def _tilde_bofo(g: Gains, d: float, c: float) -> float:
-    zeta = d + g.k1 / g.k2 * math.sin(c)
-    t2 = math.tan(0.5 * c) ** 2
-    return g.k2 * math.sin(c) + g.k3 * math.cos(c) / (1.0 + t2) ** 2 * zeta
+# ---------------------------------------------------------------------------
+# The steering laws, each written once over a primitive namespace ``xp``
+# (:data:`unipark.kernels.SCALAR` or :data:`unipark.kernels.ARRAY`).  Each
+# returns omega_tilde unless its table row says it is stated as total omega.
+# ---------------------------------------------------------------------------
 
 
-def _tilde_globa(g: Gains, d: float, c: float) -> float:
-    z = c + 0.5 * math.atan(2.0 * g.k2 * d)
+def _genova(xp, g: Gains, d, c):
+    return g.k2 * c + g.k3 * xp.sinc(2.0 * c) * d
+
+
+def _bolsa(xp, g: Gains, d, c):
+    t2 = xp.tan(0.5 * c) ** 2
+    return g.k2 * xp.sin(c) + g.k3 * xp.cos(c) / (1.0 + t2) ** 2 * d
+
+
+def _bopa(xp, g: Gains, d, c):
+    s = xp.tan(0.5 * d)
+    return g.k2 * c + 2.0 * g.k3 * xp.sinc(2.0 * c) * (1.0 + s * s) * s
+
+
+def _bagal(xp, g: Gains, d, c):
+    s = xp.tan(0.5 * d)
+    t2 = xp.tan(0.5 * c) ** 2
+    return g.k2 * xp.sin(c) + 2.0 * g.k3 * xp.cos(c) / (1.0 + t2) ** 2 * (1.0 + s * s) * s
+
+
+def _glofo(xp, g: Gains, d, c):
+    zeta = zeta_glofo(xp, g, d, c)
+    return g.k2 * c + g.k3 * xp.sinc(2.0 * c) * zeta
+
+
+def _bofo(xp, g: Gains, d, c):
+    zeta = zeta_bofo(xp, g, d, c)
+    t2 = xp.tan(0.5 * c) ** 2
+    return g.k2 * xp.sin(c) + g.k3 * xp.cos(c) / (1.0 + t2) ** 2 * zeta
+
+
+def _globa(xp, g: Gains, d, c):
+    z = z_globa(xp, g, d, c)
     n2 = 1.0 + 4.0 * g.k2 * g.k2 * d * d
-    return g.k4 * z + 0.5 * g.k1 * g.k2 / n2 * math.sin(2.0 * c) + g.k3 * psi(z, c) * d
+    return g.k4 * z + 0.5 * g.k1 * g.k2 / n2 * xp.sin(2.0 * c) + g.k3 * xp.psi(z, c) * d
 
 
-def _tilde_barfli(g: Gains, d: float, c: float) -> float:
-    s = math.tan(0.5 * d)
-    z = c + 0.5 * math.atan(4.0 * g.k2 * s)
+def _barfli(xp, g: Gains, d, c):
+    s = xp.tan(0.5 * d)
+    z = z_barfli(xp, g, d, c)
     n2 = 1.0 + 16.0 * g.k2 * g.k2 * s * s
     sec2 = 1.0 + s * s
     return (
         g.k4 * z
-        + 0.5 * g.k1 * g.k2 * sec2 / n2 * math.sin(2.0 * c)
-        + 2.0 * g.k3 * psi(z, c) * sec2 * s
+        + 0.5 * g.k1 * g.k2 * sec2 / n2 * xp.sin(2.0 * c)
+        + 2.0 * g.k3 * xp.psi(z, c) * sec2 * s
     )
 
 
-def _omega_globa_interp(g: Gains, d: float, c: float) -> float:
-    z = c + 0.5 * math.atan(2.0 * g.k2 * d)
+def _globa_interp(xp, g: Gains, d, c):
+    z = z_globa(xp, g, d, c)
     n2 = 1.0 + 4.0 * g.k2 * g.k2 * d * d
-    n = math.sqrt(n2)
+    n = xp.sqrt(n2)
     b = 1.0 + g.k2 / n2
-    p = psi(z, c)
+    p = xp.psi(z, c)
     cc = p * n - g.k1 * g.k2 / g.k3 * b
-    return (g.k4 + 0.5 * g.k3 / g.k2 * cc * cc / n + g.k1 * abs(p) * b) * z
+    return (g.k4 + 0.5 * g.k3 / g.k2 * cc * cc / n + g.k1 * xp.abs(p) * b) * z
 
 
-def _omega_globa_cons(g: Gains, d: float, c: float) -> float:
-    z = c + 0.5 * math.atan(2.0 * g.k2 * d)
+def _globa_cons(xp, g: Gains, d, c):
+    z = z_globa(xp, g, d, c)
     n2 = 1.0 + 4.0 * g.k2 * g.k2 * d * d
     return (g.k4 + g.k5 + g.k3 / g.k2 * n2) * z
 
 
-def _omega_libac(g: Gains, d: float, c: float) -> float:
-    z = c + 0.5 * d
-    s = math.tan(0.5 * d)
+def _libac(xp, g: Gains, d, c):
+    z = z_libac(xp, g, d, c)
+    s = xp.tan(0.5 * d)
     return (
         g.k3 * z
-        + 0.75 * g.k1 * math.sin(2.0 * c)
-        + g.k2 * s / (1.0 + math.cos(d)) * psi(z, c)
+        + 0.75 * g.k1 * xp.sin(2.0 * c)
+        + g.k2 * s / (1.0 + xp.cos(d)) * xp.psi(z, c)
     )
 
 
-_TILDE: dict[ControllerId, Callable[[Gains, float, float], float]] = {
-    ControllerId.GENOVA: _tilde_genova,
-    ControllerId.BOLSA: _tilde_bolsa,
-    ControllerId.BOPA: _tilde_bopa,
-    ControllerId.BAGAL: _tilde_bagal,
-    ControllerId.GLOFO: _tilde_glofo,
-    ControllerId.BOFO: _tilde_bofo,
-    ControllerId.GLOBA: _tilde_globa,
-    ControllerId.BARFLI: _tilde_barfli,
-}
+class _Law(NamedTuple):
+    space: StateSpaceId
+    total: bool  # stated directly as the total steering input omega
+    fn: Callable
 
-_TOTAL: dict[ControllerId, Callable[[Gains, float, float], float]] = {
-    ControllerId.GLOBA_INTERP: _omega_globa_interp,
-    ControllerId.GLOBA_CONS: _omega_globa_cons,
-    ControllerId.LIBAC: _omega_libac,
+
+_LAWS: dict[ControllerId, _Law] = {
+    ControllerId.GENOVA: _Law(StateSpaceId.S, False, _genova),
+    ControllerId.BOLSA: _Law(StateSpaceId.S1, False, _bolsa),
+    ControllerId.BOPA: _Law(StateSpaceId.S2, False, _bopa),
+    ControllerId.BAGAL: _Law(StateSpaceId.S3, False, _bagal),
+    ControllerId.GLOFO: _Law(StateSpaceId.S, False, _glofo),
+    ControllerId.BOFO: _Law(StateSpaceId.S1, False, _bofo),
+    ControllerId.GLOBA: _Law(StateSpaceId.S, False, _globa),
+    ControllerId.GLOBA_INTERP: _Law(StateSpaceId.S, True, _globa_interp),
+    ControllerId.GLOBA_CONS: _Law(StateSpaceId.S, True, _globa_cons),
+    ControllerId.BARFLI: _Law(StateSpaceId.S2, False, _barfli),
+    # libac's backstepping transform constrains only delta; gamma is left
+    # unwrapped and its excursions are recorded empirically, not asserted.
+    ControllerId.LIBAC: _Law(StateSpaceId.S2, True, _libac),
 }
 
 
@@ -296,11 +307,8 @@ def steering_tilde(cid: ControllerId, g: Gains, delta: float, gamma: float) -> f
 
     Raises :class:`BarrierDomainError` outside the id's state space.
     """
-    check_in_space(_SPACE[cid], delta, gamma)
-    fn = _TILDE.get(cid)
-    if fn is not None:
-        return fn(g, delta, gamma)
-    return _TOTAL[cid](g, delta, gamma) - 0.5 * g.k1 * math.sin(2.0 * gamma)
+    check_in_space(_LAWS[cid].space, delta, gamma)
+    return make_steering_tilde(cid, g)(delta, gamma)
 
 
 def steering_total(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
@@ -309,57 +317,28 @@ def steering_total(cid: ControllerId, g: Gains, delta: float, gamma: float) -> f
     globa-interp, globa-cons and libac are stated directly as the total
     omega and are returned verbatim.
     """
-    check_in_space(_SPACE[cid], delta, gamma)
-    fn = _TOTAL.get(cid)
-    if fn is not None:
-        return fn(g, delta, gamma)
-    return 0.5 * g.k1 * math.sin(2.0 * gamma) + _TILDE[cid](g, delta, gamma)
+    law = _LAWS[cid]
+    check_in_space(law.space, delta, gamma)
+    omega = law.fn(SCALAR, g, delta, gamma)
+    if law.total:
+        return omega
+    return 0.5 * g.k1 * math.sin(2.0 * gamma) + omega
+
+
+def _bind_tilde(xp, cid: ControllerId, g: Gains) -> Callable:
+    law = _LAWS[cid]
+    fn = law.fn
+    if not law.total:
+        return lambda d, c: fn(xp, g, d, c)
+    half_k1 = 0.5 * g.k1
+    return lambda d, c: fn(xp, g, d, c) - half_k1 * xp.sin(2.0 * c)
 
 
 def make_steering_tilde(cid: ControllerId, g: Gains) -> Callable[[float, float], float]:
     """Bind (cid, gains) once and return a fast omega_tilde(delta, gamma)
     closure for integration loops.  No domain checks: callers guard the
     barrier separately."""
-    fn = _TILDE.get(cid)
-    if fn is not None:
-        return lambda d, c: fn(g, d, c)
-    total = _TOTAL[cid]
-    half_k1 = 0.5 * g.k1
-    return lambda d, c: total(g, d, c) - half_k1 * math.sin(2.0 * c)
-
-
-def backstep_z(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
-    """Backstepping residual z for the backstepping-family ids."""
-    if cid in (ControllerId.GLOBA, ControllerId.GLOBA_INTERP, ControllerId.GLOBA_CONS):
-        return gamma + 0.5 * math.atan(2.0 * g.k2 * delta)
-    if cid is ControllerId.BARFLI:
-        return gamma + 0.5 * math.atan(4.0 * g.k2 * math.tan(0.5 * delta))
-    if cid is ControllerId.LIBAC:
-        return gamma + 0.5 * delta
-    raise DomainError(f"{cid.value} has no backstepping residual")
-
-
-def forward_zeta(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
-    """Forwarding residual zeta for the forwarding-family ids."""
-    if cid is ControllerId.GLOFO:
-        return delta + g.k1 / (2.0 * g.k2) * sine_integral(2.0 * gamma)
-    if cid is ControllerId.BOFO:
-        return delta + g.k1 / g.k2 * math.sin(gamma)
-    raise DomainError(f"{cid.value} has no forwarding residual")
-
-
-# ---------------------------------------------------------------------------
-# Vectorised mirrors, used for bulk logging/verification.  Kept in lockstep
-# with the scalar laws by an equivalence test in the suite.
-# ---------------------------------------------------------------------------
-
-
-def _sinc_arr(a: np.ndarray) -> np.ndarray:
-    return np.sinc(a / np.pi)
-
-
-def _psi_arr(z: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    return _sinc_arr(z) * np.cos(z - 2.0 * gamma)
+    return _bind_tilde(SCALAR, cid, g)
 
 
 def steering_tilde_many(
@@ -368,62 +347,32 @@ def steering_tilde_many(
     """Vectorised omega_tilde over arrays of (delta, gamma).  No domain checks."""
     d = np.asarray(delta, dtype=float)
     c = np.asarray(gamma, dtype=float)
-    k1, k2, k3, k4 = g.k1, g.k2, g.k3, g.k4
-    if cid is ControllerId.GENOVA:
-        return k2 * c + k3 * _sinc_arr(2.0 * c) * d
-    if cid is ControllerId.BOLSA:
-        t2 = np.tan(0.5 * c) ** 2
-        return k2 * np.sin(c) + k3 * np.cos(c) / (1.0 + t2) ** 2 * d
-    if cid is ControllerId.BOPA:
-        s = np.tan(0.5 * d)
-        return k2 * c + 2.0 * k3 * _sinc_arr(2.0 * c) * (1.0 + s * s) * s
-    if cid is ControllerId.BAGAL:
-        s = np.tan(0.5 * d)
-        t2 = np.tan(0.5 * c) ** 2
-        return k2 * np.sin(c) + 2.0 * k3 * np.cos(c) / (1.0 + t2) ** 2 * (1.0 + s * s) * s
-    if cid is ControllerId.GLOFO:
-        from scipy.special import sici
+    return _bind_tilde(ARRAY, cid, g)(d, c)
 
-        zeta = d + k1 / (2.0 * k2) * sici(2.0 * c)[0]
-        return k2 * c + k3 * _sinc_arr(2.0 * c) * zeta
-    if cid is ControllerId.BOFO:
-        zeta = d + k1 / k2 * np.sin(c)
-        t2 = np.tan(0.5 * c) ** 2
-        return k2 * np.sin(c) + k3 * np.cos(c) / (1.0 + t2) ** 2 * zeta
-    if cid is ControllerId.GLOBA:
-        z = c + 0.5 * np.arctan(2.0 * k2 * d)
-        n2 = 1.0 + 4.0 * k2 * k2 * d * d
-        return k4 * z + 0.5 * k1 * k2 / n2 * np.sin(2.0 * c) + k3 * _psi_arr(z, c) * d
-    if cid is ControllerId.BARFLI:
-        s = np.tan(0.5 * d)
-        z = c + 0.5 * np.arctan(4.0 * k2 * s)
-        n2 = 1.0 + 16.0 * k2 * k2 * s * s
-        sec2 = 1.0 + s * s
-        return (
-            k4 * z
-            + 0.5 * k1 * k2 * sec2 / n2 * np.sin(2.0 * c)
-            + 2.0 * k3 * _psi_arr(z, c) * sec2 * s
-        )
-    if cid is ControllerId.GLOBA_INTERP:
-        z = c + 0.5 * np.arctan(2.0 * k2 * d)
-        n2 = 1.0 + 4.0 * k2 * k2 * d * d
-        n = np.sqrt(n2)
-        b = 1.0 + k2 / n2
-        p = _psi_arr(z, c)
-        cc = p * n - k1 * k2 / k3 * b
-        omega = (k4 + 0.5 * k3 / k2 * cc * cc / n + k1 * np.abs(p) * b) * z
-        return omega - 0.5 * k1 * np.sin(2.0 * c)
-    if cid is ControllerId.GLOBA_CONS:
-        z = c + 0.5 * np.arctan(2.0 * k2 * d)
-        n2 = 1.0 + 4.0 * k2 * k2 * d * d
-        omega = (k4 + g.k5 + k3 / k2 * n2) * z
-        return omega - 0.5 * k1 * np.sin(2.0 * c)
-    if cid is ControllerId.LIBAC:
-        z = c + 0.5 * d
-        s = np.tan(0.5 * d)
-        omega = k3 * z + 0.75 * k1 * np.sin(2.0 * c) + k2 * s / (1.0 + np.cos(d)) * _psi_arr(z, c)
-        return omega - 0.5 * k1 * np.sin(2.0 * c)
-    raise DomainError(f"unknown controller id {cid!r}")
+
+_BACKSTEP_Z = {
+    ControllerId.GLOBA: z_globa,
+    ControllerId.GLOBA_INTERP: z_globa,
+    ControllerId.GLOBA_CONS: z_globa,
+    ControllerId.BARFLI: z_barfli,
+    ControllerId.LIBAC: z_libac,
+}
+
+_FORWARD_ZETA = {ControllerId.GLOFO: zeta_glofo, ControllerId.BOFO: zeta_bofo}
+
+
+def backstep_z(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
+    """Backstepping residual z for the backstepping-family ids."""
+    if cid not in _BACKSTEP_Z:
+        raise DomainError(f"{cid.value} has no backstepping residual")
+    return _BACKSTEP_Z[cid](SCALAR, g, delta, gamma)
+
+
+def forward_zeta(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
+    """Forwarding residual zeta for the forwarding-family ids."""
+    if cid not in _FORWARD_ZETA:
+        raise DomainError(f"{cid.value} has no forwarding residual")
+    return _FORWARD_ZETA[cid](SCALAR, g, delta, gamma)
 
 
 # ---------------------------------------------------------------------------

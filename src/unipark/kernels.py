@@ -2,8 +2,13 @@
 
 All kernels are pure total functions of their float arguments, with no global
 state, so they are safe for unrestricted concurrent use.  They operate on
-plain Python floats; vectorised counterparts used for bulk certificate
-evaluation live in :mod:`unipark.lyapunov`.
+plain Python floats.
+
+:data:`SCALAR` and :data:`ARRAY` are the two primitive namespaces (``sin``,
+``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``psi``, ``si``) that
+the steering laws, metrics and certificates are written over once: the
+scalar one is made of :mod:`math` and the kernels below, the array one of
+their numpy/scipy counterparts.
 
 Conventions
 -----------
@@ -19,12 +24,14 @@ Conventions
 from __future__ import annotations
 
 import math
+from types import ModuleType
 
+import numpy as np
 from scipy.special import sici as _sici
 
 from .errors import BarrierDomainError, DomainError
 
-__all__ = ["sinc", "sine_integral", "psi", "half_tan", "wrap_angle"]
+__all__ = ["sinc", "sine_integral", "psi", "half_tan", "wrap_angle", "SCALAR", "ARRAY"]
 
 # Below this magnitude sin(a)/a loses accuracy to cancellation; the 3-term
 # Taylor polynomial is exact to well under 1e-20 there.
@@ -100,3 +107,32 @@ def wrap_angle(a: float) -> float:
     if w < 0.0:
         w += 2.0 * math.pi
     return w - math.pi
+
+
+def _namespace(name: str, **primitives) -> ModuleType:
+    # A module object rather than a SimpleNamespace: CPython specialises
+    # attribute loads on modules, so ``xp.sin`` costs what ``math.sin`` does
+    # in the scalar integration loops.
+    ns = ModuleType(f"{__name__}.{name}")
+    ns.__dict__.update(primitives)
+    return ns
+
+
+def _sinc_array(a):
+    return np.sinc(a / np.pi)
+
+
+SCALAR = _namespace(
+    "SCALAR",
+    sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt, abs=abs,
+    sinc=sinc, psi=psi, si=sine_integral,
+)
+
+ARRAY = _namespace(
+    "ARRAY",
+    sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt, abs=np.abs,
+    sinc=_sinc_array,
+    # The product form sinc(z)*cos(z - 2*gamma) needs no branch at z = 0.
+    psi=lambda z, gamma: _sinc_array(z) * np.cos(z - 2.0 * gamma),
+    si=lambda a: _sici(a)[0],
+)

@@ -32,10 +32,19 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import sici as _sici
 
-from .controllers import ControllerId, Gains, controller_space
+from .controllers import (
+    ControllerId,
+    Gains,
+    controller_space,
+    z_barfli,
+    z_globa,
+    z_libac,
+    zeta_bofo,
+    zeta_glofo,
+)
 from .errors import ConfigError, DomainError
+from .kernels import ARRAY
 from .spaces import StateSpaceId
 
 __all__ = [
@@ -59,14 +68,6 @@ __all__ = [
 class RateKind(Enum):
     EQUALITY = "equality"
     UPPER_BOUND = "upper_bound"
-
-
-def _sinc(a):
-    return np.sinc(np.asarray(a, dtype=float) / np.pi)
-
-
-def _si(a):
-    return _sici(np.asarray(a, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,43 +211,35 @@ def _bagal_rate(g, d, c):
     return -16.0 * _a_bagal(g) * q * q * t**4 - 1.5 * g.k2 * (s + q * t) ** 2
 
 
-def _glofo_zeta(g, d, c):
-    return d + g.k1 / (2.0 * g.k2) * _si(2.0 * c)
-
-
 def _glofo_value(g, d, c):
     q = g.q
-    zeta = _glofo_zeta(g, d, c)
+    zeta = zeta_glofo(ARRAY, g, d, c)
     return zeta * zeta + q * q * c * c
 
 
 def _glofo_grad(g, d, c):
     q = g.q
-    zeta = _glofo_zeta(g, d, c)
-    return 2.0 * zeta, 2.0 * zeta * g.k1 / g.k2 * _sinc(2.0 * c) + 2.0 * q * q * c
+    zeta = zeta_glofo(ARRAY, g, d, c)
+    return 2.0 * zeta, 2.0 * zeta * g.k1 / g.k2 * ARRAY.sinc(2.0 * c) + 2.0 * q * q * c
 
 
 def _glofo_rate(g, d, c):
-    zeta = _glofo_zeta(g, d, c)
-    w = g.k3 / g.k2 * _sinc(2.0 * c) * zeta
+    zeta = zeta_glofo(ARRAY, g, d, c)
+    w = g.k3 / g.k2 * ARRAY.sinc(2.0 * c) * zeta
     return -g.k1 * g.k2 / g.k3 * (w * w + c * c + (w + c) ** 2)
-
-
-def _bofo_zeta(g, d, c):
-    return d + g.k1 / g.k2 * np.sin(c)
 
 
 def _bofo_value(g, d, c):
     q = g.q
     t = np.tan(0.5 * c)
-    zeta = _bofo_zeta(g, d, c)
+    zeta = zeta_bofo(ARRAY, g, d, c)
     return zeta * zeta + 4.0 * q * q * t * t
 
 
 def _bofo_grad(g, d, c):
     q = g.q
     t = np.tan(0.5 * c)
-    zeta = _bofo_zeta(g, d, c)
+    zeta = zeta_bofo(ARRAY, g, d, c)
     dd = 2.0 * zeta
     dc = 2.0 * zeta * g.k1 / g.k2 * np.cos(c) + 4.0 * q * q * t * (1.0 + t * t)
     return dd, dc
@@ -254,50 +247,42 @@ def _bofo_grad(g, d, c):
 
 def _bofo_rate(g, d, c):
     t = np.tan(0.5 * c)
-    zeta = _bofo_zeta(g, d, c)
+    zeta = zeta_bofo(ARRAY, g, d, c)
     w = g.k3 / g.k2 * np.cos(c) / (1.0 + t * t) * zeta
     return -g.k1 * g.k2 / g.k3 * (w * w + 4.0 * t * t + (w + 2.0 * t) ** 2)
 
 
-def _globa_z(g, d, c):
-    return c + 0.5 * np.arctan(2.0 * g.k2 * d)
-
-
 def _globa_value(g, d, c):
     q = g.q
-    z = _globa_z(g, d, c)
+    z = z_globa(ARRAY, g, d, c)
     return d * d + q * q * z * z
 
 
 def _globa_grad(g, d, c):
     q = g.q
-    z = _globa_z(g, d, c)
+    z = z_globa(ARRAY, g, d, c)
     n2 = 1.0 + 4.0 * g.k2 * g.k2 * d * d
     return 2.0 * d + 2.0 * q * q * z * g.k2 / n2, 2.0 * q * q * z
 
 
 def _globa_rate(g, d, c):
     q = g.q
-    z = _globa_z(g, d, c)
+    z = z_globa(ARRAY, g, d, c)
     n = np.sqrt(1.0 + 4.0 * g.k2 * g.k2 * d * d)
     return -2.0 * g.k1 * g.k2 * d * d / n - 2.0 * q * q * g.k4 * z * z
-
-
-def _barfli_z(g, d, c):
-    return c + 0.5 * np.arctan(4.0 * g.k2 * np.tan(0.5 * d))
 
 
 def _barfli_value(g, d, c):
     q = g.q
     s = np.tan(0.5 * d)
-    z = _barfli_z(g, d, c)
+    z = z_barfli(ARRAY, g, d, c)
     return 4.0 * s * s + q * q * z * z
 
 
 def _barfli_grad(g, d, c):
     q = g.q
     s = np.tan(0.5 * d)
-    z = _barfli_z(g, d, c)
+    z = z_barfli(ARRAY, g, d, c)
     sec2 = 1.0 + s * s
     n2 = 1.0 + 16.0 * g.k2 * g.k2 * s * s
     dd = 4.0 * s * sec2 + 2.0 * q * q * z * g.k2 * sec2 / n2
@@ -307,7 +292,7 @@ def _barfli_grad(g, d, c):
 def _barfli_rate(g, d, c):
     q = g.q
     s = np.tan(0.5 * d)
-    z = _barfli_z(g, d, c)
+    z = z_barfli(ARRAY, g, d, c)
     n = np.sqrt(1.0 + 16.0 * g.k2 * g.k2 * s * s)
     return -8.0 * g.k1 * g.k2 * (1.0 + s * s) * s * s / n - 2.0 * g.k4 * q * q * z * z
 
@@ -316,7 +301,7 @@ def _barfli_rate(g, d, c):
 # Young-bounded decrease shares one closed form.
 def _globa_variant_rate(g, d, c):
     q = g.q
-    z = _globa_z(g, d, c)
+    z = z_globa(ARRAY, g, d, c)
     n = np.sqrt(1.0 + 4.0 * g.k2 * g.k2 * d * d)
     return -g.k1 * g.k2 * d * d / n - 2.0 * q * q * g.k4 * z * z
 
@@ -332,21 +317,21 @@ def _globa_variant_rate(g, d, c):
 def _libac_value(g, d, c):
     q = g.q
     s = np.tan(0.5 * d)
-    z = c + 0.5 * d
+    z = z_libac(ARRAY, g, d, c)
     return g.k2 / g.k3 * s * s + q * q * z * z
 
 
 def _libac_grad(g, d, c):
     q = g.q
     s = np.tan(0.5 * d)
-    z = c + 0.5 * d
+    z = z_libac(ARRAY, g, d, c)
     dd = g.k2 / g.k3 * s * (1.0 + s * s) + q * q * z
     return dd, 2.0 * q * q * z
 
 
 def _libac_rate(g, d, c):
     s = np.tan(0.5 * d)
-    z = c + 0.5 * d
+    z = z_libac(ARRAY, g, d, c)
     return -g.k1 * g.k2 / g.k3 * s * s - 2.0 * g.k1 * z * z
 
 
@@ -609,7 +594,7 @@ def appendix_bounds_slack(k, x):
     x = np.asarray(x, float)
     if np.any(k < 1.0):
         raise DomainError("appendix bounds require k >= 1")
-    s1 = k * x * x - (1.0 - k * _sinc(2.0 * x))
+    s1 = k * x * x - (1.0 - k * ARRAY.sinc(2.0 * x))
     cx = np.cos(x)
     s2 = 2.0 * (1.0 + k) * np.tan(0.5 * x) ** 2 - (1.0 - k * cx * (1.0 + cx))
     return s1, s2

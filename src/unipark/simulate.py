@@ -27,8 +27,7 @@ curvature discontinuity of the underlying feedback is preserved in the log.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -37,7 +36,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError, UniparkError
-from .kernels import wrap_angle
+from .kernels import ARRAY, SCALAR, wrap_angle
 from .lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf
 from .spaces import (
     CartesianState,
@@ -45,6 +44,7 @@ from .spaces import (
     StateSpaceId,
     cartesian_to_polar,
     delta_gamma_in_space,
+    metric_values,
     polar_to_cartesian,
 )
 
@@ -54,13 +54,12 @@ __all__ = [
     "Trajectory",
     "AxisCrossing",
     "SweepRecord",
-    "vector_field_polar",
-    "vector_field_polar_open",
     "integrate",
     "integrate_cartesian",
     "integrate_batch",
     "BatchResult",
     "sweep",
+    "sweep_point",
     "front_line_crossings",
 ]
 
@@ -196,38 +195,6 @@ class Trajectory:
         return min(margins)
 
 
-def vector_field_polar(cid: ControllerId, g: Gains, p: PolarState) -> tuple[float, float, float]:
-    """Closed-loop polar derivatives (rho', delta', gamma'); the angle block
-    is rho-independent and regular at rho = 0."""
-    return ctl.closed_loop_field(cid, g)(p.rho, p.delta, p.gamma)
-
-
-def vector_field_polar_open(p: PolarState, v: float, omega: float) -> tuple[float, float, float]:
-    """Open-loop polar derivatives under external inputs; singular at rho = 0."""
-    return ctl.open_loop_field(p, v, omega)
-
-
-def _metric_arrays(space: StateSpaceId, rho, delta, gamma):
-    d = 2.0 * np.tan(0.5 * np.asarray(delta)) if space.delta_constrained else np.asarray(delta)
-    g = 2.0 * np.tan(0.5 * np.asarray(gamma)) if space.gamma_constrained else np.asarray(gamma)
-    return np.asarray(rho) + np.abs(d) + np.abs(g)
-
-
-def _metric_scalar(space: StateSpaceId, rho: float, delta: float, gamma: float) -> float:
-    d = abs(2.0 * math.tan(0.5 * delta)) if space.delta_constrained else abs(delta)
-    g = abs(2.0 * math.tan(0.5 * gamma)) if space.gamma_constrained else abs(gamma)
-    return rho + d + g
-
-
-def _guard_tripped(space: StateSpaceId, delta: float, gamma: float, margin: float) -> bool:
-    limit = math.pi - margin
-    if space.delta_constrained and abs(delta) >= limit:
-        return True
-    if space.gamma_constrained and abs(gamma) >= limit:
-        return True
-    return False
-
-
 def _finish(s: Scenario, t, polar, termination, crossings=None, cartesian=None) -> Trajectory:
     t = np.asarray(t)
     polar = np.asarray(polar, dtype=float).reshape(-1, 3)
@@ -242,7 +209,7 @@ def _finish(s: Scenario, t, polar, termination, crossings=None, cartesian=None) 
     )
     lyap = s.lyapunov()
     V = np.asarray(lyap.value(rho, delta, gamma), dtype=float)
-    met = _metric_arrays(s.space, rho, delta, gamma)
+    met = metric_values(ARRAY, s.space, rho, delta, gamma)
     meta = {
         "controller": s.controller.value,
         "dt": s.dt,
@@ -291,9 +258,10 @@ def integrate(s: Scenario) -> Trajectory:
     times = [0.0]
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
     space = s.space
+    limit = math.pi - s.barrier_margin
     k = 0
     while True:
-        if _metric_scalar(space, *y) < s.stop_tol:
+        if metric_values(SCALAR, space, *y) < s.stop_tol:
             reason = Termination.CONVERGED
             break
         if k >= n_max:
@@ -304,7 +272,7 @@ def integrate(s: Scenario) -> Trajectory:
         if not all(map(math.isfinite, y_next)):
             reason = Termination.NUMERIC
             break
-        if _guard_tripped(space, y_next[1], y_next[2], s.barrier_margin):
+        if not delta_gamma_in_space(space, y_next[1], y_next[2], limit):
             reason = Termination.BARRIER_GUARD
             break
         y = y_next
@@ -329,15 +297,16 @@ def integrate_cartesian(s: Scenario) -> Trajectory:
     space = s.space
     p0 = s.initial_polar()
 
-    def polar_cont(x: float, y: float, theta: float, delta_ref: float):
+    # Both angles are unwrapped against the previous step's values, so the
+    # run stays on the chart initial_polar() picked for the controller.
+    def polar_cont(x: float, y: float, theta: float, delta_ref: float, gamma_ref: float):
         rho = math.hypot(x, y)
-        delta = math.atan2(y + 0.0, x) + math.pi
-        delta = _unwrap_near(delta, delta_ref)
-        return rho, delta, delta - theta
+        delta = _unwrap_near(math.atan2(y + 0.0, x) + math.pi, delta_ref)
+        return rho, delta, _unwrap_near(delta - theta, gamma_ref)
 
-    def make_field(delta_ref: float):
+    def make_field(delta_ref: float, gamma_ref: float):
         def field(x: float, y: float, theta: float):
-            rho, delta, gamma = polar_cont(x, y, theta, delta_ref)
+            rho, delta, gamma = polar_cont(x, y, theta, delta_ref, gamma_ref)
             v = k1 * rho * math.cos(gamma)
             omega = 0.5 * k1 * math.sin(2.0 * gamma) + tilde(delta, gamma)
             return v * math.cos(theta), v * math.sin(theta), omega
@@ -345,22 +314,22 @@ def integrate_cartesian(s: Scenario) -> Trajectory:
         return field
 
     y = (c0.x, c0.y, c0.theta)
-    delta_ref = p0.delta
     polar_log = [(p0.rho, p0.delta, p0.gamma)]
     cart_log = [y]
     times = [0.0]
     crossings: list[AxisCrossing] = []
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
+    limit = math.pi - s.barrier_margin
     k = 0
     while True:
         rho, delta, gamma = polar_log[-1]
-        if _metric_scalar(space, rho, delta, gamma) < s.stop_tol:
+        if metric_values(SCALAR, space, rho, delta, gamma) < s.stop_tol:
             reason = Termination.CONVERGED
             break
         if k >= n_max:
             reason = Termination.T_MAX
             break
-        y_next = _rk4_step(make_field(delta_ref), y, s.dt)
+        y_next = _rk4_step(make_field(delta, gamma), y, s.dt)
         k += 1
         if not all(map(math.isfinite, y_next)):
             reason = Termination.NUMERIC
@@ -368,15 +337,14 @@ def integrate_cartesian(s: Scenario) -> Trajectory:
         if y_next[0] * y_next[0] + y_next[1] * y_next[1] == 0.0:
             reason = Termination.CONVERGED
             break
-        p_next = polar_cont(*y_next, delta_ref)
-        if _guard_tripped(space, p_next[1], p_next[2], s.barrier_margin):
+        p_next = polar_cont(*y_next, delta, gamma)
+        if not delta_gamma_in_space(space, p_next[1], p_next[2], limit):
             reason = Termination.BARRIER_GUARD
             break
         if y[1] * y_next[1] < 0.0 or (y_next[1] == 0.0 and y[1] != 0.0):
             frac = y[1] / (y[1] - y_next[1])
             crossings.append(AxisCrossing(t=(k - 1 + frac) * s.dt, x=y[0] + frac * (y_next[0] - y[0])))
         y = y_next
-        delta_ref = p_next[1]
         polar_log.append(p_next)
         cart_log.append(y)
         times.append(k * s.dt)
@@ -477,7 +445,7 @@ def integrate_batch(
     with np.errstate(all="ignore"):
         v_prev = np.asarray(lyap.value(ys[0], ys[1], ys[2]), dtype=float)
         extra_prev = [np.asarray(fn.value(ys[0], ys[1], ys[2]), dtype=float) for fn in extra]
-        met = _metric_arrays(space, ys[0], ys[1], ys[2])
+        met = metric_values(ARRAY, space, ys[0], ys[1], ys[2])
     min_margin = np.minimum(min_margin, margins(ys))
     newly = active & (met < s.stop_tol)
     converged |= newly
@@ -522,7 +490,7 @@ def integrate_batch(
                 e_now = np.asarray(fn.value(ys[0], ys[1], ys[2]), dtype=float)
                 extra_viol[ei] += (active & (e_now > extra_prev[ei] + V_MONOTONE_TOL)).astype(int)
                 extra_prev[ei] = np.where(active, e_now, extra_prev[ei])
-            met = _metric_arrays(space, ys[0], ys[1], ys[2])
+            met = metric_values(ARRAY, space, ys[0], ys[1], ys[2])
             newly = active & (met < s.stop_tol)
             converged |= newly
             conv_time[newly] = k * h
@@ -564,29 +532,26 @@ class SweepRecord:
     error: str | None = None
 
 
-def _replace_initial(s: Scenario, initial) -> Scenario:
-    return Scenario(
-        controller=s.controller,
-        gains=s.gains,
-        initial=initial,
-        frame=s.frame,
-        dt=s.dt,
-        t_max=s.t_max,
-        stop_tol=s.stop_tol,
-        barrier_margin=s.barrier_margin,
-        composite=s.composite,
-        composite_order=s.composite_order,
-    )
+def _initial_tuple(initial) -> tuple[float, float, float]:
+    if isinstance(initial, PolarState):
+        return (initial.rho, initial.delta, initial.gamma)
+    return (initial.x, initial.y, initial.theta)
 
 
-def _run_one(args) -> SweepRecord:
-    i, s, initial = args
+def sweep_point(base: Scenario, index: int, initial) -> tuple[SweepRecord, Trajectory | None]:
+    """Integrate ``base`` from one grid point, once.
+
+    Returns the point's record and its trajectory.  A point that cannot be
+    run is recorded in the ``error`` field, with ``None`` for the
+    trajectory, rather than raised.
+    """
+    start = _initial_tuple(initial)
     try:
-        traj = integrate(_replace_initial(s, initial))
+        traj = integrate(replace(base, initial=initial))
     except UniparkError as e:
         return SweepRecord(
-            index=i,
-            initial=_initial_tuple(initial),
+            index=index,
+            initial=start,
             termination="error",
             convergence_time=None,
             path_length=math.nan,
@@ -595,40 +560,24 @@ def _run_one(args) -> SweepRecord:
             v_violations=0,
             front_crossings=0,
             error=str(e),
-        )
+        ), None
     return SweepRecord(
-        index=i,
-        initial=_initial_tuple(initial),
+        index=index,
+        initial=start,
         termination=traj.termination.value,
         convergence_time=traj.convergence_time(),
         path_length=traj.path_length(),
         steering_effort=traj.steering_effort(),
-        min_barrier_margin=traj.min_barrier_margin(ctl.controller_space(s.controller)),
+        min_barrier_margin=traj.min_barrier_margin(base.space),
         v_violations=traj.v_monotonicity_violations(),
         front_crossings=len(front_line_crossings(traj)),
         error=None,
-    )
+    ), traj
 
 
-def _initial_tuple(initial) -> tuple[float, float, float]:
-    if isinstance(initial, PolarState):
-        return (initial.rho, initial.delta, initial.gamma)
-    return (initial.x, initial.y, initial.theta)
-
-
-def sweep(base: Scenario, grid: Sequence, workers: int = 1) -> list[SweepRecord]:
-    """Run :func:`integrate` for every initial state in ``grid``.
-
-    Runs are independent; with ``workers > 1`` they execute concurrently and
-    the records are still returned in grid order.  Per-point failures are
-    recorded in the ``error`` field rather than raised.
-    """
+def sweep(base: Scenario, grid: Sequence) -> list[SweepRecord]:
+    """The :func:`sweep_point` records of every initial state in ``grid``,
+    in grid order; each trajectory is dropped as soon as it is summarised."""
     if len(grid) == 0:
         raise ConfigError("sweep grid is empty")
-    jobs = [(i, base, initial) for i, initial in enumerate(grid)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(_run_one, jobs))
-    else:
-        records = [_run_one(j) for j in jobs]
-    return records
+    return [sweep_point(base, i, initial)[0] for i, initial in enumerate(grid)]

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BarrierDomainError, TransformError
-from .kernels import half_tan, wrap_angle
+from .kernels import SCALAR, wrap_angle
 
 __all__ = [
     "CartesianState",
@@ -67,6 +67,7 @@ __all__ = [
     "delta_gamma_in_space",
     "check_in_space",
     "metric",
+    "metric_values",
     "metric_delta_gamma",
     "barrier_terms_cartesian",
 ]
@@ -198,34 +199,47 @@ def from_integrator(s: IntegratorState) -> PolarState:
     return PolarState(rho, s.theta + gamma, gamma)
 
 
-def delta_gamma_in_space(ss: StateSpaceId, delta: float, gamma: float) -> bool:
-    """True when (delta, gamma) lies strictly inside ``ss`` (barrier margin
-    included)."""
-    if ss.delta_constrained and abs(delta) >= BARRIER_ANGLE_LIMIT:
+def delta_gamma_in_space(
+    ss: StateSpaceId, delta: float, gamma: float, limit: float = BARRIER_ANGLE_LIMIT
+) -> bool:
+    """True when every angle that ``ss`` constrains has magnitude below
+    ``limit``.  The default keeps tan(angle/2) finite; the integrators pass
+    pi minus their barrier-guard margin."""
+    if ss.delta_constrained and abs(delta) >= limit:
         return False
-    if ss.gamma_constrained and abs(gamma) >= BARRIER_ANGLE_LIMIT:
+    if ss.gamma_constrained and abs(gamma) >= limit:
         return False
     return True
 
 
 def check_in_space(ss: StateSpaceId, delta: float, gamma: float) -> None:
-    if ss.delta_constrained and abs(delta) >= BARRIER_ANGLE_LIMIT:
-        raise BarrierDomainError(f"|delta| = {abs(delta)!r} is outside {ss.value} (< pi required)")
-    if ss.gamma_constrained and abs(gamma) >= BARRIER_ANGLE_LIMIT:
-        raise BarrierDomainError(f"|gamma| = {abs(gamma)!r} is outside {ss.value} (< pi required)")
+    if not delta_gamma_in_space(ss, delta, gamma):
+        raise BarrierDomainError(
+            f"(delta, gamma) = ({delta!r}, {gamma!r}) is outside {ss.value} "
+            "(< pi required on its constrained angles)"
+        )
+
+
+def metric_values(xp, ss: StateSpaceId, rho, delta, gamma):
+    """rho + |Delta| + |Gamma| over the primitive namespace ``xp``
+    (:data:`~unipark.kernels.SCALAR` or :data:`~unipark.kernels.ARRAY`), with
+    no domain check.  Summed as (rho + |Delta|) + |Gamma|, the order the
+    integrators' termination tests have always used."""
+    big_d = 2.0 * xp.tan(0.5 * delta) if ss.delta_constrained else delta
+    big_g = 2.0 * xp.tan(0.5 * gamma) if ss.gamma_constrained else gamma
+    return rho + xp.abs(big_d) + xp.abs(big_g)
 
 
 def metric_delta_gamma(ss: StateSpaceId, delta: float, gamma: float) -> float:
     """|Delta| + |Gamma| for the angle pair in space ``ss``."""
     check_in_space(ss, delta, gamma)
-    d = 2.0 * half_tan(delta) if ss.delta_constrained else delta
-    g = 2.0 * half_tan(gamma) if ss.gamma_constrained else gamma
-    return abs(d) + abs(g)
+    return metric_values(SCALAR, ss, 0.0, delta, gamma)
 
 
 def metric(p: PolarState, ss: StateSpaceId) -> float:
     """State-space metric rho + |Delta| + |Gamma|; zero only at the origin."""
-    return p.rho + metric_delta_gamma(ss, p.delta, p.gamma)
+    check_in_space(ss, p.delta, p.gamma)
+    return metric_values(SCALAR, ss, p.rho, p.delta, p.gamma)
 
 
 def barrier_terms_cartesian(c: CartesianState) -> tuple[float, float]:

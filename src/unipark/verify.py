@@ -22,6 +22,7 @@ import numpy as np
 
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
+from .errors import ConfigError
 from .linearization import (
     DesignFamily,
     PoleSpec,
@@ -302,6 +303,8 @@ def certificate_samples(clf: SteeringClf, pts: np.ndarray, cap: int = 20) -> lis
 
 def run_all(seed: int = 0, samples: int = 1000, extra_gain_sets: int = 3) -> dict:
     """Full verification sweep; returns a JSON-ready report."""
+    if samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     gain_sets = [Gains()] + strict_gain_sets(extra_gain_sets, rng)
     checks: list[CheckResult] = []

@@ -119,6 +119,51 @@ class TestSweepCommand:
         cfg = self._config(tmp_path, [])
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    def test_one_integration_per_point(self, tmp_path, monkeypatch):
+        import unipark.cli
+        import unipark.simulate
+
+        calls = []
+        real = unipark.simulate.integrate
+
+        def counting(s):
+            calls.append(s.controller)
+            return real(s)
+
+        # Both import sites are counted, so redrawing a point through the
+        # CLI's own integrate would show up as a second call.
+        monkeypatch.setattr(unipark.simulate, "integrate", counting)
+        monkeypatch.setattr(unipark.cli, "integrate", counting)
+        cfg = tmp_path / "sweep.json"
+        # (1, 0, 0) sits on barfli's delta barrier, so that point errors and
+        # the sweep exits 1.
+        cfg.write_text(json.dumps({
+            "controllers": ["barfli", "globa"], "dt": 0.01, "t_max": 20.0,
+            "grid_cart": [[2.0, 0.4, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]],
+        }))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        ran = [r for recs in summary["controllers"].values() for r in recs if r["error"] is None]
+        assert len(ran) == 5
+        assert len(calls) == len(ran)
+        svg = (tmp_path / "out" / "sweep_overlay.svg").read_text()
+        assert svg.count("<polyline") == len(ran)
+
+    def test_barrier_guard_is_failure(self, tmp_path):
+        start = [1.0, 0.5, 0.0]
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "controllers": ["bopa"], "barrier_margin": 3.0, "grid_polar": [start],
+        }))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")]) == 1
+        summary = json.loads((tmp_path / "sw" / "sweep_summary.json").read_text())
+        assert summary["controllers"]["bopa"][0]["termination"] == "barrier_guard"
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({
+            "controller": "bopa", "barrier_margin": 3.0, "init_polar": start,
+        }))
+        assert run(["simulate", "--config", str(sim), "--out", str(tmp_path / "si")]) == 1
+
     def test_deterministic(self, tmp_path):
         cfg = self._config(tmp_path, [[0.0, -2.0, 0.0]])
         for sub in ("s1", "s2"):
@@ -175,6 +220,13 @@ class TestGainsCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_is_usage_error(self, tmp_path, capsys, samples):
+        assert run(["verify", "--samples", samples, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_small_run_passes(self, tmp_path, capsys):
         code = run(["verify", "--samples", "100", "--seed", "3", "--out", str(tmp_path)])
         out = capsys.readouterr().out

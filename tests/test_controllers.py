@@ -145,11 +145,12 @@ class TestSteeringProperties:
 
     def test_vectorised_matches_scalar(self):
         rng = np.random.default_rng(9)
-        for cid in all_controller_ids():
-            pts = sample_inside(cid, rng, 200)
-            vec = steering_tilde_many(cid, UNIT, pts[:, 0], pts[:, 1])
-            sca = np.array([steering_tilde(cid, UNIT, d, c) for d, c in pts])
-            np.testing.assert_allclose(vec, sca, rtol=1e-12, atol=1e-13)
+        for g in (UNIT, Gains(k1=2.0, k2=0.8, k3=1.5, k4=1.2)):
+            for cid in all_controller_ids():
+                pts = sample_inside(cid, rng, 200)
+                vec = steering_tilde_many(cid, g, pts[:, 0], pts[:, 1])
+                sca = np.array([steering_tilde(cid, g, d, c) for d, c in pts])
+                np.testing.assert_allclose(vec, sca, rtol=1e-12, atol=1e-13)
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(10)

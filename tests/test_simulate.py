@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from unipark.controllers import ControllerId, Gains
+from unipark.controllers import ControllerId, Gains, closed_loop_field, open_loop_field
 from unipark.errors import ConfigError, SingularityError
 from unipark.kernels import wrap_angle
 from unipark.lyapunov import CompositeKind
@@ -14,8 +14,6 @@ from unipark.simulate import (
     integrate,
     integrate_batch,
     sweep,
-    vector_field_polar,
-    vector_field_polar_open,
 )
 from unipark.spaces import CartesianState, PolarState, StateSpaceId
 
@@ -31,18 +29,16 @@ def scenario(cid=ControllerId.GENOVA, **kw):
 
 class TestVectorFields:
     def test_closed_loop_examples(self):
-        f = vector_field_polar(ControllerId.GENOVA, UNIT, PolarState(1.0, 0.0, 0.0))
-        assert f == pytest.approx((-1.0, 0.0, 0.0))
-        r, d, _ = vector_field_polar(ControllerId.BOFO, UNIT, PolarState(1.0, 0.0, math.pi / 2))
+        genova = closed_loop_field(ControllerId.GENOVA, UNIT)
+        assert genova(1.0, 0.0, 0.0) == pytest.approx((-1.0, 0.0, 0.0))
+        r, d, _ = closed_loop_field(ControllerId.BOFO, UNIT)(1.0, 0.0, math.pi / 2)
         assert r == pytest.approx(0.0, abs=1e-15)
         assert d == pytest.approx(0.0, abs=1e-15)
-        assert vector_field_polar(ControllerId.GENOVA, UNIT, PolarState(1.0, 1.0, 0.0)) == pytest.approx(
-            (-1.0, 0.0, -1.0)
-        )
+        assert genova(1.0, 1.0, 0.0) == pytest.approx((-1.0, 0.0, -1.0))
 
     def test_open_loop_singularity(self):
         with pytest.raises(SingularityError):
-            vector_field_polar_open(PolarState(0.0, 0.0, 0.0), 1.0, 0.0)
+            open_loop_field(PolarState(0.0, 0.0, 0.0), 1.0, 0.0)
 
 
 class TestScenarioValidation:
@@ -156,6 +152,24 @@ class TestChartConsistency:
         err_c = np.abs(trs["polar"].cartesian[:n] - trs["cartesian"].cartesian[:n]).max()
         assert err_c < 1e-6
 
+    def test_wrapped_initial_angles(self):
+        # Poses where initial_polar() wraps an angle the raw transform puts
+        # outside [-pi, pi): the Cartesian chart has to stay on that branch.
+        cases = [(cid, CartesianState(-1.0, 1.0, 0.0)) for cid in (
+            ControllerId.BOLSA, ControllerId.BOFO, ControllerId.BOPA,
+            ControllerId.BARFLI, ControllerId.LIBAC)]
+        cases.append((ControllerId.BAGAL, CartesianState(-1.0, 1.0, 3.0)))
+        for cid, init in cases:
+            trs = {}
+            for frame in ("polar", "cartesian"):
+                s = Scenario(controller=cid, gains=UNIT, initial=init, frame=frame, dt=1e-2)
+                trs[frame] = integrate(s)
+            cart = trs["cartesian"]
+            assert cart.termination is Termination.CONVERGED, cid
+            assert cart.v_monotonicity_violations() == 0, cid
+            n = min(len(cart.t), len(trs["polar"].t))
+            assert np.abs(cart.polar[:n] - trs["polar"].polar[:n]).max() < 1e-8, cid
+
     def test_cartesian_convergence(self):
         s = Scenario(controller=ControllerId.GENOVA, gains=UNIT,
                      initial=CartesianState(0.0, -1.0, 0.0), frame="cartesian",
@@ -222,15 +236,6 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep(scenario(), [])
-
-    def test_workers_deterministic(self):
-        base = scenario(cid=ControllerId.BOLSA, t_max=30.0)
-        grid = [PolarState(1.0, 0.5, g) for g in (-1.0, 0.3, 1.4, 2.2)]
-        seq = sweep(base, grid, workers=1)
-        par = sweep(base, grid, workers=3)
-        assert [r.index for r in par] == [0, 1, 2, 3]
-        for a, b in zip(seq, par):
-            assert a == b
 
     def test_failure_recorded_not_raised(self):
         base = scenario(cid=ControllerId.BOPA, t_max=5.0)
