@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import ControllerId, Gains
-from .errors import ConfigError, InfeasiblePolesError, UniparkError
+from .errors import ConfigError, DomainError, InfeasiblePolesError, TransformError, UniparkError
 from .linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 from .lyapunov import CompositeKind, CompositeOrder
 from .simulate import Scenario, Termination, Trajectory, integrate, sweep_point
 from .spaces import CartesianState, PolarState
-from .svg import SvgPath, render_paths
+from .svg import SvgPath, palette_color, render_paths
 from .verify import run_all
 
 SCHEMA_VERSION = 1
@@ -37,52 +37,43 @@ _FAILED_TERMINATIONS = (Termination.NUMERIC.value, Termination.BARRIER_GUARD.val
 CSV_COLUMNS = ("t", "x", "y", "theta", "rho", "delta", "gamma", "v", "omega", "V", "metric")
 
 
-def _die(msg: str, code: int) -> "NoReturn":  # noqa: F821 - doc only
-    print(f"error: {msg}", file=sys.stderr)
-    raise SystemExit(code)
-
-
-def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if len(parts) != n:
-        raise ConfigError(f"{what} needs {n} comma-separated numbers, got {text!r}")
+def _parse_floats(spec, what: str, lo: int = 3, hi: int = 3) -> tuple[float, ...]:
+    """``lo`` to ``hi`` numbers from a JSON list or a comma-separated string."""
+    parts = spec if isinstance(spec, list) else [p for p in str(spec).split(",") if p.strip() != ""]
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as e:
-        raise ConfigError(f"bad {what}: {e}") from None
+        vals = tuple(float(p) for p in parts)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {what} {spec!r}: {e}") from None
+    if not lo <= len(vals) <= hi:
+        count = lo if lo == hi else f"{lo} to {hi}"
+        raise ConfigError(f"{what} needs {count} numbers, got {len(vals)} in {spec!r}")
+    return vals
 
 
-def _parse_gains(text_or_obj) -> Gains:
-    if isinstance(text_or_obj, dict):
-        return Gains(**{k: float(v) for k, v in text_or_obj.items()})
-    if isinstance(text_or_obj, (list, tuple)):
-        vals = [float(v) for v in text_or_obj]
-    else:
-        vals = [float(p) for p in str(text_or_obj).split(",") if p.strip() != ""]
-    if not 1 <= len(vals) <= 5:
-        raise ConfigError(f"gains need 1..5 values (k1..k4, k0), got {len(vals)}")
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _parse_gains(spec) -> Gains:
     names = ("k1", "k2", "k3", "k4", "k0")
-    kwargs = dict(zip(names, vals))
-    return Gains(**kwargs)
+    if isinstance(spec, dict):
+        unknown = sorted(set(spec) - set(names))
+        if unknown:
+            raise ConfigError(f"unknown gains {unknown}; expected k1..k4, k0")
+        return Gains(**{k: _number(v, f"gain {k}") for k, v in spec.items()})
+    return Gains(**dict(zip(names, _parse_floats(spec, "gains (k1..k4, k0)", 1, 5))))
 
 
-def _controller(name: str) -> ControllerId:
+def _choice(enum_cls, value, what: str):
+    """The member of ``enum_cls`` named by the config value ``value``."""
     try:
-        return ControllerId(name)
+        return enum_cls(value)
     except ValueError:
         raise ConfigError(
-            f"unknown controller {name!r}; expected one of "
-            + ", ".join(c.value for c in ControllerId)
-        ) from None
-
-
-def _composite(name: str) -> CompositeKind:
-    try:
-        return CompositeKind(name)
-    except ValueError:
-        raise ConfigError(
-            f"unknown composite {name!r}; expected one of "
-            + ", ".join(k.value for k in CompositeKind)
+            f"unknown {what} {value!r}; expected one of " + ", ".join(m.value for m in enum_cls)
         ) from None
 
 
@@ -113,26 +104,29 @@ def _scenario_from(cfg: dict, args: argparse.Namespace) -> Scenario:
     init_polar = get(args.init_polar, "init_polar")
     if init_cart is not None and init_polar is not None:
         raise ConfigError("give exactly one of init_cart / init_polar")
-    if init_cart is not None:
-        vals = init_cart if isinstance(init_cart, (list, tuple)) else _parse_floats(init_cart, 3, "--init-cart")
-        initial = CartesianState(*[float(v) for v in vals])
-    elif init_polar is not None:
-        vals = init_polar if isinstance(init_polar, (list, tuple)) else _parse_floats(init_polar, 3, "--init-polar")
-        initial = PolarState(*[float(v) for v in vals])
-    else:
-        raise ConfigError("an initial state is required (--init-cart or --init-polar)")
-    return Scenario(
-        controller=_controller(controller),
-        gains=_parse_gains(gains_spec),
-        initial=initial,
-        frame=get(args.frame, "frame", "polar"),
-        dt=float(get(args.dt, "dt", 1e-3)),
-        t_max=float(get(args.t_max, "t_max", 100.0)),
-        stop_tol=float(get(args.tol, "tol", 1e-4)),
-        barrier_margin=float(cfg.get("barrier_margin", 1e-9)),
-        composite=_composite(get(args.composite, "composite", "add")),
-        composite_order=CompositeOrder(cfg.get("composite_order", "rho-first")),
-    )
+    # Out-of-range gains and non-finite states are config errors too.
+    try:
+        if init_cart is not None:
+            initial = CartesianState(*_parse_floats(init_cart, "init_cart"))
+        elif init_polar is not None:
+            initial = PolarState(*_parse_floats(init_polar, "init_polar"))
+        else:
+            raise ConfigError("an initial state is required (--init-cart or --init-polar)")
+        return Scenario(
+            controller=_choice(ControllerId, controller, "controller"),
+            gains=_parse_gains(gains_spec),
+            initial=initial,
+            frame=get(args.frame, "frame", "polar"),
+            dt=_number(get(args.dt, "dt", 1e-3), "dt"),
+            t_max=_number(get(args.t_max, "t_max", 100.0), "t_max"),
+            stop_tol=_number(get(args.tol, "tol", 1e-4), "tol"),
+            barrier_margin=_number(cfg.get("barrier_margin", 1e-9), "barrier_margin"),
+            composite=_choice(CompositeKind, get(args.composite, "composite", "add"), "composite"),
+            composite_order=_choice(CompositeOrder, cfg.get("composite_order", "rho-first"),
+                                    "composite_order"),
+        )
+    except (DomainError, TransformError) as e:
+        raise ConfigError(str(e)) from None
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -223,9 +217,9 @@ def _sweep_grid(cfg: dict) -> list:
     if "grid_cart" in cfg and "grid_polar" in cfg:
         raise ConfigError("give exactly one of grid_cart / grid_polar")
     if "grid_cart" in cfg:
-        return [CartesianState(*map(float, row)) for row in cfg["grid_cart"]]
+        return [CartesianState(*_parse_floats(row, "grid_cart row")) for row in cfg["grid_cart"]]
     if "grid_polar" in cfg:
-        return [PolarState(*map(float, row)) for row in cfg["grid_polar"]]
+        return [PolarState(*_parse_floats(row, "grid_polar row")) for row in cfg["grid_polar"]]
     raise ConfigError("sweep config needs grid_cart or grid_polar")
 
 
@@ -239,7 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     controllers = cfg.get("controllers")
     if controllers is None:
         controllers = [cfg.get("controller") or (args.controller or "")]
-    controllers = [_controller(c) for c in controllers if c]
+    controllers = [_choice(ControllerId, c, "controller") for c in controllers if c]
     if not controllers:
         raise ConfigError("sweep needs at least one controller")
     fmts = _formats(args, allowed=("json", "svg", "txt"))
@@ -264,7 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             r, traj = sweep_point(base, i, initial)
             if "svg" in fmts and traj is not None:
                 paths.append(SvgPath(traj.cartesian, label=cid.value,
-                                     color=_controller_color(ci)))
+                                     color=palette_color(ci)))
             recs.append({
                 "index": r.index,
                 "initial": list(r.initial),
@@ -290,11 +284,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _controller_color(i: int) -> str:
-    colors = ("#d62728", "#1f77b4", "#17becf", "#2ca02c", "#9467bd", "#ff7f0e")
-    return colors[i % len(colors)]
-
-
 def _summary_text(summary: dict) -> str:
     lines = []
     header = (
@@ -307,8 +296,6 @@ def _summary_text(summary: dict) -> str:
             tconv = "-" if r["convergence_time"] is None else f"{r['convergence_time']:.2f}"
             margin = r["min_barrier_margin"]
             margin_s = "inf" if margin in (None, math.inf) or margin != margin else f"{margin:.3f}"
-            if margin == math.inf:
-                margin_s = "inf"
             lines.append(
                 f"{cname:14s} {r['index']:3d} {r['termination']:12s} {tconv:>8s} "
                 f"{r['path_length']:9.3f} {r['steering_effort']:9.3f} {margin_s:>9s} "
@@ -325,13 +312,7 @@ def _parse_pole(text: str) -> complex:
 
 
 def cmd_gains(args: argparse.Namespace) -> int:
-    try:
-        family = DesignFamily(args.family)
-    except ValueError:
-        raise ConfigError(
-            f"unknown family {args.family!r}; expected one of "
-            + ", ".join(f.value for f in DesignFamily)
-        ) from None
+    family = _choice(DesignFamily, args.family, "family")
     poles = [_parse_pole(p) for p in args.poles.split(",") if p.strip()]
     if len(poles) != 3:
         raise ConfigError(f"--poles needs three comma-separated values, got {len(poles)}")

@@ -45,7 +45,7 @@ from .controllers import (
 )
 from .errors import ConfigError, DomainError
 from .kernels import ARRAY
-from .spaces import StateSpaceId
+from .spaces import StateSpaceId, warp_delta_gamma
 
 __all__ = [
     "RateKind",
@@ -575,10 +575,7 @@ def storage_energy(space: StateSpaceId, g: Gains, delta, gamma):
     """Passivity storage U = Delta^2 + q^2*Gamma^2 in the given space's
     coordinates.  Along any of the four passivity closed loops,
     dU/dt = -2*k2*q^2*Gamma^2."""
-    delta = np.asarray(delta, float)
-    gamma = np.asarray(gamma, float)
-    big_d = 2.0 * np.tan(0.5 * delta) if space.delta_constrained else delta
-    big_g = 2.0 * np.tan(0.5 * gamma) if space.gamma_constrained else gamma
+    big_d, big_g = warp_delta_gamma(ARRAY, space, np.asarray(delta, float), np.asarray(gamma, float))
     q = g.q
     return big_d * big_d + q * q * big_g * big_g
 

@@ -17,11 +17,14 @@ Certificate values, controls, and metrics are logged per step; they are
 evaluated vectorised over the stored states after integration, which keeps
 the hot loop scalar and fast.
 
-Cartesian-chart runs rebuild a continuous polar state by unwrapping the
-transformed angles against the previous step, and record every crossing of
-the x-axis with the linearly interpolated crossing abscissa, supporting the
-front-line (x > 0, y = 0) avoidance analysis.  No smoothing is applied: the
-curvature discontinuity of the underlying feedback is preserved in the log.
+One scalar loop serves both charts.  The polar chart steps the logged state
+itself; the Cartesian chart steps the pose and rebuilds a continuous polar
+state by unwrapping the transformed angles against the previous step.  After
+a Cartesian-chart run, every crossing of the x-axis is read off the logged
+poses with the linearly interpolated crossing time and abscissa, supporting
+the front-line (x > 0, y = 0) avoidance analysis.  No smoothing is applied:
+the curvature discontinuity of the underlying feedback is preserved in the
+log.
 """
 
 from __future__ import annotations
@@ -42,7 +45,9 @@ from .spaces import (
     CartesianState,
     PolarState,
     StateSpaceId,
+    barrier_margin_values,
     cartesian_to_polar,
+    constrained_angles,
     delta_gamma_in_space,
     metric_values,
     polar_to_cartesian,
@@ -55,11 +60,11 @@ __all__ = [
     "AxisCrossing",
     "SweepRecord",
     "integrate",
-    "integrate_cartesian",
     "integrate_batch",
     "BatchResult",
     "sweep",
     "sweep_point",
+    "axis_crossings",
     "front_line_crossings",
 ]
 
@@ -95,10 +100,12 @@ class Scenario:
             raise ConfigError(f"frame must be 'polar' or 'cartesian', got {self.frame!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.t_max < self.dt:
-            raise ConfigError("t_max must be at least dt")
-        if self.stop_tol <= 0.0:
-            raise ConfigError("stop_tol must be positive")
+        if not (self.t_max >= self.dt and math.isfinite(self.t_max)):
+            raise ConfigError(f"t_max must be finite and at least dt, got {self.t_max!r}")
+        if not (self.stop_tol > 0.0 and math.isfinite(self.stop_tol)):
+            raise ConfigError(f"stop_tol must be positive and finite, got {self.stop_tol!r}")
+        if not 0.0 <= self.barrier_margin < math.pi:
+            raise ConfigError(f"barrier_margin must lie in [0, pi), got {self.barrier_margin!r}")
         try:
             init = self.initial_polar()
         except UniparkError as e:
@@ -187,22 +194,19 @@ class Trajectory:
         return float(np.sum(self.omega[:-1] ** 2 * np.diff(self.t)))
 
     def min_barrier_margin(self, space: StateSpaceId) -> float:
-        margins = [np.inf]
-        if space.delta_constrained:
-            margins.append(float(np.min(math.pi - np.abs(self.polar[:, 1]))))
-        if space.gamma_constrained:
-            margins.append(float(np.min(math.pi - np.abs(self.polar[:, 2]))))
-        return min(margins)
+        return float(np.min(barrier_margin_values(space, self.polar[:, 1], self.polar[:, 2])))
 
 
-def _finish(s: Scenario, t, polar, termination, crossings=None, cartesian=None) -> Trajectory:
+def _finish(s: Scenario, t, polar, termination, cartesian=None) -> Trajectory:
     t = np.asarray(t)
     polar = np.asarray(polar, dtype=float).reshape(-1, 3)
     rho, delta, gamma = polar[:, 0], polar[:, 1], polar[:, 2]
     if cartesian is None:
         cart = np.column_stack([-rho * np.cos(delta), -rho * np.sin(delta), delta - gamma])
+        crossings = []
     else:
         cart = np.asarray(cartesian, dtype=float).reshape(-1, 3)
+        crossings = axis_crossings(cart, s.dt)
     v = s.gains.k1 * rho * np.cos(gamma)
     omega = 0.5 * s.gains.k1 * np.sin(2.0 * gamma) + ctl.steering_tilde_many(
         s.controller, s.gains, delta, gamma
@@ -229,7 +233,7 @@ def _finish(s: Scenario, t, polar, termination, crossings=None, cartesian=None) 
         V=V,
         metric=np.asarray(met, dtype=float),
         termination=termination,
-        crossings=crossings or [],
+        crossings=crossings,
         meta=meta,
     )
 
@@ -247,123 +251,105 @@ def _rk4_step(f: Callable, y: tuple[float, float, float], h: float) -> tuple[flo
     )
 
 
-def integrate(s: Scenario) -> Trajectory:
-    """Run the scenario in the chart selected by ``s.frame``."""
-    if s.frame == "cartesian":
-        return integrate_cartesian(s)
-    f = ctl.closed_loop_field(s.controller, s.gains)
-    p0 = s.initial_polar()
-    y = (p0.rho, p0.delta, p0.gamma)
-    states = [y]
-    times = [0.0]
-    n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
-    space = s.space
-    limit = math.pi - s.barrier_margin
-    k = 0
-    while True:
-        if metric_values(SCALAR, space, *y) < s.stop_tol:
-            reason = Termination.CONVERGED
-            break
-        if k >= n_max:
-            reason = Termination.T_MAX
-            break
-        y_next = _rk4_step(f, y, s.dt)
-        k += 1
-        if not all(map(math.isfinite, y_next)):
-            reason = Termination.NUMERIC
-            break
-        if not delta_gamma_in_space(space, y_next[1], y_next[2], limit):
-            reason = Termination.BARRIER_GUARD
-            break
-        y = y_next
-        states.append(y)
-        times.append(k * s.dt)
-    return _finish(s, times, states, reason)
-
-
 def _unwrap_near(angle: float, ref: float) -> float:
     two_pi = 2.0 * math.pi
     return angle + two_pi * round((ref - angle) / two_pi)
 
 
-def integrate_cartesian(s: Scenario) -> Trajectory:
-    """Integrate the Cartesian kinematics, computing the feedback through the
-    polar transform at every stage.  Records x-axis crossings."""
+def _cartesian_chart(s: Scenario):
+    """Cartesian kinematics, the feedback computed through the polar transform
+    at every stage: the initial pose, ``field_at`` and ``to_polar``."""
     c0 = s.initial_cartesian()
     if c0.x * c0.x + c0.y * c0.y == 0.0:
         raise ConfigError("cartesian integration requires a nonzero initial position")
     tilde = ctl.make_steering_tilde(s.controller, s.gains)
     k1 = s.gains.k1
-    space = s.space
-    p0 = s.initial_polar()
 
     # Both angles are unwrapped against the previous step's values, so the
     # run stays on the chart initial_polar() picked for the controller.
-    def polar_cont(x: float, y: float, theta: float, delta_ref: float, gamma_ref: float):
-        rho = math.hypot(x, y)
-        delta = _unwrap_near(math.atan2(y + 0.0, x) + math.pi, delta_ref)
-        return rho, delta, _unwrap_near(delta - theta, gamma_ref)
+    def polar_cont(x: float, y: float, theta: float, ref):
+        delta = _unwrap_near(math.atan2(y + 0.0, x) + math.pi, ref[1])
+        return math.hypot(x, y), delta, _unwrap_near(delta - theta, ref[2])
 
-    def make_field(delta_ref: float, gamma_ref: float):
+    def field_at(ref):
         def field(x: float, y: float, theta: float):
-            rho, delta, gamma = polar_cont(x, y, theta, delta_ref, gamma_ref)
+            rho, delta, gamma = polar_cont(x, y, theta, ref)
             v = k1 * rho * math.cos(gamma)
             omega = 0.5 * k1 * math.sin(2.0 * gamma) + tilde(delta, gamma)
             return v * math.cos(theta), v * math.sin(theta), omega
 
         return field
 
-    y = (c0.x, c0.y, c0.theta)
-    polar_log = [(p0.rho, p0.delta, p0.gamma)]
-    cart_log = [y]
+    def to_polar(c, ref):
+        # A step that lands exactly on the target has no polar angles.
+        if c[0] * c[0] + c[1] * c[1] == 0.0:
+            return None
+        return polar_cont(*c, ref)
+
+    return (c0.x, c0.y, c0.theta), field_at, to_polar
+
+
+def integrate(s: Scenario) -> Trajectory:
+    """Run the scenario in the chart selected by ``s.frame``.  Each chart
+    supplies the RK4 field for a step from the last logged polar state and
+    the map from the stepped state to the next logged polar state."""
+    p0 = s.initial_polar()
+    p = (p0.rho, p0.delta, p0.gamma)
+    if s.frame == "cartesian":
+        y, field_at, to_polar = _cartesian_chart(s)
+    else:
+        f = ctl.closed_loop_field(s.controller, s.gains)
+        y, field_at, to_polar = p, (lambda ref: f), (lambda q, ref: q)
+    states = [y]
+    polar = [p]
     times = [0.0]
-    crossings: list[AxisCrossing] = []
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
+    space = s.space
     limit = math.pi - s.barrier_margin
     k = 0
     while True:
-        rho, delta, gamma = polar_log[-1]
-        if metric_values(SCALAR, space, rho, delta, gamma) < s.stop_tol:
+        if metric_values(SCALAR, space, *p) < s.stop_tol:
             reason = Termination.CONVERGED
             break
         if k >= n_max:
             reason = Termination.T_MAX
             break
-        y_next = _rk4_step(make_field(delta, gamma), y, s.dt)
+        y_next = _rk4_step(field_at(p), y, s.dt)
         k += 1
         if not all(map(math.isfinite, y_next)):
             reason = Termination.NUMERIC
             break
-        if y_next[0] * y_next[0] + y_next[1] * y_next[1] == 0.0:
+        p_next = to_polar(y_next, p)
+        if p_next is None:
             reason = Termination.CONVERGED
             break
-        p_next = polar_cont(*y_next, delta, gamma)
         if not delta_gamma_in_space(space, p_next[1], p_next[2], limit):
             reason = Termination.BARRIER_GUARD
             break
-        if y[1] * y_next[1] < 0.0 or (y_next[1] == 0.0 and y[1] != 0.0):
-            frac = y[1] / (y[1] - y_next[1])
-            crossings.append(AxisCrossing(t=(k - 1 + frac) * s.dt, x=y[0] + frac * (y_next[0] - y[0])))
-        y = y_next
-        polar_log.append(p_next)
-        cart_log.append(y)
+        y, p = y_next, p_next
+        states.append(y)
+        polar.append(p)
         times.append(k * s.dt)
-    return _finish(s, times, polar_log, reason, crossings, cartesian=cart_log)
+    return _finish(s, times, polar, reason, cartesian=states if s.frame == "cartesian" else None)
+
+
+def axis_crossings(cartesian: np.ndarray, dt: float) -> list[AxisCrossing]:
+    """Every sign change of y between consecutive rows of a fixed-step
+    Cartesian log (N, 3), with t and x linearly interpolated at y = 0."""
+    x = cartesian[:, 0]
+    y = cartesian[:, 1]
+    out: list[AxisCrossing] = []
+    sign_change = (y[:-1] * y[1:] < 0.0) | ((y[1:] == 0.0) & (y[:-1] != 0.0))
+    for i in np.flatnonzero(sign_change):
+        frac = y[i] / (y[i] - y[i + 1])
+        out.append(AxisCrossing(t=float((i + frac) * dt), x=float(x[i] + frac * (x[i + 1] - x[i]))))
+    return out
 
 
 def front_line_crossings(traj: Trajectory) -> list[AxisCrossing]:
     """Crossings of {y = 0} with x > 0, interpolated from the logged
     Cartesian samples (usable for polar-chart runs too)."""
-    x = traj.cartesian[:, 0]
-    y = traj.cartesian[:, 1]
-    out: list[AxisCrossing] = []
-    sign_change = (y[:-1] * y[1:] < 0.0) | ((y[1:] == 0.0) & (y[:-1] != 0.0))
-    for i in np.flatnonzero(sign_change):
-        frac = y[i] / (y[i] - y[i + 1])
-        xc = x[i] + frac * (x[i + 1] - x[i])
-        if xc > 0.0:
-            out.append(AxisCrossing(t=float(traj.t[i] + frac * (traj.t[i + 1] - traj.t[i])), x=float(xc)))
-    return out
+    return [c for c in axis_crossings(traj.cartesian, traj.meta["dt"]) if c.in_front]
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +412,8 @@ def integrate_batch(
     numeric_failures = np.zeros(n, dtype=bool)
     conv_time = np.full(n, np.nan)
     v_viol = np.zeros(n, dtype=int)
-    min_margin = np.full(n, np.inf)
     max_ad = np.abs(ys[1]).copy()
     max_ag = np.abs(ys[2]).copy()
-
-    def margins(y):
-        m = np.full(n, np.inf)
-        if space.delta_constrained:
-            m = np.minimum(m, math.pi - np.abs(y[1]))
-        if space.gamma_constrained:
-            m = np.minimum(m, math.pi - np.abs(y[2]))
-        return m
 
     extra = list(extra_lyapunov)
     extra_viol = np.zeros((len(extra), n), dtype=int)
@@ -446,7 +423,7 @@ def integrate_batch(
         v_prev = np.asarray(lyap.value(ys[0], ys[1], ys[2]), dtype=float)
         extra_prev = [np.asarray(fn.value(ys[0], ys[1], ys[2]), dtype=float) for fn in extra]
         met = metric_values(ARRAY, space, ys[0], ys[1], ys[2])
-    min_margin = np.minimum(min_margin, margins(ys))
+    min_margin = np.minimum(np.full(n, np.inf), barrier_margin_values(space, ys[1], ys[2]))
     newly = active & (met < s.stop_tol)
     converged |= newly
     conv_time[newly] = 0.0
@@ -471,17 +448,16 @@ def integrate_batch(
 
             limit = math.pi - s.barrier_margin
             tripped = np.zeros(n, dtype=bool)
-            if space.delta_constrained:
-                tripped |= np.abs(ys[1]) >= limit
-            if space.gamma_constrained:
-                tripped |= np.abs(ys[2]) >= limit
+            for a in constrained_angles(space, ys[1], ys[2]):
+                tripped |= np.abs(a) >= limit
             tripped &= active
             barrier_trips |= tripped
             active &= ~tripped
 
             max_ad = np.maximum(max_ad, np.where(active, np.abs(ys[1]), max_ad))
             max_ag = np.maximum(max_ag, np.where(active, np.abs(ys[2]), max_ag))
-            min_margin = np.minimum(min_margin, np.where(active, margins(ys), min_margin))
+            margin = barrier_margin_values(space, ys[1], ys[2])
+            min_margin = np.minimum(min_margin, np.where(active, margin, min_margin))
 
             v_now = np.asarray(lyap.value(ys[0], ys[1], ys[2]), dtype=float)
             v_viol += (active & (v_now > v_prev + V_MONOTONE_TOL)).astype(int)

@@ -50,6 +50,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import BarrierDomainError, TransformError
 from .kernels import SCALAR, wrap_angle
 
@@ -64,6 +66,9 @@ __all__ = [
     "wrap_angles",
     "to_integrator",
     "from_integrator",
+    "constrained_angles",
+    "warp_delta_gamma",
+    "barrier_margin_values",
     "delta_gamma_in_space",
     "check_in_space",
     "metric",
@@ -130,13 +135,12 @@ class StateSpaceId(Enum):
     S2 = "S2"
     S3 = "S3"
 
-    @property
-    def delta_constrained(self) -> bool:
-        return self in (StateSpaceId.S2, StateSpaceId.S3)
-
-    @property
-    def gamma_constrained(self) -> bool:
-        return self in (StateSpaceId.S1, StateSpaceId.S3)
+    def __init__(self, value: str) -> None:
+        # Plain member attributes rather than properties: a property that
+        # compares enum members costs about 0.3 us, and the scalar loop reads
+        # these flags several times per step.
+        self.delta_constrained = value in ("S2", "S3")
+        self.gamma_constrained = value in ("S1", "S3")
 
 
 _ORIGIN = CartesianState(0.0, 0.0, 0.0)
@@ -199,16 +203,39 @@ def from_integrator(s: IntegratorState) -> PolarState:
     return PolarState(rho, s.theta + gamma, gamma)
 
 
+def constrained_angles(ss: StateSpaceId, delta, gamma) -> tuple:
+    """The angles of the pair, delta first, that ``ss`` confines to
+    (-pi, pi): the one constrained-axis rule.  Scalars and arrays alike."""
+    d = (delta,) if ss.delta_constrained else ()
+    return d + (gamma,) if ss.gamma_constrained else d
+
+
+def warp_delta_gamma(xp, ss: StateSpaceId, delta, gamma):
+    """(Delta, Gamma) over the primitive namespace ``xp``: 2*tan(angle/2) on
+    each axis ``ss`` constrains, the angle itself on the others."""
+    big_d = 2.0 * xp.tan(0.5 * delta) if ss.delta_constrained else delta
+    big_g = 2.0 * xp.tan(0.5 * gamma) if ss.gamma_constrained else gamma
+    return big_d, big_g
+
+
+def barrier_margin_values(ss: StateSpaceId, delta, gamma):
+    """pi - |angle|, minimised elementwise over the angles ``ss``
+    constrains; inf when it constrains none."""
+    margin = math.inf
+    for a in constrained_angles(ss, delta, gamma):
+        margin = np.minimum(margin, math.pi - np.abs(a))
+    return margin
+
+
 def delta_gamma_in_space(
     ss: StateSpaceId, delta: float, gamma: float, limit: float = BARRIER_ANGLE_LIMIT
 ) -> bool:
     """True when every angle that ``ss`` constrains has magnitude below
     ``limit``.  The default keeps tan(angle/2) finite; the integrators pass
     pi minus their barrier-guard margin."""
-    if ss.delta_constrained and abs(delta) >= limit:
-        return False
-    if ss.gamma_constrained and abs(gamma) >= limit:
-        return False
+    for a in constrained_angles(ss, delta, gamma):
+        if abs(a) >= limit:
+            return False
     return True
 
 
@@ -225,8 +252,7 @@ def metric_values(xp, ss: StateSpaceId, rho, delta, gamma):
     (:data:`~unipark.kernels.SCALAR` or :data:`~unipark.kernels.ARRAY`), with
     no domain check.  Summed as (rho + |Delta|) + |Gamma|, the order the
     integrators' termination tests have always used."""
-    big_d = 2.0 * xp.tan(0.5 * delta) if ss.delta_constrained else delta
-    big_g = 2.0 * xp.tan(0.5 * gamma) if ss.gamma_constrained else gamma
+    big_d, big_g = warp_delta_gamma(xp, ss, delta, gamma)
     return rho + xp.abs(big_d) + xp.abs(big_g)
 
 

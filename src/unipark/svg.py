@@ -12,9 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SvgPath", "render_paths"]
+__all__ = ["SvgPath", "palette_color", "render_paths"]
 
 _COLORS = ("#d62728", "#1f77b4", "#17becf", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def palette_color(i: int) -> str:
+    """The i-th colour of the drawing palette, cycling."""
+    return _COLORS[i % len(_COLORS)]
 
 
 @dataclass
@@ -122,7 +127,7 @@ def render_paths(
     # Trajectories.
     for i, p in enumerate(paths):
         arr = np.asarray(p.cartesian, dtype=float).reshape(-1, 3)
-        color = p.color or _COLORS[i % len(_COLORS)]
+        color = p.color or palette_color(i)
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(arr[:, 0], arr[:, 1]))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
@@ -161,7 +166,7 @@ def render_paths(
     seen: dict[str, str] = {}
     for i, p in enumerate(paths):
         if p.label and p.label not in seen:
-            seen[p.label] = p.color or _COLORS[i % len(_COLORS)]
+            seen[p.label] = p.color or palette_color(i)
     for row, (label, color) in enumerate(seen.items()):
         ly = 20 + 16 * row
         out.append(

@@ -24,6 +24,7 @@ from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError
 from .linearization import (
+    _FAMILY_OF,
     DesignFamily,
     PoleSpec,
     assign_gains,
@@ -194,17 +195,9 @@ def barrier_blowup_check(clf: SteeringClf) -> CheckResult:
     return CheckResult("barrier_blowup", clf.controller.value, ok, worst)
 
 
-# Controllers covered by the closed-form Jacobians, with their design family.
-JACOBIAN_CONTROLLERS: tuple[ControllerId, ...] = (
-    ControllerId.GENOVA,
-    ControllerId.BOLSA,
-    ControllerId.BOPA,
-    ControllerId.BAGAL,
-    ControllerId.GLOFO,
-    ControllerId.BOFO,
-    ControllerId.GLOBA,
-    ControllerId.BARFLI,
-)
+# Controllers covered by the closed-form Jacobians, in the order of the
+# linearization family table.
+JACOBIAN_CONTROLLERS: tuple[ControllerId, ...] = tuple(_FAMILY_OF)
 
 
 def jacobian_fd_check(cid: ControllerId, g: Gains, at_rho: float = 1e-6) -> CheckResult:

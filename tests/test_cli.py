@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,30 @@ class TestSimulateCommand:
         assert not (tmp_path / "flagdir").exists()
 
 
+    @pytest.mark.parametrize("fields, flags", [
+        ({"gains": {"k9": 1}}, []),
+        ({}, ["--gains", "1,x"]),
+        ({"composite_order": "zzz"}, []),
+        ({"init_cart": [1, 0.5]}, []),
+        ({"dt": "abc"}, []),
+        ({}, ["--t-max", "nan"]),
+        ({}, ["--tol", "nan"]),
+        ({"barrier_margin": -5}, []),
+        ({}, ["--gains=-1"]),
+        ({"init_polar": [1, "nan", 0]}, []),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, fields, flags):
+        cfg = {"controller": "genova", "init_polar": [1, 0.5, 0.2], **fields}
+        if "init_cart" in cfg:
+            del cfg["init_polar"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["simulate", "--config", str(path), *flags, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def _config(self, tmp_path, grid):
         cfg = tmp_path / "sweep.json"
@@ -163,6 +188,18 @@ class TestSweepCommand:
             "controller": "bopa", "barrier_margin": 3.0, "init_polar": start,
         }))
         assert run(["simulate", "--config", str(sim), "--out", str(tmp_path / "si")]) == 1
+
+    def test_seven_controllers_seven_colours(self, tmp_path):
+        names = ["genova", "bolsa", "bopa", "bagal", "glofo", "bofo", "globa"]
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "controllers": names, "dt": 0.01, "t_max": 1.0, "grid_polar": [[1.0, 0.5, 0.2]],
+        }))
+        assert run(["sweep", "--config", str(cfg), "--format", "svg",
+                    "--out", str(tmp_path / "out")]) == 0
+        svg = (tmp_path / "out" / "sweep_overlay.svg").read_text()
+        strokes = re.findall(r'<polyline [^>]*stroke="([^"]+)"', svg)
+        assert len(strokes) == len(set(strokes)) == len(names)
 
     def test_deterministic(self, tmp_path):
         cfg = self._config(tmp_path, [[0.0, -2.0, 0.0]])

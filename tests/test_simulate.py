@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from unipark.lyapunov import CompositeKind
 from unipark.simulate import (
     Scenario,
     Termination,
+    axis_crossings,
     front_line_crossings,
     integrate,
     integrate_batch,
@@ -51,6 +53,15 @@ class TestScenarioValidation:
             scenario(dt=0.0)
         with pytest.raises(ConfigError):
             scenario(dt=1.0, t_max=0.5)
+
+    @pytest.mark.parametrize("numerics", [
+        dict(t_max=math.nan), dict(t_max=math.inf),
+        dict(stop_tol=math.nan), dict(stop_tol=math.inf), dict(stop_tol=0.0),
+        dict(barrier_margin=-5.0), dict(barrier_margin=math.pi), dict(barrier_margin=math.nan),
+    ])
+    def test_bad_numerics(self, numerics):
+        with pytest.raises(ConfigError):
+            scenario(**numerics)
 
     def test_initial_outside_space(self):
         with pytest.raises(ConfigError):
@@ -121,18 +132,20 @@ class TestIntegrate:
         ratio = d_coarse / max(d_fine, 1e-18)
         assert ratio > 8.0  # 4th order would give ~16 with exact Richardson
 
-    def test_barrier_guard_trips_cleanly(self):
+    @pytest.mark.parametrize("frame", ["polar", "cartesian"])
+    def test_barrier_guard_trips_cleanly(self, frame):
         # An artificially wide guard margin trips on a healthy trajectory.
         s = scenario(cid=ControllerId.BOLSA, initial=PolarState(1.0, 0.5, 2.5),
-                     barrier_margin=2.0)
+                     barrier_margin=2.0, frame=frame)
         tr = integrate(s)
         assert tr.termination is Termination.BARRIER_GUARD
         assert np.all(np.isfinite(tr.polar))
 
-    def test_numeric_termination(self):
+    @pytest.mark.parametrize("frame", ["polar", "cartesian"])
+    def test_numeric_termination(self, frame):
         # A grotesquely large step destabilises RK4 and the run reports it.
         s = scenario(cid=ControllerId.GLOBA_CONS, initial=PolarState(1.0, 3.0, 2.0),
-                     dt=900.0, t_max=3600.0)
+                     dt=900.0, t_max=3600.0, frame=frame)
         tr = integrate(s)
         assert tr.termination in (Termination.NUMERIC, Termination.T_MAX)
         assert np.all(np.isfinite(tr.polar))
@@ -184,7 +197,10 @@ class TestChartConsistency:
                      initial=CartesianState(2.0, 0.4, 0.0), frame="cartesian",
                      dt=1e-3, t_max=120.0)
         tr = integrate(s)
-        assert len(tr.crossings) >= 1
+        assert len(tr.crossings) == 2
+        # The recorded crossings are exactly what the finder reads off the log.
+        assert tr.crossings == axis_crossings(tr.cartesian, s.dt)
+        assert integrate(replace(s, frame="polar")).crossings == []
         post = front_line_crossings(tr)
         assert len(post) >= 1
         for c in post:
