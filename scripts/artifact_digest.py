@@ -9,6 +9,8 @@ The set is:
 - a Cartesian globa run with gains (1, 1, 0.1, 1) from (2, 0.4, 0), which
   crosses the front line;
 - both figures of ``scripts/reproduce_figures.py``;
+- ``unipark gains`` for a complex passivity pair, the two forwarding
+  branches and a backstepping ``--epsilon``;
 - ``unipark verify --seed 0 --samples 1000``.
 
 Artifacts are written into a temporary directory that is removed afterwards.
@@ -41,6 +43,11 @@ RUNS = {
     "polar": ["--init-polar=1.2,0.7,-0.4"],
     "cartesian": ["--frame", "cartesian", "--init-cart=-1.2,-0.7,0.4", "--dt", "0.01"],
 }
+GAINS = {
+    "passivity": ["--poles=-1,-0.5+0.9i,-0.5-0.9i"],
+    "forwarding": ["--poles=-1,-2,-3"],
+    "backstepping": ["--poles=-1,-2,-3", "--epsilon", "0.5"],
+}
 
 
 def produce(out: Path) -> None:
@@ -50,6 +57,8 @@ def produce(out: Path) -> None:
     cli_main(["simulate", "--controller", "globa", "--gains", "1,1,0.1,1", "--init-cart", "2,0.4,0",
               "--frame", "cartesian", "--t-max", "120", "--out", str(out / "crossing")])
     reproduce_figures.run(out / "figures")
+    for family, flags in GAINS.items():
+        cli_main(["gains", "--family", family, *flags, "--out", str(out / "gains" / family)])
     cli_main(["verify", "--seed", "0", "--samples", "1000", "--out", str(out / "verify")])
 
 

@@ -29,7 +29,7 @@ from .lyapunov import CompositeKind, CompositeOrder
 from .simulate import Scenario, Termination, Trajectory, integrate, sweep_point
 from .spaces import CartesianState, PolarState
 from .svg import SvgPath, palette_color, render_paths
-from .verify import run_all
+from .verify import eigenvalue_error, run_all
 
 SCHEMA_VERSION = 1
 # Terminations that make simulate and sweep exit 1.
@@ -328,19 +328,12 @@ def cmd_gains(args: argparse.Namespace) -> int:
     payload = {"schema_version": SCHEMA_VERSION, "family": family.value, "solutions": []}
     for g in solutions:
         eigs = jacobian_eigenvalues(family, g)
-        err = max(
-            abs(a - w)
-            for a, w in zip(
-                sorted(eigs, key=lambda z: (z.real, z.imag)),
-                sorted(spec.as_eigenvalues(), key=lambda z: (z.real, z.imag)),
-            )
-        )
         payload["solutions"].append(
             {
                 "gains": {"k1": g.k1, "k2": g.k2, "k3": g.k3, "k4": g.k4},
                 "strict_passivity": g.strict_passivity,
                 "achieved_eigenvalues": [[z.real, z.imag] for z in eigs],
-                "roundtrip_error": err,
+                "roundtrip_error": eigenvalue_error(eigs, spec),
             }
         )
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -405,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ga = sub.add_parser("gains", help="assign gains for requested poles")
     ga.add_argument("--family", required=True, help="passivity | forwarding | backstepping")
-    ga.add_argument("--poles", required=True, help='three poles, e.g. "-1,-0.5+0.866i,-0.5-0.866i"')
+    ga.add_argument("--poles", required=True, help="three poles, e.g. --poles=-1,-0.5+0.9i,-0.5-0.9i")
     ga.add_argument("--epsilon", type=float, default=None, help="backstepping free parameter")
     ga.add_argument("--strict", action=argparse.BooleanOptionalAction, default=True,
                     help="passivity: require k1*k3 >= k2^2 (default on)")

@@ -8,6 +8,18 @@ derivatives and carry the ``EQUALITY`` flag; the passivity-family rates are
 obtained through Young-type bounds and carry ``UPPER_BOUND`` (the true
 derivative lies at or below them; tests must not assert equality there).
 
+Each barrier certificate is the unconstrained certificate of its design
+family evaluated in the warped coordinates ``(Delta, Gamma)`` of its state
+space (:func:`unipark.spaces.warp_delta_gamma`).  With ``q = sqrt(k1/k3)``:
+
+    passivity     W(U) + z^2,  U = Delta^2 + q^2*Gamma^2,  z = Delta + q*Gamma
+    forwarding    zeta^2 + q^2*Gamma^2
+    backstepping  Delta^2 + q^2*z^2,  z = gamma + atan(2*k2*Delta)/2
+
+Gradients are one chain rule through ``J = 1 + (Delta/2)^2`` (likewise for
+Gamma) on each constrained axis, ``J = 1`` elsewhere.  The closed-form rates
+stay per law, each its own bound, and libac keeps its own certificate.
+
 Full-state certificates are built modularly as composites
 ``V(rho, delta, gamma) = calV(rho^2, V_dg)`` (or with the arguments swapped),
 for any scalar combiner ``calV`` that is zero at zero, positive elsewhere,
@@ -18,10 +30,6 @@ default ``r + s`` reproduces the plain additive certificates.
 All evaluators accept floats or numpy arrays and are pure; gradients are
 hand-derived closed forms guarded by finite-difference tests, keeping the
 artifact free of automatic differentiation.
-
-Notation: ``q = sqrt(k1/k3)``; ``s = tan(delta/2)``; ``t = tan(gamma/2)``;
-``Delta``/``Gamma`` are the (possibly barrier-warped) angle coordinates of
-the family's state space.
 """
 
 from __future__ import annotations
@@ -71,9 +79,22 @@ class RateKind(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Per-family V_dg: value, gradient, closed-form rate.
-# Each helper takes (g: Gains, d, c) with d, c already float arrays.
+# Per-family V_dg.  Value and gradient take (g: Gains, ss, d, c), the rate
+# (g, d, c), with d, c float arrays; s = tan(delta/2), t = tan(gamma/2).
 # ---------------------------------------------------------------------------
+
+
+def _warp_slopes(ss: StateSpaceId, big_d, big_g):
+    """J = dDelta/ddelta and dGamma/dgamma: 1 + (Delta/2)^2, i.e.
+    sec^2(angle/2), on each axis ``ss`` constrains and 1 on the others."""
+    jd = 1.0 + (0.5 * big_d) ** 2 if ss.delta_constrained else 1.0
+    jg = 1.0 + (0.5 * big_g) ** 2 if ss.gamma_constrained else 1.0
+    return jd, jg
+
+
+def _storage(g: Gains, big_d, big_g):
+    q = g.q
+    return big_d * big_d + q * q * big_g * big_g
 
 
 def _passivity_weight(g: Gains, U):
@@ -83,60 +104,6 @@ def _passivity_weight(g: Gains, U):
     w = g.k3 * (1.0 + (2.0 * q * q + U) / (2.0 * q * g.k2)) * U
     wp = g.k3 * (1.0 + (q * q + U) / (q * g.k2))
     return w, wp
-
-
-def _genova_value(g, d, c):
-    q = g.q
-    U = d * d + q * q * c * c
-    w, _ = _passivity_weight(g, U)
-    z = d + q * c
-    return w + z * z
-
-
-def _genova_grad(g, d, c):
-    q = g.q
-    U = d * d + q * q * c * c
-    _, wp = _passivity_weight(g, U)
-    z = d + q * c
-    return wp * 2.0 * d + 2.0 * z, wp * 2.0 * q * q * c + 2.0 * q * z
-
-
-def _genova_rate(g, d, c):
-    q = g.q
-    z = d + q * c
-    return -2.0 * g.k1 * g.k2 * c * c - 1.5 * g.k2 * z * z - 2.0 * g.k1 * q * c**4
-
-
-def _bolsa_value(g, d, c):
-    q = g.q
-    t = np.tan(0.5 * c)
-    big_g = 2.0 * t
-    U = d * d + q * q * big_g * big_g
-    w, _ = _passivity_weight(g, U)
-    z = d + q * big_g
-    return w + z * z
-
-
-def _bolsa_grad(g, d, c):
-    q = g.q
-    t = np.tan(0.5 * c)
-    big_g = 2.0 * t
-    U = d * d + q * q * big_g * big_g
-    _, wp = _passivity_weight(g, U)
-    z = d + q * big_g
-    sec2 = 1.0 + t * t
-    return wp * 2.0 * d + 2.0 * z, (wp * 2.0 * q * q * big_g + 2.0 * q * z) * sec2
-
-
-def _bolsa_rate(g, d, c):
-    q = g.q
-    t = np.tan(0.5 * c)
-    v0 = 4.0 * t * t
-    return (
-        -2.0 * g.k1 * g.k2 * v0
-        - 1.5 * g.k2 * (d + q * t) ** 2
-        - 2.0 * g.k1 * q * v0 * v0
-    )
 
 
 # The two cubic certificates use different constants: bopa's takes
@@ -150,58 +117,97 @@ def _a_bagal(g: Gains) -> float:
     return max(g.k1 * g.q, math.sqrt(g.k1 * g.k2))
 
 
-def _cubic_value(g, a, U, z):
-    a_tilde = a / (3.0 * g.k2 * g.q * g.q)
-    return a_tilde * ((1.0 + U) ** 3 - 1.0) + z * z
+def _cubic_weight(a_of: Callable) -> Callable:
+    """W(U) = a~*((1 + U)^3 - 1), a~ = a/(3*k2*q^2), and dW/dU for the
+    bopa/bagal certificates."""
+
+    def weight(g: Gains, U):
+        a_tilde = a_of(g) / (3.0 * g.k2 * g.q * g.q)
+        return a_tilde * ((1.0 + U) ** 3 - 1.0), 3.0 * a_tilde * (1.0 + U) ** 2
+
+    return weight
 
 
-def _bopa_value(g, d, c):
+def _passivity(weight: Callable) -> tuple[Callable, Callable]:
+    """W(U) + z^2 with U = Delta^2 + q^2*Gamma^2 and z = Delta + q*Gamma; genova
+    (Aicardi et al., IEEE RAM 1995) is the unwarped case."""
+
+    def value(g, ss, d, c):
+        big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+        w, _ = weight(g, _storage(g, big_d, big_g))
+        z = big_d + g.q * big_g
+        return w + z * z
+
+    def grad(g, ss, d, c):
+        big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+        jd, jg = _warp_slopes(ss, big_d, big_g)
+        _, wp = weight(g, _storage(g, big_d, big_g))
+        q = g.q
+        z = big_d + q * big_g
+        dd = wp * 2.0 * big_d * jd + 2.0 * z * jd
+        dc = wp * 2.0 * q * q * big_g * jg + 2.0 * q * z * jg
+        return dd, dc
+
+    return value, grad
+
+
+def _forwarding(zeta: Callable, slope: Callable) -> tuple[Callable, Callable]:
+    """zeta^2 + q^2*Gamma^2 for zeta = delta + (k1/k2)*phi(gamma), where
+    ``slope`` is phi'(gamma); delta is never constrained here."""
+
+    def value(g, ss, d, c):
+        _, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+        z = zeta(ARRAY, g, d, c)
+        return z * z + g.q * g.q * big_g * big_g
+
+    def grad(g, ss, d, c):
+        big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+        _, jg = _warp_slopes(ss, big_d, big_g)
+        q = g.q
+        z = zeta(ARRAY, g, d, c)
+        return 2.0 * z, 2.0 * z * g.k1 / g.k2 * slope(c) + 2.0 * q * q * big_g * jg
+
+    return value, grad
+
+
+def _backstepping_value(g, ss, d, c):
+    """Delta^2 + q^2*z^2 with z = gamma + atan(2*k2*Delta)/2; gamma is never
+    constrained here."""
+    big_d, _ = warp_delta_gamma(ARRAY, ss, d, c)
+    z = z_globa(ARRAY, g, big_d, c)
+    return big_d * big_d + g.q * g.q * z * z
+
+
+def _backstepping_grad(g, ss, d, c):
+    big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+    jd, _ = _warp_slopes(ss, big_d, big_g)
     q = g.q
-    s = np.tan(0.5 * d)
-    U = 4.0 * s * s + q * q * c * c
-    return _cubic_value(g, _a_bopa(g), U, 2.0 * s + q * c)
+    z = z_globa(ARRAY, g, big_d, c)
+    n2 = 1.0 + 4.0 * g.k2 * g.k2 * big_d * big_d
+    return 2.0 * big_d * jd + 2.0 * q * q * z * g.k2 * jd / n2, 2.0 * q * q * z
 
 
-def _bopa_grad(g, d, c):
+def _genova_rate(g, d, c):
     q = g.q
-    s = np.tan(0.5 * d)
-    U = 4.0 * s * s + q * q * c * c
-    a_tilde = _a_bopa(g) / (3.0 * g.k2 * q * q)
-    z = 2.0 * s + q * c
-    cubic = 3.0 * a_tilde * (1.0 + U) ** 2
-    sec2 = 1.0 + s * s
-    dd = cubic * 4.0 * s * sec2 + 2.0 * z * sec2
-    dc = cubic * 2.0 * q * q * c + 2.0 * q * z
-    return dd, dc
+    z = d + q * c
+    return -2.0 * g.k1 * g.k2 * c * c - 1.5 * g.k2 * z * z - 2.0 * g.k1 * q * c**4
+
+
+def _bolsa_rate(g, d, c):
+    q = g.q
+    t = np.tan(0.5 * c)
+    v0 = 4.0 * t * t
+    return (
+        -2.0 * g.k1 * g.k2 * v0
+        - 1.5 * g.k2 * (d + q * t) ** 2
+        - 2.0 * g.k1 * q * v0 * v0
+    )
 
 
 def _bopa_rate(g, d, c):
     q = g.q
     s = np.tan(0.5 * d)
     return -1.5 * g.k2 * (s + q * c) ** 2 - 4.0 * _a_bopa(g) * q * q * c**4
-
-
-def _bagal_value(g, d, c):
-    q = g.q
-    s = np.tan(0.5 * d)
-    t = np.tan(0.5 * c)
-    U = 4.0 * s * s + 4.0 * q * q * t * t
-    return _cubic_value(g, _a_bagal(g), U, 2.0 * s + 2.0 * q * t)
-
-
-def _bagal_grad(g, d, c):
-    q = g.q
-    s = np.tan(0.5 * d)
-    t = np.tan(0.5 * c)
-    U = 4.0 * s * s + 4.0 * q * q * t * t
-    a_tilde = _a_bagal(g) / (3.0 * g.k2 * q * q)
-    z = 2.0 * s + 2.0 * q * t
-    cubic = 3.0 * a_tilde * (1.0 + U) ** 2
-    sec2_d = 1.0 + s * s
-    sec2_c = 1.0 + t * t
-    dd = cubic * 4.0 * s * sec2_d + 2.0 * z * sec2_d
-    dc = cubic * 4.0 * q * q * t * sec2_c + 2.0 * q * z * sec2_c
-    return dd, dc
 
 
 def _bagal_rate(g, d, c):
@@ -211,38 +217,10 @@ def _bagal_rate(g, d, c):
     return -16.0 * _a_bagal(g) * q * q * t**4 - 1.5 * g.k2 * (s + q * t) ** 2
 
 
-def _glofo_value(g, d, c):
-    q = g.q
-    zeta = zeta_glofo(ARRAY, g, d, c)
-    return zeta * zeta + q * q * c * c
-
-
-def _glofo_grad(g, d, c):
-    q = g.q
-    zeta = zeta_glofo(ARRAY, g, d, c)
-    return 2.0 * zeta, 2.0 * zeta * g.k1 / g.k2 * ARRAY.sinc(2.0 * c) + 2.0 * q * q * c
-
-
 def _glofo_rate(g, d, c):
     zeta = zeta_glofo(ARRAY, g, d, c)
     w = g.k3 / g.k2 * ARRAY.sinc(2.0 * c) * zeta
     return -g.k1 * g.k2 / g.k3 * (w * w + c * c + (w + c) ** 2)
-
-
-def _bofo_value(g, d, c):
-    q = g.q
-    t = np.tan(0.5 * c)
-    zeta = zeta_bofo(ARRAY, g, d, c)
-    return zeta * zeta + 4.0 * q * q * t * t
-
-
-def _bofo_grad(g, d, c):
-    q = g.q
-    t = np.tan(0.5 * c)
-    zeta = zeta_bofo(ARRAY, g, d, c)
-    dd = 2.0 * zeta
-    dc = 2.0 * zeta * g.k1 / g.k2 * np.cos(c) + 4.0 * q * q * t * (1.0 + t * t)
-    return dd, dc
 
 
 def _bofo_rate(g, d, c):
@@ -252,41 +230,11 @@ def _bofo_rate(g, d, c):
     return -g.k1 * g.k2 / g.k3 * (w * w + 4.0 * t * t + (w + 2.0 * t) ** 2)
 
 
-def _globa_value(g, d, c):
-    q = g.q
-    z = z_globa(ARRAY, g, d, c)
-    return d * d + q * q * z * z
-
-
-def _globa_grad(g, d, c):
-    q = g.q
-    z = z_globa(ARRAY, g, d, c)
-    n2 = 1.0 + 4.0 * g.k2 * g.k2 * d * d
-    return 2.0 * d + 2.0 * q * q * z * g.k2 / n2, 2.0 * q * q * z
-
-
 def _globa_rate(g, d, c):
     q = g.q
     z = z_globa(ARRAY, g, d, c)
     n = np.sqrt(1.0 + 4.0 * g.k2 * g.k2 * d * d)
     return -2.0 * g.k1 * g.k2 * d * d / n - 2.0 * q * q * g.k4 * z * z
-
-
-def _barfli_value(g, d, c):
-    q = g.q
-    s = np.tan(0.5 * d)
-    z = z_barfli(ARRAY, g, d, c)
-    return 4.0 * s * s + q * q * z * z
-
-
-def _barfli_grad(g, d, c):
-    q = g.q
-    s = np.tan(0.5 * d)
-    z = z_barfli(ARRAY, g, d, c)
-    sec2 = 1.0 + s * s
-    n2 = 1.0 + 16.0 * g.k2 * g.k2 * s * s
-    dd = 4.0 * s * sec2 + 2.0 * q * q * z * g.k2 * sec2 / n2
-    return dd, 2.0 * q * q * z
 
 
 def _barfli_rate(g, d, c):
@@ -314,19 +262,19 @@ def _globa_variant_rate(g, d, c):
 #   V' = -(k1*k2/k3)*tan^2(delta/2) - 2*k1*(gamma + delta/2)^2
 
 
-def _libac_value(g, d, c):
-    q = g.q
-    s = np.tan(0.5 * d)
+def _libac_value(g, ss, d, c):
+    big_d, _ = warp_delta_gamma(ARRAY, ss, d, c)
+    s = 0.5 * big_d
     z = z_libac(ARRAY, g, d, c)
-    return g.k2 / g.k3 * s * s + q * q * z * z
+    return g.k2 / g.k3 * s * s + g.q * g.q * z * z
 
 
-def _libac_grad(g, d, c):
+def _libac_grad(g, ss, d, c):
+    big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+    jd, _ = _warp_slopes(ss, big_d, big_g)
     q = g.q
-    s = np.tan(0.5 * d)
     z = z_libac(ARRAY, g, d, c)
-    dd = g.k2 / g.k3 * s * (1.0 + s * s) + q * q * z
-    return dd, 2.0 * q * q * z
+    return g.k2 / g.k3 * (0.5 * big_d) * jd + q * q * z, 2.0 * q * q * z
 
 
 def _libac_rate(g, d, c):
@@ -337,22 +285,27 @@ def _libac_rate(g, d, c):
 
 _FamilyFns = tuple[Callable, Callable, Callable, RateKind]
 
+_QUADRATIC = _passivity(_passivity_weight)
+_BACKSTEPPING = (_backstepping_value, _backstepping_grad)
+
 _FAMILIES: dict[ControllerId, _FamilyFns] = {
-    ControllerId.GENOVA: (_genova_value, _genova_grad, _genova_rate, RateKind.UPPER_BOUND),
-    ControllerId.BOLSA: (_bolsa_value, _bolsa_grad, _bolsa_rate, RateKind.UPPER_BOUND),
-    ControllerId.BOPA: (_bopa_value, _bopa_grad, _bopa_rate, RateKind.UPPER_BOUND),
-    ControllerId.BAGAL: (_bagal_value, _bagal_grad, _bagal_rate, RateKind.UPPER_BOUND),
-    ControllerId.GLOFO: (_glofo_value, _glofo_grad, _glofo_rate, RateKind.EQUALITY),
-    ControllerId.BOFO: (_bofo_value, _bofo_grad, _bofo_rate, RateKind.EQUALITY),
-    ControllerId.GLOBA: (_globa_value, _globa_grad, _globa_rate, RateKind.EQUALITY),
-    ControllerId.BARFLI: (_barfli_value, _barfli_grad, _barfli_rate, RateKind.EQUALITY),
+    ControllerId.GENOVA: (*_QUADRATIC, _genova_rate, RateKind.UPPER_BOUND),
+    ControllerId.BOLSA: (*_QUADRATIC, _bolsa_rate, RateKind.UPPER_BOUND),
+    ControllerId.BOPA: (*_passivity(_cubic_weight(_a_bopa)), _bopa_rate, RateKind.UPPER_BOUND),
+    ControllerId.BAGAL: (*_passivity(_cubic_weight(_a_bagal)), _bagal_rate, RateKind.UPPER_BOUND),
+    ControllerId.GLOFO: (
+        *_forwarding(zeta_glofo, lambda c: ARRAY.sinc(2.0 * c)), _glofo_rate, RateKind.EQUALITY
+    ),
+    ControllerId.BOFO: (*_forwarding(zeta_bofo, np.cos), _bofo_rate, RateKind.EQUALITY),
+    ControllerId.GLOBA: (*_BACKSTEPPING, _globa_rate, RateKind.EQUALITY),
+    ControllerId.BARFLI: (*_BACKSTEPPING, _barfli_rate, RateKind.EQUALITY),
 }
 
 STRICT_FAMILIES: tuple[ControllerId, ...] = tuple(_FAMILIES)
 
 _LOGGING_EXTRAS: dict[ControllerId, _FamilyFns] = {
-    ControllerId.GLOBA_INTERP: (_globa_value, _globa_grad, _globa_variant_rate, RateKind.UPPER_BOUND),
-    ControllerId.GLOBA_CONS: (_globa_value, _globa_grad, _globa_variant_rate, RateKind.UPPER_BOUND),
+    ControllerId.GLOBA_INTERP: (*_BACKSTEPPING, _globa_variant_rate, RateKind.UPPER_BOUND),
+    ControllerId.GLOBA_CONS: (*_BACKSTEPPING, _globa_variant_rate, RateKind.UPPER_BOUND),
     ControllerId.LIBAC: (_libac_value, _libac_grad, _libac_rate, RateKind.EQUALITY),
 }
 
@@ -375,10 +328,10 @@ class SteeringClf:
     _rate: Callable = field(repr=False)
 
     def value(self, delta, gamma):
-        return self._value(self.gains, np.asarray(delta, float), np.asarray(gamma, float))
+        return self._value(self.gains, self.space, np.asarray(delta, float), np.asarray(gamma, float))
 
     def grad(self, delta, gamma):
-        return self._grad(self.gains, np.asarray(delta, float), np.asarray(gamma, float))
+        return self._grad(self.gains, self.space, np.asarray(delta, float), np.asarray(gamma, float))
 
     def rate(self, delta, gamma):
         return self._rate(self.gains, np.asarray(delta, float), np.asarray(gamma, float))
@@ -387,21 +340,18 @@ class SteeringClf:
 def steering_clf(cid: ControllerId, gains: Gains) -> SteeringClf:
     """The strict certificate belonging to one of the eight core steering
     families."""
-    try:
-        value, grad, rate, kind = _FAMILIES[cid]
-    except KeyError:
+    if cid not in _FAMILIES:
         raise DomainError(
             f"{cid.value} has no strict certificate of its own; use logging_clf for the derived one"
-        ) from None
-    return SteeringClf(cid, gains, controller_space(cid), kind, value, grad, rate)
+        )
+    return logging_clf(cid, gains)
 
 
 def logging_clf(cid: ControllerId, gains: Gains) -> SteeringClf:
     """Certificate used to log V along simulations, defined for all eleven
     controllers (the backstepping variants reuse or adapt the globa/barfli
     certificates)."""
-    fns = _FAMILIES.get(cid) or _LOGGING_EXTRAS[cid]
-    value, grad, rate, kind = fns
+    value, grad, rate, kind = _FAMILIES.get(cid) or _LOGGING_EXTRAS[cid]
     return SteeringClf(cid, gains, controller_space(cid), kind, value, grad, rate)
 
 
@@ -486,11 +436,14 @@ class LyapunovFn:
         a, b = self._args(rho, delta, gamma)
         return _cal_value(self.kind, a, b)
 
+    def _partials(self, rho, delta, gamma):
+        """dcalV/d(rho^2) and dcalV/dV_dg."""
+        pa, pb = _cal_partials(self.kind, *self._args(rho, delta, gamma))
+        return (pa, pb) if self.order is CompositeOrder.RHO_FIRST else (pb, pa)
+
     def grad(self, rho, delta, gamma):
         rho = np.asarray(rho, float)
-        a, b = self._args(rho, delta, gamma)
-        pa, pb = _cal_partials(self.kind, a, b)
-        p_rho, p_v = (pa, pb) if self.order is CompositeOrder.RHO_FIRST else (pb, pa)
+        p_rho, p_v = self._partials(rho, delta, gamma)
         gd, gc = self.clf.grad(delta, gamma)
         return p_rho * 2.0 * rho, p_v * gd, p_v * gc
 
@@ -499,9 +452,7 @@ class LyapunovFn:
         d(rho^2)/dt = -2*k1*rho^2*cos^2(gamma) is exact)."""
         rho = np.asarray(rho, float)
         gamma_arr = np.asarray(gamma, float)
-        a, b = self._args(rho, delta, gamma)
-        pa, pb = _cal_partials(self.kind, a, b)
-        p_rho, p_v = (pa, pb) if self.order is CompositeOrder.RHO_FIRST else (pb, pa)
+        p_rho, p_v = self._partials(rho, delta, gamma)
         k1 = self.clf.gains.k1
         rho_rate = -2.0 * k1 * rho * rho * np.cos(gamma_arr) ** 2
         return p_rho * rho_rate + p_v * self.clf.rate(delta, gamma), self.clf.rate_kind
@@ -575,9 +526,7 @@ def storage_energy(space: StateSpaceId, g: Gains, delta, gamma):
     """Passivity storage U = Delta^2 + q^2*Gamma^2 in the given space's
     coordinates.  Along any of the four passivity closed loops,
     dU/dt = -2*k2*q^2*Gamma^2."""
-    big_d, big_g = warp_delta_gamma(ARRAY, space, np.asarray(delta, float), np.asarray(gamma, float))
-    q = g.q
-    return big_d * big_d + q * q * big_g * big_g
+    return _storage(g, *warp_delta_gamma(ARRAY, space, np.asarray(delta, float), np.asarray(gamma, float)))
 
 
 def appendix_bounds_slack(k, x):

@@ -314,7 +314,15 @@ def integrate(s: Scenario) -> Trajectory:
         if k >= n_max:
             reason = Termination.T_MAX
             break
-        y_next = _rk4_step(field_at(p), y, s.dt)
+        try:
+            y_next = _rk4_step(field_at(p), y, s.dt)
+        except UniparkError:
+            raise
+        except (OverflowError, ValueError):
+            # A stage overflowed before the stepped state could be tested,
+            # e.g. math.cos(inf).  UniparkError subclasses ValueError.
+            reason = Termination.NUMERIC
+            break
         k += 1
         if not all(map(math.isfinite, y_next)):
             reason = Termination.NUMERIC

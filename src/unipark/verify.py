@@ -50,6 +50,7 @@ __all__ = [
     "rate_check",
     "barrier_blowup_check",
     "jacobian_fd_check",
+    "eigenvalue_error",
     "pole_roundtrip_check",
     "lemma_grid_check",
     "strict_gain_sets",
@@ -238,10 +239,12 @@ def _sample_poles(family: DesignFamily, rng: np.random.Generator) -> PoleSpec:
     return PoleSpec(p1, complex(re, im), complex(re, -im))
 
 
-def _eig_error(family: DesignFamily, g: Gains, poles: PoleSpec) -> float:
-    achieved = sorted(jacobian_eigenvalues(family, g), key=lambda z: (z.real, z.imag))
-    wanted = sorted(poles.as_eigenvalues(), key=lambda z: (z.real, z.imag))
-    return max(abs(a - w) for a, w in zip(achieved, wanted))
+def eigenvalue_error(achieved, poles: PoleSpec) -> float:
+    """Largest distance between the achieved eigenvalues and the requested
+    ones, both sorted by (real, imag)."""
+    key = lambda z: (z.real, z.imag)
+    wanted = sorted(poles.as_eigenvalues(), key=key)
+    return max(abs(a - w) for a, w in zip(sorted(achieved, key=key), wanted))
 
 
 def pole_roundtrip_check(
@@ -255,7 +258,7 @@ def pole_roundtrip_check(
         if family is DesignFamily.BACKSTEPPING:
             kwargs["epsilon"] = rng.uniform(0.05, 0.95) * poles.p2.real
         for g in assign_gains(family, poles, **kwargs):
-            worst = max(worst, _eig_error(family, g, poles))
+            worst = max(worst, eigenvalue_error(jacobian_eigenvalues(family, g), poles))
             if family is DesignFamily.PASSIVITY and not g.strict_passivity:
                 return CheckResult("pole_roundtrip", family.value, False, worst,
                                    {"note": "strict-mode output violated k1*k3 >= k2^2"})

@@ -1,7 +1,10 @@
-"""Independent high-precision oracles for the steering laws.
+"""Independent high-precision oracles for the steering laws and their
+certificates.
 
-Each law is transliterated here directly from its closed form using mpmath
-at 40 significant digits, with mpmath's own sine integral.  These oracles
+Each law and each certificate V_dg is transliterated here directly from its
+closed form using mpmath at 40 significant digits, with mpmath's own sine
+integral; the certificates are written per law in ``tan(angle/2)``, not in
+the package's warped family form.  These oracles
 share no code with the package implementation, so agreement to 1e-12 is a
 genuine cross-check and not a tautology.
 """
@@ -127,3 +130,91 @@ def steering_tilde_oracle(name: str, k: dict, d, c):
     if name in DIRECT_TOTAL:
         return law - k["k1"] / 2 * mp.sin(2 * mp.mpf(c))
     return law
+
+
+# ---------------------------------------------------------------------------
+# Certificates V_dg(delta, gamma), one per law, with q = sqrt(k1/k3),
+# s = tan(delta/2) and t = tan(gamma/2).
+# ---------------------------------------------------------------------------
+
+
+def _q(k):
+    return mp.sqrt(mp.mpf(k["k1"]) / k["k3"])
+
+
+def _quadratic_weight(k, u):
+    q = _q(k)
+    return k["k3"] * (1 + (2 * q**2 + u) / (2 * q * k["k2"])) * u
+
+
+def _cubic_weight(k, a, u):
+    return a / (3 * k["k2"] * _q(k) ** 2) * ((1 + u) ** 3 - 1)
+
+
+def v_genova(k, d, c):
+    q = _q(k)
+    return _quadratic_weight(k, d**2 + q**2 * c**2) + (d + q * c) ** 2
+
+
+def v_bolsa(k, d, c):
+    q, t = _q(k), mp.tan(c / 2)
+    return _quadratic_weight(k, d**2 + 4 * q**2 * t**2) + (d + 2 * q * t) ** 2
+
+
+def v_bopa(k, d, c):
+    q, s = _q(k), mp.tan(d / 2)
+    a = max(k["k1"] * q, mp.sqrt(mp.mpf(k["k1"]) * k["k3"]))
+    return _cubic_weight(k, a, 4 * s**2 + q**2 * c**2) + (2 * s + q * c) ** 2
+
+
+def v_bagal(k, d, c):
+    q, s, t = _q(k), mp.tan(d / 2), mp.tan(c / 2)
+    a = max(k["k1"] * q, mp.sqrt(mp.mpf(k["k1"]) * k["k2"]))
+    return _cubic_weight(k, a, 4 * s**2 + 4 * q**2 * t**2) + (2 * s + 2 * q * t) ** 2
+
+
+def v_glofo(k, d, c):
+    zeta = d + k["k1"] / (2 * k["k2"]) * mp.si(2 * c)
+    return zeta**2 + _q(k) ** 2 * c**2
+
+
+def v_bofo(k, d, c):
+    zeta = d + k["k1"] / k["k2"] * mp.sin(c)
+    return zeta**2 + 4 * _q(k) ** 2 * mp.tan(c / 2) ** 2
+
+
+def v_globa(k, d, c):
+    z = c + mp.atan(2 * k["k2"] * d) / 2
+    return d**2 + _q(k) ** 2 * z**2
+
+
+def v_barfli(k, d, c):
+    s = mp.tan(d / 2)
+    z = c + mp.atan(4 * k["k2"] * s) / 2
+    return 4 * s**2 + _q(k) ** 2 * z**2
+
+
+def v_libac(k, d, c):
+    return k["k2"] / k["k3"] * mp.tan(d / 2) ** 2 + _q(k) ** 2 * (c + d / 2) ** 2
+
+
+# The certificate each law's simulations log; the two globa variants log
+# globa's.
+V_ORACLES = {
+    "genova": v_genova,
+    "bolsa": v_bolsa,
+    "bopa": v_bopa,
+    "bagal": v_bagal,
+    "glofo": v_glofo,
+    "bofo": v_bofo,
+    "globa": v_globa,
+    "globa-interp": v_globa,
+    "globa-cons": v_globa,
+    "barfli": v_barfli,
+    "libac": v_libac,
+}
+
+
+def certificate_oracle(name: str, k: dict, d, c):
+    """Logged certificate V_dg at 40-digit precision."""
+    return V_ORACLES[name](k, mp.mpf(d), mp.mpf(c))

@@ -116,6 +116,19 @@ class TestSimulateCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("frame, t_max", [("polar", "18000"), ("cartesian", "72000")])
+    def test_overflowing_step_is_numeric(self, tmp_path, capsys, frame, t_max):
+        # At dt 900 the state overflows; in the polar chart an RK4 stage
+        # raises (math.cos(inf)) before the stepped state can be tested.
+        assert run([
+            "simulate", "--controller", "globa-cons", "--init-polar", "1,3,2", "--dt", "900",
+            "--t-max", t_max, "--frame", frame, "--out", str(tmp_path),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("run failed") == 1 and "termination numeric" in err
+        assert "Traceback" not in err
+        assert json.loads((tmp_path / "traj_globa-cons.json").read_text())["termination"] == "numeric"
+
 
 class TestSweepCommand:
     def _config(self, tmp_path, grid):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import certificate_oracle
 from unipark.controllers import ControllerId, Gains, backstep_z, steering_tilde_many
 from unipark.errors import DomainError
 from unipark.lyapunov import (
@@ -70,6 +71,18 @@ class TestValues:
         fn = LyapunovFn(steering_clf(ControllerId.GLOFO, UNIT))
         assert float(fn.value(1.0, 1.0, 0.0)) == pytest.approx(2.0)
 
+    def test_values_match_oracle(self):
+        # Every logged certificate, written in warped family form, against
+        # its per-law tan(angle/2) transliteration at 40 digits.
+        rng = np.random.default_rng(5)
+        for g in (UNIT, Gains(k1=2.0, k2=0.8, k3=1.5, k4=1.2), Gains(k1=0.7, k2=0.5, k3=2.3, k4=0.6)):
+            kd = {"k1": g.k1, "k2": g.k2, "k3": g.k3, "k4": g.k4}
+            for cid in ControllerId:
+                clf = logging_clf(cid, g)
+                for d, c in sample_interior(clf.space, 40, rng):
+                    want = float(certificate_oracle(cid.value, kd, d, c))
+                    assert float(clf.value(d, c)) == pytest.approx(want, rel=1e-12), cid
+
     def test_positive_definite_sampled(self):
         for cid in STRICT_FAMILIES:
             clf = steering_clf(cid, UNIT)
@@ -132,8 +145,8 @@ class TestRates:
                 assert res.passed and res.name == "rate_domination", res
 
     def test_gradients_match_finite_differences(self):
-        for cid in STRICT_FAMILIES:
-            clf = steering_clf(cid, UNIT)
+        for cid in ControllerId:
+            clf = logging_clf(cid, UNIT)
             res = gradient_check(clf, sample_interior(clf.space, 300, RNG))
             assert res.passed, res
 
