@@ -11,11 +11,17 @@ The set is:
 - both figures of ``scripts/reproduce_figures.py``;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
-- ``unipark verify --seed 0 --samples 1000``.
+- ``unipark verify --seed 0 --samples 1000``;
+- the :class:`~unipark.simulate.BatchResult` of ``integrate_batch`` over 64
+  seeded metric-ball starts (metric <= 4) for each of the eleven laws at
+  dt 0.01, with the 7 x 2 composite monitors on genova, glofo and globa
+  (``batch/metric_ball/<law>``), and of the three batches of the suite's
+  lockstep test (``batch/lockstep/<case>``).
 
-Artifacts are written into a temporary directory that is removed afterwards.
-Each line reads ``<sha256>  <relative path>``, sorted by path, so two
-checkouts produce byte-identical artifacts exactly when ``diff`` of their
+Artifacts are written into a temporary directory that is removed afterwards;
+a batch is digested from the dtype, shape and bytes of every field.  Each
+line reads ``<sha256>  <name>``, sorted by name, so two checkouts produce
+byte-identical artifacts and batch results exactly when ``diff`` of their
 outputs is empty:
 
     python3 scripts/artifact_digest.py > digests.txt
@@ -24,20 +30,28 @@ The package is imported from the ``src/`` directory next to this script.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "scripts"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from unipark.cli import main as cli_main  # noqa: E402
-from unipark.controllers import ControllerId  # noqa: E402
+from unipark.controllers import ControllerId, controller_space  # noqa: E402
+from unipark.lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf  # noqa: E402
+from unipark.simulate import Scenario, integrate_batch  # noqa: E402
+from unipark.verify import sample_metric_ball  # noqa: E402
 
 import reproduce_figures  # noqa: E402
+from test_simulate import LOCKSTEP_CASES, lockstep_batch  # noqa: E402
 
 RUNS = {
     "polar": ["--init-polar=1.2,0.7,-0.4"],
@@ -48,6 +62,8 @@ GAINS = {
     "forwarding": ["--poles=-1,-2,-3"],
     "backstepping": ["--poles=-1,-2,-3", "--epsilon", "0.5"],
 }
+BATCH_STARTS = 64
+COMPOSITE_LAWS = (ControllerId.GENOVA, ControllerId.GLOFO, ControllerId.GLOBA)
 
 
 def produce(out: Path) -> None:
@@ -62,16 +78,48 @@ def produce(out: Path) -> None:
     cli_main(["verify", "--seed", "0", "--samples", "1000", "--out", str(out / "verify")])
 
 
+def batches():
+    """(name, BatchResult) of every digested batch."""
+    rng = np.random.default_rng(6)
+    for cid in ControllerId:
+        s = Scenario(controller=cid, dt=0.01, t_max=100.0)
+        grid = sample_metric_ball(controller_space(cid), BATCH_STARTS, rng, max_metric=4.0)
+        extras = []
+        if cid in COMPOSITE_LAWS:
+            clf = logging_clf(cid, s.gains)
+            extras = [LyapunovFn(clf, kind, order) for kind in CompositeKind for order in CompositeOrder]
+        yield f"batch/metric_ball/{cid.value}", integrate_batch(s, grid, extra_lyapunov=extras)
+    for case in LOCKSTEP_CASES:
+        yield f"batch/lockstep/{case}", lockstep_batch(case)[2]
+
+
+def batch_digest(br) -> str:
+    h = hashlib.sha256()
+    for f in dataclasses.fields(br):
+        a = getattr(br, f.name)
+        h.update(f.name.encode())
+        if a is None:
+            h.update(b"None")
+        else:
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         # The runs' console summaries name the temporary directory; only the
         # files are digested.
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             produce(out)
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(out).as_posix()}")
+        for path in (p for p in out.rglob("*") if p.is_file()):
+            lines.append((path.relative_to(out).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest()))
+    with contextlib.redirect_stderr(io.StringIO()):
+        lines += [(name, batch_digest(br)) for name, br in batches()]
+    for name, digest in sorted(lines):
+        print(f"{digest}  {name}")
     return 0
 
 

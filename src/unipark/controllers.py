@@ -418,26 +418,28 @@ def reverse_parking_wrap(u: ControlInput) -> ControlInput:
 # ---------------------------------------------------------------------------
 
 
-def closed_loop_field(
-    cid: ControllerId, g: Gains
-) -> Callable[[float, float, float], tuple[float, float, float]]:
+def closed_loop_field(cid: ControllerId, g: Gains, xp=SCALAR) -> Callable[[float, float, float], tuple]:
     """Closed-loop polar field under the velocity law and steering law ``cid``:
 
         rho'   = -k1 * rho * cos(gamma)^2
         delta' = (k1/2) * sin(2*gamma)
         gamma' = -omega_tilde(delta, gamma)
 
-    The (delta, gamma) block is rho-independent, and the rho/rho cancellation
-    is built in, so there is no singularity at rho = 0.
+    written over the primitive namespace ``xp``: floats with the default
+    :data:`~unipark.kernels.SCALAR`, elementwise over arrays with
+    :data:`~unipark.kernels.ARRAY`.  The (delta, gamma) block is
+    rho-independent, and the rho/rho cancellation is built in, so there is
+    no singularity at rho = 0.
     """
-    tilde = make_steering_tilde(cid, g)
+    tilde = _bind_tilde(xp, cid, g)
+    cos, sin = xp.cos, xp.sin
     k1 = g.k1
 
-    def field(rho: float, delta: float, gamma: float) -> tuple[float, float, float]:
-        cg = math.cos(gamma)
+    def field(rho, delta, gamma):
+        cg = cos(gamma)
         return (
             -k1 * rho * cg * cg,
-            0.5 * k1 * math.sin(2.0 * gamma),
+            0.5 * k1 * sin(2.0 * gamma),
             -tilde(delta, gamma),
         )
 

@@ -146,7 +146,14 @@ def jacobian(family: DesignFamily, g: Gains) -> np.ndarray:
 
 def jacobian_eigenvalues(family: DesignFamily, g: Gains) -> tuple[complex, complex, complex]:
     """Eigenvalues of :func:`jacobian`, via the decoupled -k1 mode and the
-    quadratic lambda^2 + b*lambda + k1*a in closed form."""
+    quadratic lambda^2 + b*lambda + k1*a in closed form.
+
+    The forwarding block's roots are returned in their factored form
+    -k2 and -k1*k3/k2: the discriminant b^2 - 4*k1*a = (k2 - k1*k3/k2)^2
+    cancels to about sqrt(eps) relative accuracy when the two are close."""
+    if family is DesignFamily.FORWARDING:
+        r2, r3 = -g.k2, -g.k1 * g.k3 / g.k2
+        return (-g.k1 + 0j, complex(max(r2, r3)), complex(min(r2, r3)))
     a, b = _block_entries(family, g)
     disc = b * b - 4.0 * g.k1 * a
     root = cmath.sqrt(disc)

@@ -17,6 +17,15 @@ Certificate values, controls, and metrics are logged per step; they are
 evaluated vectorised over the stored states after integration, which keeps
 the hot loop scalar and fast.
 
+:func:`integrate_batch` runs many starts under one setup with the same
+termination rules, stepping in blocks.  Each block compacts the batch to the
+runs still active, takes up to K RK4 steps of them with no check in
+between, and then evaluates every termination test, extremum and
+certificate once on the (K, active runs) block.  A run ends at its first
+terminating step, found with ``argmax``; the steps it took past that inside
+the block are discarded, so the result is bitwise that of checking after
+every step.
+
 One scalar loop serves both charts.  The polar chart steps the logged state
 itself; the Cartesian chart steps the pose and rebuilds a continuous polar
 state by unwrapping the transformed angles against the previous step.  After
@@ -369,8 +378,12 @@ def front_line_crossings(traj: Trajectory) -> list[AxisCrossing]:
 class BatchResult:
     """Streaming diagnostics of a batch of runs sharing one scenario setup.
 
-    Runs are frozen once they converge or trip a guard, matching the
-    single-run termination semantics; only summary statistics are stored.
+    Each run ends at its first terminating step, with the termination rules
+    of :func:`integrate`, and its state there is ``final_states``; only
+    summary statistics are stored.  The counters and extrema take in the
+    initial state and every stepped state up to the end, the converging step
+    included; a step that trips the barrier guard or is not finite is not
+    counted.
     """
 
     converged: np.ndarray
@@ -386,6 +399,34 @@ class BatchResult:
     extra_v_violations: np.ndarray | None = None  # (n_extra, N) when monitored
 
 
+# A block takes at most this many steps, and at most this many lane-steps
+# (steps times active runs): the block buffer and the monitors' (K, m)
+# temporaries then stay within a few MiB.
+_BLOCK_STEPS = 64
+_BLOCK_LANE_STEPS = 16384
+
+
+def _rk4_block(field: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """``steps`` RK4 steps of every lane of ``y`` (3, m), with the arithmetic
+    of :func:`_rk4_step`; returns the stepped states as a (steps, 3, m)
+    block."""
+    m = y.shape[1]
+    block = np.empty((steps, 3, m))
+    stage = np.empty((4, 3, m))
+
+    def f(i: int, x: np.ndarray) -> np.ndarray:
+        stage[i, 0], stage[i, 1], stage[i, 2] = field(x[0], x[1], x[2])
+        return stage[i]
+
+    for k in range(steps):
+        k1s = f(0, y)
+        k2s = f(1, y + 0.5 * h * k1s)
+        k3s = f(2, y + 0.5 * h * k2s)
+        k4s = f(3, y + h * k3s)
+        y = np.add(y, (h / 6.0) * (k1s + 2.0 * (k2s + k3s) + k4s), out=block[k])
+    return block
+
+
 def integrate_batch(
     s: Scenario,
     initial_states: np.ndarray,
@@ -393,105 +434,100 @@ def integrate_batch(
 ) -> BatchResult:
     """Integrate many polar initial states (N, 3) under one scenario setup.
 
-    Arithmetic mirrors :func:`integrate` (same RK4, same fields); a lockstep
+    Arithmetic mirrors :func:`integrate` (same RK4, same field, written once
+    in :func:`~unipark.controllers.closed_loop_field`); a lockstep
     equivalence test in the suite ties the two paths together.
     ``extra_lyapunov`` adds further certificates whose per-step monotonicity
     violations are counted alongside the scenario's own.
+
+    The runs are stepped in blocks.  Each block gathers the m runs still
+    active, takes up to K steps of all of them with no check in between, and
+    only then evaluates the termination tests, the extrema and every
+    certificate once on the (K, m) block.  Each run's first terminating step
+    is its end: it is counted by the rules in :class:`BatchResult`, and the
+    run's state there is written back.  The steps a run took past its end
+    inside the block are discarded, so the result equals that of checking
+    after every step.
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
-    g = s.gains
-    cid = s.controller
     space = s.space
-    k1 = g.k1
-    lyap = s.lyapunov()
+    field = ctl.closed_loop_field(s.controller, s.gains, ARRAY)
+    monitors = [s.lyapunov(), *extra_lyapunov]
 
-    def field(y):
-        rho, delta, gamma = y
-        cg = np.cos(gamma)
-        dd = 0.5 * k1 * np.sin(2.0 * gamma)
-        return np.stack(
-            [-k1 * rho * cg * cg, dd, -ctl.steering_tilde_many(cid, g, delta, gamma)]
-        )
-
-    active = np.ones(n, dtype=bool)
-    converged = np.zeros(n, dtype=bool)
     barrier_trips = np.zeros(n, dtype=bool)
     numeric_failures = np.zeros(n, dtype=bool)
     conv_time = np.full(n, np.nan)
-    v_viol = np.zeros(n, dtype=int)
-    max_ad = np.abs(ys[1]).copy()
-    max_ag = np.abs(ys[2]).copy()
+    viol = np.zeros((len(monitors), n), dtype=int)
+    max_ad = np.abs(ys[1])
+    max_ag = np.abs(ys[2])
 
-    extra = list(extra_lyapunov)
-    extra_viol = np.zeros((len(extra), n), dtype=int)
     # Certificates like cosh(.) overflow to inf on extreme starts; inf is an
     # honest "very large" for the monotonicity counters, so warnings are off.
     with np.errstate(all="ignore"):
-        v_prev = np.asarray(lyap.value(ys[0], ys[1], ys[2]), dtype=float)
-        extra_prev = [np.asarray(fn.value(ys[0], ys[1], ys[2]), dtype=float) for fn in extra]
-        met = metric_values(ARRAY, space, ys[0], ys[1], ys[2])
+        prev = [np.asarray(fn.value(ys[0], ys[1], ys[2]), dtype=float) for fn in monitors]
+        converged = metric_values(ARRAY, space, ys[0], ys[1], ys[2]) < s.stop_tol
     min_margin = np.minimum(np.full(n, np.inf), barrier_margin_values(space, ys[1], ys[2]))
-    newly = active & (met < s.stop_tol)
-    converged |= newly
-    conv_time[newly] = 0.0
-    active &= ~newly
+    conv_time[converged] = 0.0
+    active = ~converged
 
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
     h = s.dt
+    limit = math.pi - s.barrier_margin
+    k = 0  # steps taken by the runs still active
     with np.errstate(all="ignore"):
-        for k in range(1, n_max + 1):
-            if not active.any():
-                break
-            k1s = field(ys)
-            k2s = field(ys + 0.5 * h * k1s)
-            k3s = field(ys + 0.5 * h * k2s)
-            k4s = field(ys + h * k3s)
-            ys_next = ys + (h / 6.0) * (k1s + 2.0 * (k2s + k3s) + k4s)
-            ys = np.where(active, ys_next, ys)
+        while k < n_max and active.any():
+            lanes = np.flatnonzero(active)
+            m = lanes.size
+            steps = min(_BLOCK_STEPS, max(1, _BLOCK_LANE_STEPS // m), n_max - k)
+            block = _rk4_block(field, ys[:, lanes], h, steps)
+            rho, delta, gamma = block[:, 0], block[:, 1], block[:, 2]
 
-            bad = active & ~np.isfinite(ys).all(axis=0)
-            numeric_failures |= bad
-            active &= ~bad
-
-            limit = math.pi - s.barrier_margin
-            tripped = np.zeros(n, dtype=bool)
-            for a in constrained_angles(space, ys[1], ys[2]):
+            bad = ~np.isfinite(block).all(axis=1)
+            tripped = np.zeros((steps, m), dtype=bool)
+            for a in constrained_angles(space, delta, gamma):
                 tripped |= np.abs(a) >= limit
-            tripped &= active
-            barrier_trips |= tripped
-            active &= ~tripped
+            tripped &= ~bad
+            ok = ~(bad | tripped)
+            ends = ~ok | (metric_values(ARRAY, space, rho, delta, gamma) < s.stop_tol)
+            ended = ends.any(axis=0)
+            stop = np.where(ended, ends.argmax(axis=0), steps)
+            counted = (np.arange(steps)[:, None] <= stop) & ok
 
-            max_ad = np.maximum(max_ad, np.where(active, np.abs(ys[1]), max_ad))
-            max_ag = np.maximum(max_ag, np.where(active, np.abs(ys[2]), max_ag))
-            margin = barrier_margin_values(space, ys[1], ys[2])
-            min_margin = np.minimum(min_margin, np.where(active, margin, min_margin))
+            max_ad[lanes] = np.maximum(max_ad[lanes], np.where(counted, np.abs(delta), -np.inf).max(axis=0))
+            max_ag[lanes] = np.maximum(max_ag[lanes], np.where(counted, np.abs(gamma), -np.inf).max(axis=0))
+            margin = np.where(counted, barrier_margin_values(space, delta, gamma), np.inf)
+            min_margin[lanes] = np.minimum(min_margin[lanes], margin.min(axis=0))
+            for i, fn in enumerate(monitors):
+                v = np.asarray(fn.value(rho, delta, gamma), dtype=float)
+                before = np.concatenate([prev[i][None, lanes], v[:-1]])
+                viol[i, lanes] += (counted & (v > before + V_MONOTONE_TOL)).sum(axis=0)
+                prev[i][lanes] = v[-1]
 
-            v_now = np.asarray(lyap.value(ys[0], ys[1], ys[2]), dtype=float)
-            v_viol += (active & (v_now > v_prev + V_MONOTONE_TOL)).astype(int)
-            v_prev = np.where(active, v_now, v_prev)
-            for ei, fn in enumerate(extra):
-                e_now = np.asarray(fn.value(ys[0], ys[1], ys[2]), dtype=float)
-                extra_viol[ei] += (active & (e_now > extra_prev[ei] + V_MONOTONE_TOL)).astype(int)
-                extra_prev[ei] = np.where(active, e_now, extra_prev[ei])
-            met = metric_values(ARRAY, space, ys[0], ys[1], ys[2])
-            newly = active & (met < s.stop_tol)
-            converged |= newly
-            conv_time[newly] = k * h
-            active &= ~newly
+            ys[:, lanes] = block[np.minimum(stop, steps - 1), :, np.arange(m)].T
+            at = np.flatnonzero(ended)
+            end, run = stop[at], lanes[at]
+            numeric_failures[run] = bad[end, at]
+            barrier_trips[run] = tripped[end, at]
+            conv = ok[end, at]
+            converged[run] = conv
+            conv_time[run[conv]] = (k + 1 + end[conv]) * h
+            active[run] = False
+            k += steps
+        final_metric = metric_values(ARRAY, space, ys[0], ys[1], ys[2])
 
     return BatchResult(
         converged=converged,
         convergence_time=conv_time,
-        v_violations=v_viol,
+        v_violations=viol[0],
         min_barrier_margin=min_margin,
         max_abs_delta=max_ad,
         max_abs_gamma=max_ag,
         barrier_trips=barrier_trips,
         numeric_failures=numeric_failures,
         final_states=ys.T.copy(),
-        final_metric=met,
-        extra_v_violations=extra_viol if extra else None,
+        final_metric=final_metric,
+        extra_v_violations=viol[1:] if len(monitors) > 1 else None,
     )
 
 

@@ -12,7 +12,13 @@ from unipark.linearization import (
     jacobian,
     jacobian_eigenvalues,
 )
-from unipark.verify import JACOBIAN_CONTROLLERS, jacobian_fd_check, pole_roundtrip_check
+from unipark.verify import (
+    JACOBIAN_CONTROLLERS,
+    POLE_ROUNDTRIP_TOL,
+    eigenvalue_error,
+    jacobian_fd_check,
+    pole_roundtrip_check,
+)
 
 UNIT = Gains()
 
@@ -94,6 +100,14 @@ class TestAssignGains:
     def test_forwarding_equal_poles_single_branch(self):
         sols = assign_gains(DesignFamily.FORWARDING, PoleSpec(1.0, 2.0, 2.0))
         assert len(sols) == 1
+
+    @pytest.mark.parametrize("p2", [0.3, 1.0, 2.7])
+    def test_forwarding_near_equal_poles_round_trip(self, p2):
+        # The discriminant of the gamma-block quadratic cancels for nearly
+        # equal poles; the factored roots keep the round trip exact.
+        spec = PoleSpec(1.3, p2, p2 * (1.0 + 1e-9))
+        for g in assign_gains(DesignFamily.FORWARDING, spec):
+            assert eigenvalue_error(jacobian_eigenvalues(DesignFamily.FORWARDING, g), spec) < POLE_ROUNDTRIP_TOL
 
     def test_forwarding_rejects_complex(self):
         spec = PoleSpec(1.0, complex(1.0, 1.0), complex(1.0, -1.0))

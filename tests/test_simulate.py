@@ -17,7 +17,7 @@ from unipark.simulate import (
     integrate_batch,
     sweep,
 )
-from unipark.spaces import CartesianState, PolarState, StateSpaceId
+from unipark.spaces import CartesianState, PolarState, StateSpaceId, delta_gamma_in_space
 
 UNIT = Gains()
 
@@ -207,7 +207,68 @@ class TestChartConsistency:
             assert c.x > 0.0 and c.in_front
 
 
+# Batches whose runs end in every termination kind; each run agrees with the
+# scalar loop on every BatchResult field.  Starts are polar (rho, delta, gamma).
+# bopa and barfli at dt >= 0.2 are left out: their runs are chaotic there,
+# and ULP-level differences between the scalar and array kernels grow until
+# the two paths take different exits.
+LOCKSTEP_CASES = {
+    # 3 converged runs and 3 barrier-guard trips.
+    "bagal": (ControllerId.BAGAL, 0.2, 30.0,
+              [(1.0, 0.5, -0.3), (1.0, 2.9, 2.9), (1.0, 3.0, 2.0), (3.0, -2.5, 2.8),
+               (0.5, 1.0, 3.1), (2.0, 3.1, -3.1)]),
+    # Steps so large that every run ends in a numeric stop.
+    "globa-cons": (ControllerId.GLOBA_CONS, 900.0, 18000.0,
+                   [(1.0, 3.0, 2.0), (1.0, 0.5, -0.3), (2.0, -1.0, 1.0), (0.5, 2.0, -2.5)]),
+    # Every run still active at t_max.
+    "genova": (ControllerId.GENOVA, 0.01, 2.0,
+               [(1.0, 0.5, -0.5), (2.0, 3.0, 1.0), (0.5, -2.0, 2.0), (1.5, 1.0, -1.0)]),
+}
+
+
+def lockstep_batch(name):
+    """The scenario, the starts (N, 3) and the batch result of one case."""
+    cid, dt, t_max, starts = LOCKSTEP_CASES[name]
+    s = Scenario(controller=cid, gains=UNIT, dt=dt, t_max=t_max)
+    starts = np.array(starts)
+    return s, starts, integrate_batch(s, starts)
+
+
 class TestBatch:
+    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+    def test_lockstep_every_field(self, name):
+        s, starts, br = lockstep_batch(name)
+        kinds = set()
+        for i, start in enumerate(starts):
+            tr = integrate(replace(s, initial=PolarState(*start)))
+            kinds.add(tr.termination)
+            assert br.converged[i] == (tr.termination is Termination.CONVERGED)
+            assert br.barrier_trips[i] == (tr.termination is Termination.BARRIER_GUARD)
+            assert br.numeric_failures[i] == (tr.termination is Termination.NUMERIC)
+            if tr.termination is Termination.CONVERGED:
+                assert br.convergence_time[i] == pytest.approx(tr.convergence_time(), abs=1e-9)
+            else:
+                assert math.isnan(br.convergence_time[i])
+            assert br.v_violations[i] == tr.v_monotonicity_violations()
+            assert br.min_barrier_margin[i] == pytest.approx(tr.min_barrier_margin(s.space), abs=1e-9)
+            assert br.max_abs_delta[i] == pytest.approx(np.abs(tr.polar[:, 1]).max(), abs=1e-9)
+            assert br.max_abs_gamma[i] == pytest.approx(np.abs(tr.polar[:, 2]).max(), abs=1e-9)
+            # The scalar log stops before the state that ends a guard trip or
+            # a numeric stop; the batch keeps that state.
+            if tr.termination is Termination.BARRIER_GUARD:
+                _, d, c = br.final_states[i]
+                assert not delta_gamma_in_space(s.space, d, c, math.pi - s.barrier_margin)
+            elif tr.termination is Termination.NUMERIC:
+                assert not np.isfinite(br.final_states[i]).all()
+            else:
+                np.testing.assert_allclose(br.final_states[i], tr.polar[-1], atol=1e-9)
+        want = {
+            "bagal": {Termination.CONVERGED, Termination.BARRIER_GUARD},
+            "globa-cons": {Termination.NUMERIC},
+            "genova": {Termination.T_MAX},
+        }
+        assert kinds == want[name]
+
     def test_matches_scalar(self):
         inits = np.array([[1.5, 1.0, -0.5], [0.8, -2.0, 0.7]])
         s = scenario(cid=ControllerId.BOFO, initial=PolarState(1.0, 0.0, 0.0), t_max=60.0)
