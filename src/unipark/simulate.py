@@ -440,14 +440,8 @@ def integrate_batch(
     ``extra_lyapunov`` adds further certificates whose per-step monotonicity
     violations are counted alongside the scenario's own.
 
-    The runs are stepped in blocks.  Each block gathers the m runs still
-    active, takes up to K steps of all of them with no check in between, and
-    only then evaluates the termination tests, the extrema and every
-    certificate once on the (K, m) block.  Each run's first terminating step
-    is its end: it is counted by the rules in :class:`BatchResult`, and the
-    run's state there is written back.  The steps a run took past its end
-    inside the block are discarded, so the result equals that of checking
-    after every step.
+    The runs still active are stepped in blocks of K steps and checked once
+    per block, as the module docstring describes.
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
