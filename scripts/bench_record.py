@@ -21,8 +21,11 @@ and whether every run was correct with 0 failed operations.
     python3 scripts/bench_record.py --base HEAD~1 --out BENCH_6.json \\
         --pairs 3 --pairs batch_grid=10
 
-Run it from anywhere inside the repository on an otherwise idle machine; it
-takes about (2 x pairs x (seconds + 5)) s per workload plus two Tier-1 runs.
+Each run lasts ``perfbench/run.py``'s own default length; the seconds it
+spent in the program and its round count are read from its output and
+recorded with the run.  Run the script from anywhere inside the repository
+on an otherwise idle machine; it takes about 2 x pairs x 15 s per workload
+plus two Tier-1 runs.
 """
 
 from __future__ import annotations
@@ -90,31 +93,33 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
-def perfbench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def perfbench_run(tree: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    length = re.search(r"(\d+) rounds, ([\d.]+) s in the program", proc.stderr)
+    if proc.returncode != 0 or not lines or not length:
         raise SystemExit(f"perfbench {workload} seed {seed} in {tree} failed:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "rounds": int(length.group(1)), "program_s": float(length.group(2))}
 
 
-def workload_pairs(trees: dict[str, Path], workload: str, pairs: int, seconds: int, better: dict) -> dict:
+def workload_pairs(trees: dict[str, Path], workload: str, pairs: int, better: dict) -> dict:
     runs: dict[str, list[dict]] = {"base": [], "head": []}
     for i in range(pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(perfbench_run(trees[side], workload, i, seconds))
+            runs[side].append(perfbench_run(trees[side], workload, i))
         print(f"{workload} pair {i + 1}/{pairs} done", file=sys.stderr)
-    out: dict = {"pairs": pairs, "seconds": seconds, "seeds": list(range(pairs))}
+    out: dict = {"pairs": pairs, "seeds": list(range(pairs))}
     for side, rs in runs.items():
         out[side] = {
             "correct": all(r["correct"] for r in rs),
             "failed": [r["failed"] for r in rs],
             "attempted": [r["attempted"] for r in rs],
+            "rounds": [r["rounds"] for r in rs],
+            "program_s": [r["program_s"] for r in rs],
             "metrics": {name: spread([r["metrics"][name]["value"] for r in rs])
                         for name in better if name in rs[0]["metrics"]},
         }
@@ -153,8 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json file to write")
     ap.add_argument("--pairs", action="append", default=[],
                     help="pairs per workload: N for every workload, or WORKLOAD=N (repeatable; default 3)")
-    ap.add_argument("--seconds", type=int, default=10, help="--seconds of each perfbench run")
-    ap.add_argument("--skip-tier1", action="store_true", help="leave out the Tier-1 timing")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -177,12 +180,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
         trees = {side: export(record[side]["commit"], Path(tmp) / side) for side in ("base", "head")}
         for w in workloads:
-            record["perfbench"][w] = workload_pairs(trees, w, pairs[w], args.seconds, better)
-        if not args.skip_tier1:
-            record["tier1"] = {}
-            for side in ("base", "head"):
-                record["tier1"][side] = tier1(trees[side])
-                print(f"tier-1 {side}: {record['tier1'][side]}", file=sys.stderr)
+            record["perfbench"][w] = workload_pairs(trees, w, pairs[w], better)
+        record["tier1"] = {}
+        for side in ("base", "head"):
+            record["tier1"][side] = tier1(trees[side])
+            print(f"tier-1 {side}: {record['tier1'][side]}", file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

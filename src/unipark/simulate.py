@@ -409,7 +409,14 @@ _BLOCK_LANE_STEPS = 16384
 def _rk4_block(field: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
     """``steps`` RK4 steps of every lane of ``y`` (3, m), with the arithmetic
     of :func:`_rk4_step`; returns the stepped states as a (steps, 3, m)
-    block."""
+    block.
+
+    It is kept apart from :func:`_rk4_step` for two reasons.  It steps the
+    (3, m) layout of the per-step batch loop it replaced, which fixes the
+    sign bit of NaN results: stepping row tuples through :func:`_rk4_step`
+    flips it in some numeric-stop final states.  And its stage buffer is
+    faster: ``batch_grid`` ``run_steps_per_s`` median 1.83e6 against 1.74e6
+    (10 of 10 alternating pairs, shared 2-vCPU VM)."""
     m = y.shape[1]
     block = np.empty((steps, 3, m))
     stage = np.empty((4, 3, m))
