@@ -11,7 +11,8 @@ The set is:
 - both figures of ``scripts/reproduce_figures.py``;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
-- ``unipark verify --seed 0 --samples 1000``;
+- ``unipark verify --seed 0 --samples 1000``, and ``--samples 10000`` at
+  seeds 935547811 and 12345, the scale the pole round trips are timed at;
 - the :class:`~unipark.simulate.BatchResult` of ``integrate_batch`` over 64
   seeded metric-ball starts (metric <= 4) for each of the eleven laws at
   dt 0.01, with the 7 x 2 composite monitors on genova, glofo and globa
@@ -62,6 +63,7 @@ GAINS = {
     "forwarding": ["--poles=-1,-2,-3"],
     "backstepping": ["--poles=-1,-2,-3", "--epsilon", "0.5"],
 }
+VERIFY_10K_SEEDS = (935547811, 12345)
 BATCH_STARTS = 64
 COMPOSITE_LAWS = (ControllerId.GENOVA, ControllerId.GLOFO, ControllerId.GLOBA)
 
@@ -76,6 +78,8 @@ def produce(out: Path) -> None:
     for family, flags in GAINS.items():
         cli_main(["gains", "--family", family, *flags, "--out", str(out / "gains" / family)])
     cli_main(["verify", "--seed", "0", "--samples", "1000", "--out", str(out / "verify")])
+    for seed in VERIFY_10K_SEEDS:
+        cli_main(["verify", "--seed", str(seed), "--samples", "10000", "--out", str(out / f"verify-10k-{seed}")])
 
 
 def batches():

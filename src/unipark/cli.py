@@ -216,10 +216,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _sweep_grid(cfg: dict) -> list:
     if "grid_cart" in cfg and "grid_polar" in cfg:
         raise ConfigError("give exactly one of grid_cart / grid_polar")
-    if "grid_cart" in cfg:
-        return [CartesianState(*_parse_floats(row, "grid_cart row")) for row in cfg["grid_cart"]]
-    if "grid_polar" in cfg:
-        return [PolarState(*_parse_floats(row, "grid_polar row")) for row in cfg["grid_polar"]]
+    for key, state in (("grid_cart", CartesianState), ("grid_polar", PolarState)):
+        if key in cfg:
+            if not isinstance(cfg[key], list):
+                raise ConfigError(f"{key} must be a list of states, got {cfg[key]!r}")
+            return [state(*_parse_floats(row, f"{key} row")) for row in cfg[key]]
     raise ConfigError("sweep config needs grid_cart or grid_polar")
 
 
@@ -233,6 +234,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     controllers = cfg.get("controllers")
     if controllers is None:
         controllers = [cfg.get("controller") or (args.controller or "")]
+    if not isinstance(controllers, list):
+        raise ConfigError(f"controllers must be a list of names, got {controllers!r}")
     controllers = [_choice(ControllerId, c, "controller") for c in controllers if c]
     if not controllers:
         raise ConfigError("sweep needs at least one controller")
@@ -333,7 +336,7 @@ def cmd_gains(args: argparse.Namespace) -> int:
                 "gains": {"k1": g.k1, "k2": g.k2, "k3": g.k3, "k4": g.k4},
                 "strict_passivity": g.strict_passivity,
                 "achieved_eigenvalues": [[z.real, z.imag] for z in eigs],
-                "roundtrip_error": eigenvalue_error(eigs, spec),
+                "roundtrip_error": eigenvalue_error(eigs, spec.as_eigenvalues()),
             }
         )
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -5,10 +5,10 @@ state, so they are safe for unrestricted concurrent use.  They operate on
 plain Python floats.
 
 :data:`SCALAR` and :data:`ARRAY` are the two primitive namespaces (``sin``,
-``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``psi``, ``si``) that
-the steering laws, metrics and certificates are written over once: the
-scalar one is made of :mod:`math` and the kernels below, the array one of
-their numpy/scipy counterparts.
+``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``psi``, ``si``,
+``where``) that the laws, metrics, certificates and pole formulas are written
+over once: the scalar one is made of :mod:`math` and the kernels below, the
+array one of their numpy/scipy counterparts.
 
 Conventions
 -----------
@@ -125,7 +125,7 @@ def _sinc_array(a):
 SCALAR = _namespace(
     "SCALAR",
     sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt, abs=abs,
-    sinc=sinc, psi=psi, si=sine_integral,
+    sinc=sinc, psi=psi, si=sine_integral, where=lambda cond, a, b: a if cond else b,
 )
 
 ARRAY = _namespace(
@@ -134,5 +134,5 @@ ARRAY = _namespace(
     sinc=_sinc_array,
     # The product form sinc(z)*cos(z - 2*gamma) needs no branch at z = 0.
     psi=lambda z, gamma: _sinc_array(z) * np.cos(z - 2.0 * gamma),
-    si=lambda a: _sici(a)[0],
+    si=lambda a: _sici(a)[0], where=np.where,
 )

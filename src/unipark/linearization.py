@@ -32,11 +32,13 @@ Gain assignment for requested eigenvalues {-p1, -p2, -p3}:
       k2 = (Re(p2) - eps)/p1,   k4 = Re(p3) + eps,
       k3 = (eps^2 + (p3 - p2)*eps)/p1          for real p2 <= p3,
       k3 = (eps^2 + Im(p2)^2)/p1               for p2 = conj(p3).
+
+The gains (:func:`gain_branches`) and roots (:func:`block_roots`) are written
+once over a kernels namespace: floats here, arrays in ``verify``, same doubles.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +47,7 @@ import numpy as np
 
 from .controllers import ControllerId, Gains
 from .errors import DomainError, InfeasiblePolesError
+from .kernels import SCALAR
 
 __all__ = [
     "DesignFamily",
@@ -122,19 +125,19 @@ class PoleSpec:
         return (-self.p1 + 0j, -self.p2, -self.p3)
 
 
-def _block_entries(family: DesignFamily, g: Gains) -> tuple[float, float]:
+def _block_entries(family: DesignFamily, k1, k2, k3, k4) -> tuple:
     if family is DesignFamily.PASSIVITY:
-        return g.k3, g.k2
+        return k3, k2
     if family is DesignFamily.FORWARDING:
-        return g.k3, g.k2 + g.k1 * g.k3 / g.k2
+        return k3, k2 + k1 * k3 / k2
     if family is DesignFamily.BACKSTEPPING:
-        return g.k3 + g.k2 * g.k4, g.k1 * g.k2 + g.k4
+        return k3 + k2 * k4, k1 * k2 + k4
     raise DomainError(f"unknown design family {family!r}")
 
 
 def jacobian(family: DesignFamily, g: Gains) -> np.ndarray:
     """Closed-loop Jacobian at the origin in (rho, delta, gamma) ordering."""
-    a, b = _block_entries(family, g)
+    a, b = _block_entries(family, g.k1, g.k2, g.k3, g.k4)
     return np.array(
         [
             [-g.k1, 0.0, 0.0],
@@ -144,22 +147,46 @@ def jacobian(family: DesignFamily, g: Gains) -> np.ndarray:
     )
 
 
-def jacobian_eigenvalues(family: DesignFamily, g: Gains) -> tuple[complex, complex, complex]:
-    """Eigenvalues of :func:`jacobian`, via the decoupled -k1 mode and the
-    quadratic lambda^2 + b*lambda + k1*a in closed form.
-
-    The forwarding block's roots are returned in their factored form
-    -k2 and -k1*k3/k2: the discriminant b^2 - 4*k1*a = (k2 - k1*k3/k2)^2
-    cancels to about sqrt(eps) relative accuracy when the two are close."""
+def block_roots(xp, family: DesignFamily, k1, k2, k3, k4) -> tuple:
+    """(Re, Im, Re, Im) of the roots of lambda^2 + b*lambda + k1*a, with the
+    arithmetic of :func:`cmath.sqrt`, except forwarding's factored -k2 and
+    -k1*k3/k2 (larger first): its discriminant (k2 - k1*k3/k2)^2 cancels to
+    about sqrt(eps) relative accuracy when the two are close."""
     if family is DesignFamily.FORWARDING:
-        r2, r3 = -g.k2, -g.k1 * g.k3 / g.k2
-        return (-g.k1 + 0j, complex(max(r2, r3)), complex(min(r2, r3)))
-    a, b = _block_entries(family, g)
-    disc = b * b - 4.0 * g.k1 * a
-    root = cmath.sqrt(disc)
-    lam2 = (-b + root) / 2.0
-    lam3 = (-b - root) / 2.0
-    return (-g.k1 + 0j, lam2, lam3)
+        r2, r3, zero = -k2, -k1 * k3 / k2, 0.0 * k2
+        return xp.where(r3 > r2, r3, r2), zero, xp.where(r3 < r2, r3, r2), zero
+    a, b = _block_entries(family, k1, k2, k3, k4)
+    disc = b * b - 4.0 * k1 * a
+    root = xp.sqrt(xp.abs(disc))
+    real, imag = xp.where(disc < 0.0, 0.0, root), xp.where(disc < 0.0, root, 0.0)
+    return (-b + real) / 2.0, imag / 2.0, (-b - real) / 2.0, (0.0 - imag) / 2.0
+
+
+def jacobian_eigenvalues(family: DesignFamily, g: Gains) -> tuple[complex, complex, complex]:
+    """Eigenvalues of :func:`jacobian`: -k1 and the :func:`block_roots`."""
+    re2, im2, re3, im3 = block_roots(SCALAR, family, g.k1, g.k2, g.k3, g.k4)
+    return (-g.k1 + 0j, complex(re2, im2), complex(re3, im3))
+
+
+def gain_branches(xp, family: DesignFamily, p1, re2, im2, re3, im3, epsilon=None, strict=True) -> tuple:
+    """(k1, k2, k3, k4, broken) of each branch for the poles -p1,
+    -(re2 + i*im2), -(re3 + i*im3), over floats or arrays: the formulas of
+    the module docstring, and whether the branch misses the relation it must
+    meet (k1*k3 >= k2^2 in strict passivity, k2 + k1*k3/k2 = p2 + p3)."""
+    if family is DesignFamily.PASSIVITY:
+        k2, k3 = re2 + re3, (re2 * re3 - im2 * im3) / p1
+        # Tolerate rounding at the damping-1/2 boundary where k2^2 = k1*k3
+        # holds exactly; genuine real-pair violations exceed it by >= 4x.
+        return ((p1, k2, k3, 1.0, strict & (k2 * k2 > p1 * k3 * (1.0 + 1e-12))),)
+    if family is DesignFamily.FORWARDING:
+        k3, total, spread = re2 * re3 / p1, re2 + re3, xp.abs(re2 - re3)
+        tol = 1e-9 * xp.where(total > 1.0, total, 1.0)
+        return tuple((p1, k2, k3, 1.0, xp.abs(k2 + p1 * k3 / k2 - total) > tol)
+                     for k2 in (0.5 * (total + spread), 0.5 * (total - spread)))
+    if family is DesignFamily.BACKSTEPPING:
+        shift = xp.where(im2 != 0.0, im2 * im2, (re3 - re2) * epsilon)
+        return ((p1, (re2 - epsilon) / p1, (epsilon * epsilon + shift) / p1, re3 + epsilon, False),)
+    raise DomainError(f"unknown design family {family!r}")
 
 
 def assign_gains(
@@ -180,53 +207,29 @@ def assign_gains(
     Raises :class:`InfeasiblePolesError` naming the violated relation when
     the request cannot be met.
     """
-    p1 = poles.p1
-    if family is DesignFamily.PASSIVITY:
-        k2 = (poles.p2 + poles.p3).real
-        k3 = (poles.p2 * poles.p3).real / p1
-        # Tolerate rounding at the damping-1/2 boundary where k2^2 = k1*k3
-        # holds exactly; genuine real-pair violations exceed it by >= 4x.
-        if strict and k2 * k2 > p1 * k3 * (1.0 + 1e-12):
+    p1, p2, p3 = poles.p1, poles.p2, poles.p3
+    if family is DesignFamily.FORWARDING and poles.is_complex_pair:
+        raise InfeasiblePolesError(
+            "forwarding cannot realise a complex pair: the gamma-block factors as "
+            "(lambda + k2)(lambda + k1*k3/k2), so k2 + k1*k3/k2 = p2 + p3 has no "
+            "positive solution off the real axis"
+        )
+    if family is DesignFamily.BACKSTEPPING:
+        if epsilon is None:
+            epsilon = min(0.1, 0.5 * p2.real)
+        if not 0.0 < epsilon < p2.real:
+            raise InfeasiblePolesError(
+                f"backstepping epsilon must lie in (0, Re(p2)) = (0, {p2.real:.6g}), got {epsilon!r}"
+            )
+    out = []
+    for k1, k2, k3, k4, broken in gain_branches(SCALAR, family, p1, p2.real, p2.imag, p3.real, p3.imag,
+                                                epsilon, strict):
+        if broken:
             raise InfeasiblePolesError(
                 "passivity strict mode needs k1*k3 >= k2^2, i.e. a conjugate pole pair "
                 f"with damping <= 1/2; got k2^2 = {k2 * k2:.6g} > k1*k3 = {p1 * k3:.6g}"
+                if family is DesignFamily.PASSIVITY
+                else "forwarding consistency k2 + k1*k3/k2 = p2 + p3 failed"
             )
-        return (Gains(k1=p1, k2=k2, k3=k3, k0=k0),)
-
-    if family is DesignFamily.FORWARDING:
-        if poles.is_complex_pair:
-            raise InfeasiblePolesError(
-                "forwarding cannot realise a complex pair: the gamma-block factors as "
-                "(lambda + k2)(lambda + k1*k3/k2), so k2 + k1*k3/k2 = p2 + p3 has no "
-                "positive solution off the real axis"
-            )
-        p2, p3 = poles.p2.real, poles.p3.real
-        k3 = p2 * p3 / p1
-        out = []
-        for k2 in (0.5 * (p2 + p3 + abs(p2 - p3)), 0.5 * (p2 + p3 - abs(p2 - p3))):
-            if abs(k2 + p1 * k3 / k2 - (p2 + p3)) > 1e-9 * max(1.0, p2 + p3):
-                raise InfeasiblePolesError(
-                    "forwarding consistency k2 + k1*k3/k2 = p2 + p3 failed"
-                )
-            out.append(Gains(k1=p1, k2=k2, k3=k3, k0=k0))
-        if out[0].k2 == out[1].k2:
-            return (out[0],)
-        return tuple(out)
-
-    if family is DesignFamily.BACKSTEPPING:
-        re2 = poles.p2.real
-        if epsilon is None:
-            epsilon = min(0.1, 0.5 * re2)
-        if not 0.0 < epsilon < re2:
-            raise InfeasiblePolesError(
-                f"backstepping epsilon must lie in (0, Re(p2)) = (0, {re2:.6g}), got {epsilon!r}"
-            )
-        k2 = (re2 - epsilon) / p1
-        k4 = poles.p3.real + epsilon
-        if poles.is_complex_pair:
-            k3 = (epsilon * epsilon + poles.p2.imag ** 2) / p1
-        else:
-            k3 = (epsilon * epsilon + (poles.p3.real - poles.p2.real) * epsilon) / p1
-        return (Gains(k1=p1, k2=k2, k3=k3, k4=k4, k0=k0),)
-
-    raise DomainError(f"unknown design family {family!r}")
+        out.append(Gains(k1=k1, k2=k2, k3=k3, k4=k4, k0=k0))
+    return tuple(out) if out[0].k2 != out[-1].k2 else (out[0],)

@@ -4,8 +4,9 @@ Runs, per steering family: positive-definiteness sampling, analytic-gradient
 checks against central finite differences, closed-form rate checks (exact
 match for the forwarding/backstepping rates, domination for the Young-bounded
 passivity rates), barrier blow-up checks, Jacobian checks against finite
-differences of the nonlinear closed loops, pole-assignment round trips, and
-the two scalar appendix inequalities on a dense grid.
+differences of the nonlinear closed loops, pole-assignment round trips (one
+block draw per family, the linearization formulas run on arrays), and the
+two scalar appendix inequalities on a dense grid.
 
 Every check returns a :class:`CheckResult` with its worst margin so reports
 stay machine-readable; :func:`run_all` aggregates them into the JSON report
@@ -23,14 +24,16 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError
+from .kernels import ARRAY
 from .linearization import (
     _FAMILY_OF,
     DesignFamily,
     PoleSpec,
     assign_gains,
+    block_roots,
     family_of_controller,
+    gain_branches,
     jacobian,
-    jacobian_eigenvalues,
 )
 from .lyapunov import (
     RateKind,
@@ -222,46 +225,67 @@ def jacobian_fd_check(cid: ControllerId, g: Gains, at_rho: float = 1e-6) -> Chec
     )
 
 
-def _sample_poles(family: DesignFamily, rng: np.random.Generator) -> PoleSpec:
-    p1 = rng.uniform(0.2, 3.0)
-    if family is DesignFamily.PASSIVITY:
-        re = rng.uniform(0.2, 2.0)
-        im = math.sqrt(3.0) * re * (1.0 + rng.uniform(0.0, 1.5))
-        return PoleSpec(p1, complex(re, im), complex(re, -im))
+def _pole_block(family: DesignFamily, u: np.ndarray) -> tuple:
+    """p1, re2, im2, re3, im3 and the backstepping epsilon (else None) of the
+    requests -p1, -(re2 + i*im2), -(re3 + i*im3) drawn from the rows of u:
+    3 doubles each, 5 for backstepping (its pair kind and epsilon).  Each
+    ``Generator.uniform(lo, hi)`` is lo + (hi - lo)*u of the double it draws."""
+    p1 = 0.2 + (3.0 - 0.2) * u[:, 0]
+    if family is DesignFamily.PASSIVITY:  # conjugate pairs with damping <= 1/2
+        re = 0.2 + (2.0 - 0.2) * u[:, 1]
+        im = math.sqrt(3.0) * re * (1.0 + 1.5 * u[:, 2])
+        return p1, re, im, re, -im, None
+    pair = 0.2 + (3.0 - 0.2) * (u[:, 1:3] if family is DesignFamily.FORWARDING else u[:, 2:4])
+    lo, hi = pair.min(axis=1), pair.max(axis=1)
     if family is DesignFamily.FORWARDING:
-        p2, p3 = sorted(rng.uniform(0.2, 3.0, 2))
-        return PoleSpec(p1, p2, p3)
-    if rng.random() < 0.5:
-        p2, p3 = sorted(rng.uniform(0.2, 3.0, 2))
-        return PoleSpec(p1, p2, p3)
-    re = rng.uniform(0.2, 2.0)
-    im = rng.uniform(0.1, 2.0)
-    return PoleSpec(p1, complex(re, im), complex(re, -im))
+        return p1, lo, 0.0 * lo, hi, 0.0 * hi, None
+    real = u[:, 1] < 0.5  # else a conjugate pair
+    re = 0.2 + (2.0 - 0.2) * u[:, 2]
+    im = np.where(real, 0.0, 0.1 + (2.0 - 0.1) * u[:, 3])
+    re2, re3 = np.where(real, lo, re), np.where(real, hi, re)
+    return p1, re2, im, re3, -im, (0.05 + (0.95 - 0.05) * u[:, 4]) * re2
 
 
-def eigenvalue_error(achieved, poles: PoleSpec) -> float:
-    """Largest distance between the achieved eigenvalues and the requested
-    ones, both sorted by (real, imag)."""
-    key = lambda z: (z.real, z.imag)
-    wanted = sorted(poles.as_eigenvalues(), key=key)
-    return max(abs(a - w) for a, w in zip(sorted(achieved, key=key), wanted))
+def eigenvalue_error(achieved, wanted):
+    """Largest distance between achieved and wanted eigenvalues, both sorted by
+    (real, imag), over the last axis: a float for one triple, else an array."""
+    a, w = (np.asarray(z, dtype=complex) for z in (achieved, wanted))
+    a, w = (np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1) for z in (a, w))
+    return np.hypot((a - w).real, (a - w).imag).max(axis=-1)
 
 
 def pole_roundtrip_check(
     family: DesignFamily, rng: np.random.Generator, n: int = 1000
 ) -> CheckResult:
-    """assign_gains -> jacobian -> eigenvalues reproduces the request."""
-    worst = 0.0
-    for _ in range(n):
-        poles = _sample_poles(family, rng)
-        kwargs = {}
-        if family is DesignFamily.BACKSTEPPING:
-            kwargs["epsilon"] = rng.uniform(0.05, 0.95) * poles.p2.real
-        for g in assign_gains(family, poles, **kwargs):
-            worst = max(worst, eigenvalue_error(jacobian_eigenvalues(family, g), poles))
-            if family is DesignFamily.PASSIVITY and not g.strict_passivity:
-                return CheckResult("pole_roundtrip", family.value, False, worst,
-                                   {"note": "strict-mode output violated k1*k3 >= k2^2"})
+    """assign_gains -> jacobian -> eigenvalues reproduces n random requests,
+    drawn as one ``rng.random((n, k))`` block and run through the
+    linearization formulas on arrays.  The first sample a check's mask flags
+    is replayed through assign_gains, which raises as a sample-by-sample loop
+    would; a gain set only not strictly passive fails the check there."""
+    u = rng.random((n, 5 if family is DesignFamily.BACKSTEPPING else 3))
+    p1, re2, im2, re3, im3, eps = _pole_block(family, u)
+    wanted = np.stack([-p1, -re2, -re3], -1) + 1j * np.stack([0.0 * p1, -im2, -im3], -1)
+    err = np.zeros(n)
+    with np.errstate(all="ignore"):
+        flagged = ~((p1 > 0.0) & np.isfinite(p1) & (re2 > 0.0) & (re3 > 0.0))  # PoleSpec
+        if eps is not None:  # backstepping's epsilon range
+            flagged |= ~((0.0 < eps) & (eps < re2))
+        # p2 = p3 gives forwarding two equal branches: both check and measure the one.
+        for k1, k2, k3, k4, broken in gain_branches(ARRAY, family, p1, re2, im2, re3, im3, eps):
+            ks = np.stack(np.broadcast_arrays(k1, k2, k3, k4))
+            flagged |= broken | ~(np.isfinite(ks) & (ks > 0.0)).all(axis=0)
+            if family is DesignFamily.PASSIVITY:
+                flagged |= ~(k1 * k3 >= k2 * k2 * (1.0 - 1e-12))  # Gains.strict_passivity
+            r2, i2, r3, i3 = block_roots(ARRAY, family, k1, k2, k3, k4)
+            achieved = np.stack([-k1, r2, r3], -1) + 1j * np.stack([0.0 * k1, i2, i3], -1)
+            err = np.fmax(err, eigenvalue_error(achieved, wanted))
+    i = int(flagged.argmax()) if flagged.any() else n
+    worst = np.fmax.reduce(err[: i + 1], initial=0.0)
+    if i < n:
+        poles = PoleSpec(float(p1[i]), complex(re2[i], im2[i]), complex(re3[i], im3[i]))
+        assign_gains(family, poles, epsilon=None if eps is None else float(eps[i]))
+        return CheckResult("pole_roundtrip", family.value, False, worst,
+                           {"note": "strict-mode output violated k1*k3 >= k2^2"})
     return CheckResult("pole_roundtrip", family.value, worst < POLE_ROUNDTRIP_TOL, worst)
 
 

@@ -1,5 +1,5 @@
-"""Independent high-precision oracles for the steering laws and their
-certificates.
+"""Independent oracles for the steering laws, their certificates, and the
+pole round trips.
 
 Each law and each certificate V_dg is transliterated here directly from its
 closed form using mpmath at 40 significant digits, with mpmath's own sine
@@ -7,11 +7,22 @@ integral; the certificates are written per law in ``tan(angle/2)``, not in
 the package's warped family form.  These oracles
 share no code with the package implementation, so agreement to 1e-12 is a
 genuine cross-check and not a tautology.
+
+:func:`pole_roundtrip_reference` is the pole round-trip check one sample at
+a time: scalar draws, the scalar :func:`~unipark.linearization.assign_gains`
+and :func:`~unipark.linearization.jacobian_eigenvalues`, and a Python
+sorted error.  It checks the batched check's block draw, masks, sort and
+reduction bit for bit; the gain and root formulas it shares with it.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+
+from unipark.errors import UniparkError
+from unipark.linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 
 mp.mp.dps = 40
 
@@ -218,3 +229,55 @@ V_ORACLES = {
 def certificate_oracle(name: str, k: dict, d, c):
     """Logged certificate V_dg at 40-digit precision."""
     return V_ORACLES[name](k, mp.mpf(d), mp.mpf(c))
+
+
+# ---------------------------------------------------------------------------
+# Pole round trips, one sample at a time.
+# ---------------------------------------------------------------------------
+
+
+def sample_poles(family: DesignFamily, rng) -> PoleSpec:
+    """One request, drawn with scalar ``rng`` calls."""
+    p1 = rng.uniform(0.2, 3.0)
+    if family is DesignFamily.PASSIVITY:
+        re = rng.uniform(0.2, 2.0)
+        im = math.sqrt(3.0) * re * (1.0 + rng.uniform(0.0, 1.5))
+        return PoleSpec(p1, complex(re, im), complex(re, -im))
+    if family is DesignFamily.FORWARDING:
+        p2, p3 = sorted(rng.uniform(0.2, 3.0, 2))
+        return PoleSpec(p1, p2, p3)
+    if rng.random() < 0.5:
+        p2, p3 = sorted(rng.uniform(0.2, 3.0, 2))
+        return PoleSpec(p1, p2, p3)
+    re = rng.uniform(0.2, 2.0)
+    im = rng.uniform(0.1, 2.0)
+    return PoleSpec(p1, complex(re, im), complex(re, -im))
+
+
+def sorted_eigenvalue_error(achieved, poles: PoleSpec) -> float:
+    """Largest distance between the achieved and the requested eigenvalues,
+    both sorted by (real, imag)."""
+    key = lambda z: (z.real, z.imag)
+    wanted = sorted(poles.as_eigenvalues(), key=key)
+    return max(abs(a - w) for a, w in zip(sorted(achieved, key=key), wanted))
+
+
+def pole_roundtrip_reference(family: DesignFamily, rng, n: int, tol: float) -> tuple[bool, float]:
+    """(passed, worst) of n round trips, one sample at a time.  An error
+    raised at sample i carries ``sample_index = i``; a passivity gain set
+    that is not strictly passive ends the loop failed, as at sample i."""
+    worst = 0.0
+    for i in range(n):
+        try:
+            poles = sample_poles(family, rng)
+            kwargs = {}
+            if family is DesignFamily.BACKSTEPPING:
+                kwargs["epsilon"] = rng.uniform(0.05, 0.95) * poles.p2.real
+            for g in assign_gains(family, poles, **kwargs):
+                worst = max(worst, sorted_eigenvalue_error(jacobian_eigenvalues(family, g), poles))
+                if family is DesignFamily.PASSIVITY and not g.strict_passivity:
+                    return False, worst
+        except UniparkError as e:
+            e.sample_index = i
+            raise
+    return worst < tol, worst

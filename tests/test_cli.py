@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unipark.cli import main
+from unipark.controllers import ControllerId
+from unipark.lyapunov import CompositeKind, CompositeOrder
 
 
 def run(argv):
@@ -157,6 +164,14 @@ class TestSweepCommand:
         cfg = self._config(tmp_path, [])
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("fields", [{"grid_cart": None}, {"grid_polar": 3},
+                                        {"controllers": 5, "grid_polar": [[1.0, 0.5, 0.2]]}])
+    def test_non_list_field_usage_error(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controller": "globa", **fields}))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_one_integration_per_point(self, tmp_path, monkeypatch):
         import unipark.cli
         import unipark.simulate
@@ -288,3 +303,79 @@ class TestVerifyCommand:
         assert {"positive_definiteness", "gradient_fd", "rate_equality",
                 "rate_domination", "barrier_blowup", "jacobian_fd",
                 "pole_roundtrip", "lemma_grid"} <= names
+
+
+# Junk for any config field: wrong types, non-finite and out-of-range
+# numbers, vectors of any length.  No number here is a small positive dt or
+# a large t_max, so no drawn run takes long.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308]),
+    st.text(alphabet="ab,-.x", max_size=4),
+    st.lists(st.floats(), max_size=4),
+    st.dictionaries(st.sampled_from(["k1", "k4", "zz"]), st.floats(-2.0, 2.0), max_size=2),
+)
+TIMING_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0]), st.text(alphabet="ab,-.x", max_size=4),
+    st.lists(st.floats(0.01, 0.1), max_size=3),
+)
+LAWS = st.sampled_from([c.value for c in ControllerId])
+VECTOR = st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4)
+GAINS = st.one_of(
+    st.lists(st.floats(-0.5, 3.0), min_size=0, max_size=6),
+    st.dictionaries(st.sampled_from(["k0", "k1", "k2", "k3", "k4", "k9"]), st.floats(-0.5, 3.0), max_size=3),
+)
+SCENARIO_FIELDS = {
+    "controller": st.one_of(LAWS, JUNK),
+    "gains": st.one_of(GAINS, JUNK),
+    "init_cart": st.one_of(VECTOR, JUNK),
+    "init_polar": st.one_of(VECTOR, JUNK),
+    "frame": st.one_of(st.sampled_from(["polar", "cartesian"]), JUNK),
+    "dt": st.one_of(st.floats(0.01, 0.1), TIMING_JUNK),
+    "t_max": st.one_of(st.floats(0.0, 0.3), TIMING_JUNK),
+    "tol": st.one_of(st.floats(0.0, 1.0), JUNK),
+    "barrier_margin": st.one_of(st.floats(-0.1, 3.5), JUNK),
+    "composite": st.one_of(st.sampled_from([k.value for k in CompositeKind] + ["bogus"]), JUNK),
+    "composite_order": st.one_of(st.sampled_from([o.value for o in CompositeOrder]), JUNK),
+    "unknown_field": JUNK,
+}
+SWEEP_FIELDS = {
+    **SCENARIO_FIELDS,
+    "controllers": st.one_of(st.lists(st.one_of(LAWS, JUNK), max_size=2), JUNK),
+    "grid_cart": st.one_of(st.lists(st.one_of(VECTOR, JUNK), max_size=3), JUNK),
+    "grid_polar": st.one_of(st.lists(st.one_of(VECTOR, JUNK), max_size=3), JUNK),
+}
+
+
+def _run_config(command: str, cfg: dict) -> tuple[int, str]:
+    """Exit code and stderr of ``unipark <command> --config`` in-process.
+    A config without t_max gets --t-max 0.2, so every run stays short."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if "t_max" not in cfg:
+            argv += ["--t-max", "0.2"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+class TestConfigFuzz:
+    """Any JSON config exits 0, 1 or 2 with a message, never a traceback."""
+
+    @given(st.fixed_dictionaries({}, optional=SCENARIO_FIELDS))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_simulate(self, cfg):
+        code, err = _run_config("simulate", cfg)
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    @given(st.fixed_dictionaries({}, optional=SWEEP_FIELDS))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_sweep(self, cfg):
+        code, err = _run_config("sweep", cfg)
+        assert code in (0, 1, 2) and "Traceback" not in err

@@ -17,7 +17,7 @@ from unipark.simulate import (
     integrate_batch,
     sweep,
 )
-from unipark.spaces import CartesianState, PolarState, StateSpaceId, delta_gamma_in_space
+from unipark.spaces import CartesianState, PolarState, StateSpaceId
 
 UNIT = Gains()
 
@@ -253,15 +253,10 @@ class TestBatch:
             assert br.min_barrier_margin[i] == pytest.approx(tr.min_barrier_margin(s.space), abs=1e-9)
             assert br.max_abs_delta[i] == pytest.approx(np.abs(tr.polar[:, 1]).max(), abs=1e-9)
             assert br.max_abs_gamma[i] == pytest.approx(np.abs(tr.polar[:, 2]).max(), abs=1e-9)
-            # The scalar log stops before the state that ends a guard trip or
-            # a numeric stop; the batch keeps that state.
-            if tr.termination is Termination.BARRIER_GUARD:
-                _, d, c = br.final_states[i]
-                assert not delta_gamma_in_space(s.space, d, c, math.pi - s.barrier_margin)
-            elif tr.termination is Termination.NUMERIC:
-                assert not np.isfinite(br.final_states[i]).all()
-            else:
-                np.testing.assert_allclose(br.final_states[i], tr.polar[-1], atol=1e-9)
+            # Both paths end at the last state before a guard trip or a
+            # numeric stop.
+            np.testing.assert_allclose(br.final_states[i], tr.polar[-1], atol=1e-9)
+            assert br.final_metric[i] == pytest.approx(tr.metric[-1], abs=1e-9)
         want = {
             "bagal": {Termination.CONVERGED, Termination.BARRIER_GUARD},
             "globa-cons": {Termination.NUMERIC},
