@@ -14,6 +14,7 @@ from --out, overridden by the UNIPARK_OUT environment variable when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -35,6 +36,15 @@ SCHEMA_VERSION = 1
 # Terminations that make simulate and sweep exit 1.
 _FAILED_TERMINATIONS = (Termination.NUMERIC.value, Termination.BARRIER_GUARD.value)
 CSV_COLUMNS = ("t", "x", "y", "theta", "rho", "delta", "gamma", "v", "omega", "V", "metric")
+# Rows formatted per pass of write_trajectory, so its memory stays bounded
+# however long the run.
+_CHUNK_ROWS = 256
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
+# One row of the data array as json.dump(indent=2) lays it out, three levels deep.
+_JSON_ROW = "\n    [\n      " + ",\n      ".join(["%s"] * len(CSV_COLUMNS)) + "\n    ]"
+# The top-level "data" key; only top-level keys sit at a two-space indent.
+_JSON_DATA = '\n  "data": '
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _parse_floats(spec, what: str, lo: int = 3, hi: int = 3) -> tuple[float, ...]:
@@ -146,41 +156,48 @@ def _formats(args: argparse.Namespace, allowed=("csv", "json", "svg")) -> set[st
     return fmts
 
 
-def _traj_rows(traj: Trajectory):
-    for i in range(len(traj.t)):
-        yield (
-            traj.t[i],
-            traj.cartesian[i, 0],
-            traj.cartesian[i, 1],
-            traj.cartesian[i, 2],
-            traj.polar[i, 0],
-            traj.polar[i, 1],
-            traj.polar[i, 2],
-            traj.v[i],
-            traj.omega[i],
-            traj.V[i],
-            traj.metric[i],
-        )
+def write_trajectory(traj: Trajectory, csv_path: Path | None, json_path: Path | None) -> None:
+    """Write the logged columns of ``traj`` as CSV and/or JSON (a ``None``
+    path skips that format).
 
-
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in _traj_rows(traj):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def trajectory_json_payload(traj: Trajectory) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "meta": traj.meta,
-        "termination": traj.termination.value,
-        "columns": list(CSV_COLUMNS),
-        "data": [[float(v) for v in row] for row in _traj_rows(traj)],
-        "axis_crossings": [
-            {"t": c.t, "x": c.x, "in_front": c.in_front} for c in traj.crossings
-        ],
-    }
+    The 11 columns are stacked and each value is formatted once, with
+    ``repr``, a chunk of rows at a time; the same strings fill both files.
+    The JSON matches ``json.dump`` with ``indent=2, sort_keys=True``: the
+    envelope goes through ``json``, and only the ``data`` rows are spliced
+    in, with non-finite values spelled as ``json`` spells them.
+    """
+    columns = (traj.t, traj.cartesian, traj.polar, traj.v, traj.omega, traj.V, traj.metric)
+    rows = len(traj.t)
+    with contextlib.ExitStack() as stack:
+        csv = stack.enter_context(open(csv_path, "w")) if csv_path is not None else None
+        js = stack.enter_context(open(json_path, "w")) if json_path is not None else None
+        if csv is not None:
+            csv.write(",".join(CSV_COLUMNS) + "\n")
+        if js is not None:
+            envelope = {
+                "schema_version": SCHEMA_VERSION,
+                "meta": traj.meta,
+                "termination": traj.termination.value,
+                "columns": list(CSV_COLUMNS),
+                "data": None,
+                "axis_crossings": [
+                    {"t": c.t, "x": c.x, "in_front": c.in_front} for c in traj.crossings
+                ],
+            }
+            head, tail = json.dumps(envelope, indent=2, sort_keys=True).split(_JSON_DATA + "null", 1)
+            js.write(head + _JSON_DATA + "[")
+        for start in range(0, rows, _CHUNK_ROWS):
+            # Stacked per chunk: a whole-run table would be one more copy of the log.
+            chunk = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
+            text = list(map(repr, chunk.ravel().tolist()))
+            if csv is not None:
+                csv.write(_CSV_ROW * len(chunk) % tuple(text))
+            if js is not None:
+                if not np.isfinite(chunk).all():
+                    text = [_JSON_NONFINITE.get(v, v) for v in text]
+                js.write(("," if start else "") + ",".join([_JSON_ROW] * len(chunk)) % tuple(text))
+        if js is not None:
+            js.write(("\n  ]" if rows else "]") + tail + "\n")
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -195,10 +212,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traj = integrate(scenario)
     out = _out_dir(args)
     stem = f"traj_{scenario.controller.value}"
-    if "csv" in fmts:
-        write_trajectory_csv(traj, out / f"{stem}.csv")
-    if "json" in fmts:
-        _write_json(trajectory_json_payload(traj), out / f"{stem}.json")
+    if fmts & {"csv", "json"}:
+        write_trajectory(traj, out / f"{stem}.csv" if "csv" in fmts else None,
+                         out / f"{stem}.json" if "json" in fmts else None)
     if "svg" in fmts:
         (out / f"{stem}.svg").write_text(
             render_paths([SvgPath(traj.cartesian, label=scenario.controller.value)])
@@ -220,7 +236,10 @@ def _sweep_grid(cfg: dict) -> list:
         if key in cfg:
             if not isinstance(cfg[key], list):
                 raise ConfigError(f"{key} must be a list of states, got {cfg[key]!r}")
-            return [state(*_parse_floats(row, f"{key} row")) for row in cfg[key]]
+            try:
+                return [state(*_parse_floats(row, f"{key} row")) for row in cfg[key]]
+            except (DomainError, TransformError) as e:
+                raise ConfigError(str(e)) from None
     raise ConfigError("sweep config needs grid_cart or grid_polar")
 
 

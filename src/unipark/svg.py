@@ -74,10 +74,11 @@ def render_paths(
     w = int(span_x * scale) + 70
     h = int(span_y * scale) + 70
 
-    def sx(x: float) -> float:
+    # sx and sy take floats or arrays, with the same arithmetic on each.
+    def sx(x):
         return 50.0 + (x - x_lo) * scale
 
-    def sy(y: float) -> float:
+    def sy(y):
         # SVG y grows downward; world y grows upward.
         return (h - 40.0) - (y - y_lo) * scale
 
@@ -128,7 +129,8 @@ def render_paths(
     for i, p in enumerate(paths):
         arr = np.asarray(p.cartesian, dtype=float).reshape(-1, 3)
         color = p.color or palette_color(i)
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(arr[:, 0], arr[:, 1]))
+        screen = np.column_stack((sx(arr[:, 0]), sy(arr[:, 1])))
+        pts = " ".join(["%.2f,%.2f"] * len(arr)) % tuple(screen.ravel().tolist())
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -15,6 +15,7 @@ emitted by the CLI.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -247,11 +248,16 @@ def _pole_block(family: DesignFamily, u: np.ndarray) -> tuple:
 
 
 def eigenvalue_error(achieved, wanted):
-    """Largest distance between achieved and wanted eigenvalues, both sorted by
-    (real, imag), over the last axis: a float for one triple, else an array."""
+    """Largest distance between achieved and wanted eigenvalues under the
+    pairing that makes it smallest, over the last axis: a float for one
+    triple, else an array.  Every ordering of the achieved values is tried,
+    so a conjugate pair whose real parts differ in the last digits is still
+    matched to its own request."""
     a, w = (np.asarray(z, dtype=complex) for z in (achieved, wanted))
-    a, w = (np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1) for z in (a, w))
-    return np.hypot((a - w).real, (a - w).imag).max(axis=-1)
+    d = a[..., :, None] - w[..., None, :]
+    d = np.hypot(d.real, d.imag)  # d[..., i, j] = |a_i - w_j|
+    cols = list(range(a.shape[-1]))
+    return np.min([d[..., order, cols].max(axis=-1) for order in itertools.permutations(cols)], axis=0)
 
 
 def pole_roundtrip_check(

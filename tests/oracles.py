@@ -11,16 +11,27 @@ genuine cross-check and not a tautology.
 :func:`pole_roundtrip_reference` is the pole round-trip check one sample at
 a time: scalar draws, the scalar :func:`~unipark.linearization.assign_gains`
 and :func:`~unipark.linearization.jacobian_eigenvalues`, and a Python
-sorted error.  It checks the batched check's block draw, masks, sort and
-reduction bit for bit; the gain and root formulas it shares with it.
+sorted error.  It checks the batched check's block draw, masks, pairing and
+reduction bit for bit; the gain and root formulas it shares with it.  (The
+check pairs eigenvalues by the best ordering; on its draws, whose conjugate
+pairs are exact, that is the sorted pairing.)
+
+:func:`trajectory_csv_reference` and :func:`trajectory_json_reference` write
+a trajectory one value at a time, with ``repr`` and ``json.dump``, and
+:func:`polyline_reference` formats polyline vertices one at a time; the CLI
+writers and :func:`~unipark.svg.render_paths` must match them byte for byte.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 
 import mpmath as mp
+import numpy as np
 
+from unipark.cli import CSV_COLUMNS, SCHEMA_VERSION
 from unipark.errors import UniparkError
 from unipark.linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 
@@ -281,3 +292,65 @@ def pole_roundtrip_reference(family: DesignFamily, rng, n: int, tol: float) -> t
             e.sample_index = i
             raise
     return worst < tol, worst
+
+
+# ---------------------------------------------------------------------------
+# Trajectory writers and polylines, one value at a time.
+# ---------------------------------------------------------------------------
+
+
+def _trajectory_rows(traj):
+    for i in range(len(traj.t)):
+        yield (
+            traj.t[i],
+            traj.cartesian[i, 0],
+            traj.cartesian[i, 1],
+            traj.cartesian[i, 2],
+            traj.polar[i, 0],
+            traj.polar[i, 1],
+            traj.polar[i, 2],
+            traj.v[i],
+            traj.omega[i],
+            traj.V[i],
+            traj.metric[i],
+        )
+
+
+def trajectory_csv_reference(traj) -> str:
+    """The trajectory CSV, one ``repr`` per value."""
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(repr(float(v)) for v in row) for row in _trajectory_rows(traj)]
+    return "\n".join(lines) + "\n"
+
+
+def trajectory_json_reference(traj) -> str:
+    """The trajectory JSON, the whole payload through ``json.dump``."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "meta": traj.meta,
+        "termination": traj.termination.value,
+        "columns": list(CSV_COLUMNS),
+        "data": [[float(v) for v in row] for row in _trajectory_rows(traj)],
+        "axis_crossings": [
+            {"t": c.t, "x": c.x, "in_front": c.in_front} for c in traj.crossings
+        ],
+    }
+    fh = io.StringIO()
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    return fh.getvalue() + "\n"
+
+
+def polyline_reference(paths, target=(0.0, 0.0, 0.0), size: int = 640) -> list[str]:
+    """The ``points`` of each path's polyline in the frame ``render_paths``
+    draws ``paths`` in, one vertex at a time."""
+    arrs = [np.asarray(p.cartesian, dtype=float).reshape(-1, 3) for p in paths]
+    xs = [target[0]] + [float(f(a[:, 0])) for a in arrs for f in (np.min, np.max)]
+    ys = [target[1]] + [float(f(a[:, 1])) for a in arrs for f in (np.min, np.max)]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    pad = 0.08 * max(x_hi - x_lo, y_hi - y_lo, 1e-6)
+    x_lo, x_hi, y_lo, y_hi = x_lo - pad, x_hi + pad, y_lo - pad, y_hi + pad
+    scale = (size - 70) / max(x_hi - x_lo, y_hi - y_lo)
+    h = int((y_hi - y_lo) * scale) + 70
+    sx = lambda x: 50.0 + (x - x_lo) * scale
+    sy = lambda y: (h - 40.0) - (y - y_lo) * scale
+    return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(a[:, 0], a[:, 1])) for a in arrs]

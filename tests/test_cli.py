@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -11,9 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipark.cli import main
-from unipark.controllers import ControllerId
+import unipark.cli
+from oracles import polyline_reference, trajectory_csv_reference, trajectory_json_reference
+from unipark.cli import main, write_trajectory
+from unipark.controllers import ControllerId, Gains
 from unipark.lyapunov import CompositeKind, CompositeOrder
+from unipark.simulate import Scenario, integrate
+from unipark.spaces import CartesianState, PolarState
+from unipark.svg import SvgPath, render_paths
 
 
 def run(argv):
@@ -137,6 +143,82 @@ class TestSimulateCommand:
         assert json.loads((tmp_path / "traj_globa-cons.json").read_text())["termination"] == "numeric"
 
 
+def _scenario(kind: str) -> Scenario:
+    if kind == "polar":
+        return Scenario(controller=ControllerId.BOFO, initial=PolarState(1.2, 0.7, -0.4), dt=0.01)
+    if kind == "crossing":  # Cartesian chart; crosses the x-axis in front of and behind the target
+        return Scenario(controller=ControllerId.GLOBA, gains=Gains(1.0, 1.0, 0.1, 1.0),
+                        initial=CartesianState(2.0, 0.4, 0.0), frame="cartesian", dt=0.05, t_max=120.0)
+    if kind == "one_row":  # converged at t = 0
+        return Scenario(controller=ControllerId.GENOVA, initial=PolarState(1e-5, 0.0, 0.0))
+    assert kind == "long"  # t_max reached after more rows than one chunk
+    return Scenario(controller=ControllerId.GENOVA, initial=PolarState(1.2, 0.7, -0.4), dt=1e-3, t_max=6.0)
+
+
+class TestTrajectoryWriters:
+    """The shared writer is byte for byte the per-value CSV and json.dump JSON."""
+
+    def _assert_matches_reference(self, traj, tmp_path):
+        write_trajectory(traj, tmp_path / "t.csv", tmp_path / "t.json")
+        assert (tmp_path / "t.csv").read_text() == trajectory_csv_reference(traj)
+        assert (tmp_path / "t.json").read_text() == trajectory_json_reference(traj)
+
+    @pytest.mark.parametrize("kind", ["polar", "crossing", "one_row", "long"])
+    def test_runs(self, tmp_path, kind):
+        traj = integrate(_scenario(kind))
+        rows = {"one_row": 1, "long": 6001}.get(kind)
+        assert rows is None or len(traj.t) == rows
+        assert (kind == "crossing") == bool(traj.crossings)
+        assert kind != "long" or len(traj.t) > 20 * unipark.cli._CHUNK_ROWS
+        self._assert_matches_reference(traj, tmp_path)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 355])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, chunk_rows):
+        # 355 rows: many chunks, a partial last chunk, and exactly one chunk.
+        monkeypatch.setattr(unipark.cli, "_CHUNK_ROWS", chunk_rows)
+        traj = integrate(_scenario("crossing"))
+        assert len(traj.t) == 355
+        self._assert_matches_reference(traj, tmp_path)
+
+    def test_non_finite_values(self, tmp_path, monkeypatch):
+        traj = integrate(_scenario("polar"))
+        V, omega = traj.V.copy(), traj.omega.copy()
+        V[[0, 5, -1]] = [math.nan, math.inf, -math.inf]
+        omega[[1, 5, 9]] = [-math.inf, math.nan, math.inf]
+        traj = dataclasses.replace(traj, V=V, omega=omega)
+        monkeypatch.setattr(unipark.cli, "_CHUNK_ROWS", 4)  # finite and non-finite chunks
+        self._assert_matches_reference(traj, tmp_path)
+        text = (tmp_path / "t.json").read_text()
+        assert "NaN" in text and "-Infinity" in text and "nan" not in text
+        assert ",nan," in (tmp_path / "t.csv").read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "csv,json"])
+    def test_each_format_alone(self, tmp_path, monkeypatch, fmt):
+        runs = []
+        real = unipark.cli.integrate
+        monkeypatch.setattr(unipark.cli, "integrate", lambda s: runs.append(real(s)) or runs[-1])
+        assert run([
+            "simulate", "--controller", "globa", "--gains", "1,1,0.1,1", "--init-cart", "2,0.4,0",
+            "--frame", "cartesian", "--dt", "0.05", "--format", fmt, "--out", str(tmp_path),
+        ]) == 0
+        [traj] = runs
+        assert traj.crossings
+        wanted = fmt.split(",")
+        assert sorted(p.suffix[1:] for p in tmp_path.iterdir()) == sorted(wanted)
+        if "csv" in wanted:
+            assert (tmp_path / "traj_globa.csv").read_text() == trajectory_csv_reference(traj)
+        if "json" in wanted:
+            assert (tmp_path / "traj_globa.json").read_text() == trajectory_json_reference(traj)
+
+    def test_polylines(self):
+        polar, crossing, one_row = (integrate(_scenario(k)).cartesian for k in ("polar", "crossing", "one_row"))
+        far = crossing * np.array([-40.0, 25.0, 1.0]) + np.array([3.0, -7.0, 0.0])
+        for paths in ([polar], [one_row], [polar, crossing, one_row], [far, polar]):
+            svg_paths = [SvgPath(a, label="p") for a in paths]
+            drawn = re.findall(r'<polyline points="([^"]*)"', render_paths(svg_paths))
+            assert drawn == polyline_reference(svg_paths)
+
+
 class TestSweepCommand:
     def _config(self, tmp_path, grid):
         cfg = tmp_path / "sweep.json"
@@ -172,8 +254,16 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("grid", [{"grid_cart": [[1.0, 0.0, 0.0], [math.nan, 0, 0]]},
+                                      {"grid_polar": [[-1.0, 0.5, 0.2]]}])
+    def test_invalid_grid_state_usage_error(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controller": "globa", **grid}))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_one_integration_per_point(self, tmp_path, monkeypatch):
-        import unipark.cli
         import unipark.simulate
 
         calls = []
@@ -272,6 +362,18 @@ class TestGainsCommand:
         ]) == 0
         g = json.loads(capsys.readouterr().out)["solutions"][0]["gains"]
         assert (g["k1"], g["k2"], g["k3"], g["k4"]) == pytest.approx((1.0, 1.5, 0.75, 3.5))
+
+    def test_near_conjugate_pair_roundtrip(self, tmp_path, capsys):
+        # The pair's real parts differ in the last digits, so sorting both
+        # triples by (real, imag) would match each pole with the other's
+        # conjugate and report twice Im p2.
+        assert run([
+            "gains", "--family", "backstepping", "--poles=-2.892140476405755,"
+            "-1.2670164437802955-2.950627582869085i,-1.2670164437803082+2.9506275828690556i",
+            "--out", str(tmp_path),
+        ]) == 0
+        [sol] = json.loads(capsys.readouterr().out)["solutions"]
+        assert sol["roundtrip_error"] < 1e-12
 
     def test_forwarding_two_branches(self, tmp_path, capsys):
         assert run([

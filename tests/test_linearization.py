@@ -111,6 +111,14 @@ class TestAssignGains:
         for g in assign_gains(DesignFamily.FORWARDING, spec):
             assert eigenvalue_error(jacobian_eigenvalues(DesignFamily.FORWARDING, g), spec.as_eigenvalues()) < POLE_ROUNDTRIP_TOL
 
+    def test_eigenvalue_error_pairs_by_best_ordering(self):
+        # A conjugate pair whose real parts differ in the last digits: sorted
+        # by (real, imag), the conjugate of the request pairs crosswise.
+        wanted = np.array([-1.0, complex(-0.5, -2.0), complex(-0.5 + 1e-15, 2.0)])
+        stack = np.stack([wanted.conj(), wanted[[2, 0, 1]] + 1e-9, wanted[[0, 2, 1]] + 3e-9j])
+        assert eigenvalue_error(stack, wanted) == pytest.approx([1e-15, 1e-9, 3e-9], abs=1e-14)
+        assert eigenvalue_error(wanted.conj(), wanted) < 1e-14
+
     def test_forwarding_rejects_complex(self):
         spec = PoleSpec(1.0, complex(1.0, 1.0), complex(1.0, -1.0))
         with pytest.raises(InfeasiblePolesError):
