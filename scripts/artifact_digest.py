@@ -8,6 +8,12 @@ The set is:
   chart from (x, y, theta) = (-1.2, -0.7, 0.4) at dt 0.01;
 - a Cartesian globa run with gains (1, 1, 0.1, 1) from (2, 0.4, 0), which
   crosses the front line;
+- runs that end other than by converging, in the step of the integrator's
+  block where it ends: bagal from (1, 3, 2) at dt 0.2 (barrier guard);
+  globa-cons from (1, 3, 2) at dt 900 in both charts (numeric in polar,
+  t_max in Cartesian) and globa, glofo and globa-interp from there in
+  polar (t_max with overflowing logs); genova in both charts stopped at
+  t_max after 100 steps, not a multiple of the 64-step block;
 - both figures of ``scripts/reproduce_figures.py``;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
@@ -58,6 +64,17 @@ RUNS = {
     "polar": ["--init-polar=1.2,0.7,-0.4"],
     "cartesian": ["--frame", "cartesian", "--init-cart=-1.2,-0.7,0.4", "--dt", "0.01"],
 }
+ENDINGS = {
+    "guard": ["--controller", "bagal", "--init-polar=1,3,2", "--dt", "0.2"],
+    **{f"diverge/{chart}-{law}": ["--controller", law, "--init-polar=1,3,2", "--dt", "900", "--t-max", "18000",
+                                  "--frame", chart]
+       for chart, laws in (("polar", ("globa-cons", "globa", "glofo", "globa-interp")),
+                           ("cartesian", ("globa-cons",)))
+       for law in laws},
+    **{f"t_max/{chart}": ["--controller", "genova", "--init-polar=1.2,0.7,-0.4", "--dt", "0.01", "--t-max", "1",
+                          "--frame", chart]
+       for chart in ("polar", "cartesian")},
+}
 GAINS = {
     "passivity": ["--poles=-1,-0.5+0.9i,-0.5-0.9i"],
     "forwarding": ["--poles=-1,-2,-3"],
@@ -74,6 +91,8 @@ def produce(out: Path) -> None:
             cli_main(["simulate", "--controller", cid.value, *flags, "--out", str(out / chart)])
     cli_main(["simulate", "--controller", "globa", "--gains", "1,1,0.1,1", "--init-cart", "2,0.4,0",
               "--frame", "cartesian", "--t-max", "120", "--out", str(out / "crossing")])
+    for name, flags in ENDINGS.items():
+        cli_main(["simulate", *flags, "--out", str(out / name)])
     reproduce_figures.run(out / "figures")
     for family, flags in GAINS.items():
         cli_main(["gains", "--family", family, *flags, "--out", str(out / "gains" / family)])

@@ -53,7 +53,8 @@ def sinc(a: float) -> float:
     Even in ``a``.  For |a| < 1e-4 the Taylor polynomial
     ``1 - a^2/6 + a^4/120`` is used to avoid cancellation.
     """
-    a = _require_finite("a", a)
+    if not math.isfinite(a):
+        _require_finite("a", a)
     if abs(a) < _SINC_TAYLOR_THRESHOLD:
         a2 = a * a
         return 1.0 - a2 / 6.0 + a2 * a2 / 120.0
@@ -79,8 +80,9 @@ def psi(z: float, gamma: float) -> float:
     z = 0 with psi(0, gamma) = cos(2*gamma).  Satisfies |psi| <= 1 and
     psi(0, n*pi) = 1 for integer n.
     """
-    z = _require_finite("z", z)
-    gamma = _require_finite("gamma", gamma)
+    if not (math.isfinite(z) and math.isfinite(gamma)):
+        _require_finite("z", z)
+        _require_finite("gamma", gamma)
     if abs(z) < _PSI_LIMIT_THRESHOLD:
         # Limit branch via the product identity sinc(z) * cos(z - 2*gamma).
         return sinc(z) * math.cos(z - 2.0 * gamma)

@@ -13,18 +13,16 @@ finite.  For barrier controllers started inside their domain a guard trip
 means the integration contradicts the invariance certificate, so the test
 suite treats it as a failure; otherwise it is just a clean termination.
 
-Certificate values, controls, and metrics are logged per step; they are
-evaluated vectorised over the stored states after integration, which keeps
-the hot loop scalar and fast.
-
-:func:`integrate_batch` runs many starts under one setup with the same
-termination rules, stepping in blocks.  Each block compacts the batch to the
-runs still active, takes up to K RK4 steps of them with no check in
-between, and then evaluates every termination test, extremum and
-certificate once on the (K, active runs) block.  A run ends at its first
-terminating step, found with ``argmax``; the steps it took past that inside
-the block are discarded, so the result is bitwise that of checking after
-every step.
+Both integrators step speculatively in blocks and test each block once.
+:func:`integrate` takes up to K scalar RK4 steps of one run with no check in
+between, keeping the stepped states as float arrays; :func:`integrate_batch`
+compacts many runs under one setup to those still active and takes up to K
+steps of them on arrays.  One termination test, :func:`_block_stops`, then
+finds each run's first terminating step in the (K, runs) block.  The steps
+taken past it are discarded, so every result is bitwise that of testing
+after every step.  Certificate values, controls and metrics of a scalar run
+are evaluated vectorised over its stored states once it has ended; the batch
+checks its monitors once per block.
 
 One scalar loop serves both charts.  The polar chart steps the logged state
 itself; the Cartesian chart steps the pose and rebuilds a continuous polar
@@ -186,8 +184,12 @@ class Trajectory:
     def final_time(self) -> float:
         return float(self.t[-1])
 
+    # The summaries below read inf from the log of a diverging run as an
+    # honest "very large", with numpy's warnings off.
+
     def v_monotonicity_violations(self, tol: float = V_MONOTONE_TOL) -> int:
-        return int(np.sum(np.diff(self.V) > tol))
+        with np.errstate(all="ignore"):
+            return int(np.sum(np.diff(self.V) > tol))
 
     def convergence_time(self) -> float | None:
         return self.final_time if self.termination is Termination.CONVERGED else None
@@ -200,7 +202,8 @@ class Trajectory:
     def steering_effort(self) -> float:
         if len(self.t) < 2:
             return 0.0
-        return float(np.sum(self.omega[:-1] ** 2 * np.diff(self.t)))
+        with np.errstate(all="ignore"):
+            return float(np.sum(self.omega[:-1] ** 2 * np.diff(self.t)))
 
     def min_barrier_margin(self, space: StateSpaceId) -> float:
         return float(np.min(barrier_margin_values(space, self.polar[:, 1], self.polar[:, 2])))
@@ -210,19 +213,20 @@ def _finish(s: Scenario, t, polar, termination, cartesian=None) -> Trajectory:
     t = np.asarray(t)
     polar = np.asarray(polar, dtype=float).reshape(-1, 3)
     rho, delta, gamma = polar[:, 0], polar[:, 1], polar[:, 2]
-    if cartesian is None:
-        cart = np.column_stack([-rho * np.cos(delta), -rho * np.sin(delta), delta - gamma])
-        crossings = []
-    else:
-        cart = np.asarray(cartesian, dtype=float).reshape(-1, 3)
-        crossings = axis_crossings(cart, s.dt)
-    v = s.gains.k1 * rho * np.cos(gamma)
-    omega = 0.5 * s.gains.k1 * np.sin(2.0 * gamma) + ctl.steering_tilde_many(
-        s.controller, s.gains, delta, gamma
-    )
-    lyap = s.lyapunov()
-    V = np.asarray(lyap.value(rho, delta, gamma), dtype=float)
-    met = metric_values(ARRAY, s.space, rho, delta, gamma)
+    # A diverging run logs values that overflow here; inf is the honest log.
+    with np.errstate(all="ignore"):
+        if cartesian is None:
+            cart = np.column_stack([-rho * np.cos(delta), -rho * np.sin(delta), delta - gamma])
+            crossings = []
+        else:
+            cart = np.asarray(cartesian, dtype=float).reshape(-1, 3)
+            crossings = axis_crossings(cart, s.dt)
+        v = s.gains.k1 * rho * np.cos(gamma)
+        omega = 0.5 * s.gains.k1 * np.sin(2.0 * gamma) + ctl.steering_tilde_many(
+            s.controller, s.gains, delta, gamma
+        )
+        V = np.asarray(s.lyapunov().value(rho, delta, gamma), dtype=float)
+        met = metric_values(ARRAY, s.space, rho, delta, gamma)
     meta = {
         "controller": s.controller.value,
         "dt": s.dt,
@@ -248,15 +252,18 @@ def _finish(s: Scenario, t, polar, termination, cartesian=None) -> Trajectory:
 
 
 def _rk4_step(f: Callable, y: tuple[float, float, float], h: float) -> tuple[float, float, float]:
-    a1, b1, c1 = f(*y)
-    a2, b2, c2 = f(y[0] + 0.5 * h * a1, y[1] + 0.5 * h * b1, y[2] + 0.5 * h * c1)
-    a3, b3, c3 = f(y[0] + 0.5 * h * a2, y[1] + 0.5 * h * b2, y[2] + 0.5 * h * c2)
-    a4, b4, c4 = f(y[0] + h * a3, y[1] + h * b3, y[2] + h * c3)
+    # 0.5 * h * a evaluates as (0.5 * h) * a, so hoisting 0.5 * h is exact.
+    r, d, c = y
+    hh = 0.5 * h
+    a1, b1, c1 = f(r, d, c)
+    a2, b2, c2 = f(r + hh * a1, d + hh * b1, c + hh * c1)
+    a3, b3, c3 = f(r + hh * a2, d + hh * b2, c + hh * c2)
+    a4, b4, c4 = f(r + h * a3, d + h * b3, c + h * c3)
     sixth = h / 6.0
     return (
-        y[0] + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-        y[1] + sixth * (b1 + 2.0 * (b2 + b3) + b4),
-        y[2] + sixth * (c1 + 2.0 * (c2 + c3) + c4),
+        r + sixth * (a1 + 2.0 * (a2 + a3) + a4),
+        d + sixth * (b1 + 2.0 * (b2 + b3) + b4),
+        c + sixth * (c1 + 2.0 * (c2 + c3) + c4),
     )
 
 
@@ -298,56 +305,167 @@ def _cartesian_chart(s: Scenario):
     return (c0.x, c0.y, c0.theta), field_at, to_polar
 
 
+# A block takes at most this many steps, and at most this many lane-steps
+# (steps times active runs): the block buffer and the monitors' (K, m)
+# temporaries then stay within a few MiB.
+_BLOCK_STEPS = 64
+_BLOCK_LANE_STEPS = 16384
+
+
+def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, limit: float, stop_tol: float):
+    """The termination test of both integrators on a block of K steps of m
+    runs: the stepped chart states (K, 3, m) and the polar rows they map to
+    (the same array in the polar chart).
+
+    A row ends its run when its chart state is not finite (numeric), else
+    when a constrained angle has magnitude ``limit`` or more (barrier
+    guard), else when its metric is below ``stop_tol`` (converged).  Returns
+    ``bad`` and ``tripped`` (K, m) and ``stop`` (m,): the first row that
+    ends each run, K where none does.  Call it under
+    ``np.errstate(all="ignore")``.
+
+    Most blocks end no run, and are answered from a few whole-block
+    reductions: every state finite, every constrained angle below
+    ``limit`` and every rho at least ``stop_tol`` (the metric adds
+    non-negative terms to rho, so it is at least rho).
+
+    Otherwise the array metric only nominates rows.  On warped axes numpy's
+    ``tan`` can differ from ``math.tan`` in the last bit, so each run's
+    first nominated row is confirmed with the scalar metric, in order, until
+    one holds or none is left.
+    """
+    steps, _, m = states.shape
+    rho, delta, gamma = polar[:, 0], polar[:, 1], polar[:, 2]
+    angles = constrained_angles(space, delta, gamma)
+    if (np.isfinite(states).all() and rho.min() >= stop_tol
+            and all(np.abs(a).max() < limit for a in angles)):
+        return np.zeros((steps, m), dtype=bool), np.zeros((steps, m), dtype=bool), np.full(m, steps)
+    bad = ~np.isfinite(states).all(axis=1)
+    tripped = np.zeros_like(bad)
+    for a in angles:
+        tripped |= np.abs(a) >= limit
+    tripped &= ~bad
+    ends = bad | tripped
+    nominated = metric_values(ARRAY, space, rho, delta, gamma) < stop_tol * (1.0 + 1e-12)
+    nominated &= ~ends
+    ends |= nominated
+    while True:
+        ended = ends.any(axis=0)
+        stop = np.where(ended, ends.argmax(axis=0), steps)
+        runs = np.flatnonzero(ended)
+        runs = runs[nominated[stop[runs], runs]]
+        if runs.size == 0:
+            return bad, tripped, stop
+        rows = stop[runs]
+        nominated[rows, runs] = False
+        rejected = False
+        for j, i in zip(rows.tolist(), runs.tolist()):
+            if not metric_values(SCALAR, space, *polar[j, :, i].tolist()) < stop_tol:
+                ends[j, i] = False
+                rejected = True
+        if not rejected:
+            return bad, tripped, stop
+
+
 def integrate(s: Scenario) -> Trajectory:
     """Run the scenario in the chart selected by ``s.frame``.  Each chart
     supplies the RK4 field for a step from the last logged polar state and
-    the map from the stepped state to the next logged polar state."""
+    the map from the stepped state to the next logged polar state.
+
+    The run advances in speculative blocks of up to ``_BLOCK_STEPS`` steps
+    with no check in between; :func:`_block_stops` then finds the first
+    step that ends the run, and the steps taken past it are discarded.  A
+    step that raises ends its block.  If no earlier step ends the run, the
+    error is handled as a per-step loop would: a :class:`UniparkError` is
+    re-raised, an ``OverflowError`` or ``ValueError`` from a stage (e.g.
+    ``math.cos(inf)``) ends the run as numeric, and anything else, or any
+    error of the Cartesian chart's map, propagates.
+    """
     p0 = s.initial_polar()
     p = (p0.rho, p0.delta, p0.gamma)
-    if s.frame == "cartesian":
+    cartesian = s.frame == "cartesian"
+    if cartesian:
         y, field_at, to_polar = _cartesian_chart(s)
     else:
-        f = ctl.closed_loop_field(s.controller, s.gains)
-        y, field_at, to_polar = p, (lambda ref: f), (lambda q, ref: q)
-    states = [y]
-    polar = [p]
-    times = [0.0]
+        y, f = p, ctl.closed_loop_field(s.controller, s.gains)
+    states = [np.array([y])]
+    polar = [np.array([p])]
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
+    h = s.dt
     space = s.space
     limit = math.pi - s.barrier_margin
     k = 0
-    while True:
-        if metric_values(SCALAR, space, *p) < s.stop_tol:
-            reason = Termination.CONVERGED
-            break
-        if k >= n_max:
-            reason = Termination.T_MAX
-            break
-        try:
-            y_next = _rk4_step(field_at(p), y, s.dt)
-        except UniparkError:
-            raise
-        except (OverflowError, ValueError):
-            # A stage overflowed before the stepped state could be tested,
-            # e.g. math.cos(inf).  UniparkError subclasses ValueError.
-            reason = Termination.NUMERIC
-            break
-        k += 1
-        if not all(map(math.isfinite, y_next)):
-            reason = Termination.NUMERIC
-            break
-        p_next = to_polar(y_next, p)
-        if p_next is None:
-            reason = Termination.CONVERGED
-            break
-        if not delta_gamma_in_space(space, p_next[1], p_next[2], limit):
-            reason = Termination.BARRIER_GUARD
-            break
-        y, p = y_next, p_next
-        states.append(y)
-        polar.append(p)
-        times.append(k * s.dt)
-    return _finish(s, times, polar, reason, cartesian=states if s.frame == "cartesian" else None)
+    reason = Termination.CONVERGED if metric_values(SCALAR, space, *p) < s.stop_tol else None
+    with np.errstate(all="ignore"):
+        while reason is None:
+            if k >= n_max:
+                reason = Termination.T_MAX
+                break
+            steps = min(_BLOCK_STEPS, n_max - k)
+            ys: list[float] = []
+            ps: list[float] = []
+            error = None
+            try:
+                if cartesian:
+                    for _ in range(steps):
+                        y = _rk4_step(field_at(p), y, h)
+                        ys.extend(y)
+                        p = to_polar(y, p)
+                        if p is None:
+                            break
+                        ps.extend(p)
+                else:
+                    for _ in range(steps):
+                        y = _rk4_step(f, y, h)
+                        ys.extend(y)
+            except Exception as e:  # a speculative step; judged below, after the rows before it
+                error = e
+            sb = np.fromiter(ys, float, len(ys)).reshape(-1, 3)
+            if cartesian:
+                # The pose that landed on the target, or whose map raised,
+                # has no polar row: a NaN row ends nothing but its own test.
+                mapped = len(ps) // 3
+                ps.extend((math.nan,) * (len(ys) - len(ps)))
+                pb = np.fromiter(ps, float, len(ps)).reshape(-1, 3)
+            else:
+                pb = sb
+                mapped = len(sb)
+            stop = 0  # a block whose first step raised has no rows to test
+            if len(sb):
+                bad, tripped, stop = _block_stops(space, sb[:, :, None], pb[:, :, None], limit, s.stop_tol)
+                stop = int(stop[0])
+            if stop < len(sb):
+                if bad[stop, 0]:
+                    reason = Termination.NUMERIC
+                elif tripped[stop, 0]:
+                    reason = Termination.BARRIER_GUARD
+                else:
+                    reason = Termination.CONVERGED
+                    stop += 1  # a converging row is logged
+                keep = stop
+            else:
+                keep = mapped
+                if error is None and mapped < len(sb):
+                    # A step that lands exactly on the target has no polar angles.
+                    reason = Termination.CONVERGED
+                elif error is not None:
+                    # A stage that overflowed before the stepped state could
+                    # be tested, e.g. math.cos(inf), ends the run; a
+                    # UniparkError (a ValueError too), any other error and
+                    # any error of the chart's map are raised.
+                    stage_overflow = isinstance(error, (OverflowError, ValueError)) and not isinstance(
+                        error, UniparkError
+                    )
+                    if mapped < len(sb) or not stage_overflow:
+                        raise error
+                    reason = Termination.NUMERIC
+            polar.append(pb[:keep])
+            states.append(sb[:keep])
+            k += keep
+    polar = np.concatenate(polar)
+    return _finish(
+        s, np.arange(len(polar)) * h, polar, reason, cartesian=np.concatenate(states) if cartesian else None
+    )
 
 
 def axis_crossings(cartesian: np.ndarray, dt: float) -> list[AxisCrossing]:
@@ -356,10 +474,11 @@ def axis_crossings(cartesian: np.ndarray, dt: float) -> list[AxisCrossing]:
     x = cartesian[:, 0]
     y = cartesian[:, 1]
     out: list[AxisCrossing] = []
-    sign_change = (y[:-1] * y[1:] < 0.0) | ((y[1:] == 0.0) & (y[:-1] != 0.0))
-    for i in np.flatnonzero(sign_change):
-        frac = y[i] / (y[i] - y[i + 1])
-        out.append(AxisCrossing(t=float((i + frac) * dt), x=float(x[i] + frac * (x[i + 1] - x[i]))))
+    with np.errstate(all="ignore"):
+        sign_change = (y[:-1] * y[1:] < 0.0) | ((y[1:] == 0.0) & (y[:-1] != 0.0))
+        for i in np.flatnonzero(sign_change):
+            frac = y[i] / (y[i] - y[i + 1])
+            out.append(AxisCrossing(t=float((i + frac) * dt), x=float(x[i] + frac * (x[i + 1] - x[i]))))
     return out
 
 
@@ -399,21 +518,15 @@ class BatchResult:
     extra_v_violations: np.ndarray | None = None  # (n_extra, N) when monitored
 
 
-# A block takes at most this many steps, and at most this many lane-steps
-# (steps times active runs): the block buffer and the monitors' (K, m)
-# temporaries then stay within a few MiB.
-_BLOCK_STEPS = 64
-_BLOCK_LANE_STEPS = 16384
-
-
 def _rk4_block(field: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
     """``steps`` RK4 steps of every lane of ``y`` (3, m), with the arithmetic
     of :func:`_rk4_step`; returns the stepped states as a (steps, 3, m)
-    block.
+    block, the layout :func:`_block_stops` tests.
 
-    It is kept apart from :func:`_rk4_step` because its stage buffer is
-    faster: ``batch_grid`` ``run_steps_per_s`` median 1.83e6 against 1.74e6
-    (10 of 10 alternating pairs, shared 2-vCPU VM)."""
+    It is kept apart from :func:`_rk4_step`, which :func:`integrate` calls
+    on tuples once per step, because its stage buffer is faster on arrays:
+    ``batch_grid`` ``run_steps_per_s`` median 1.83e6 against 1.74e6 (10 of
+    10 alternating pairs, shared 2-vCPU VM)."""
     m = y.shape[1]
     block = np.empty((steps, 3, m))
     stage = np.empty((4, 3, m))
@@ -481,15 +594,9 @@ def integrate_batch(
             block = _rk4_block(field, ys[:, lanes], h, steps)
             rho, delta, gamma = block[:, 0], block[:, 1], block[:, 2]
 
-            bad = ~np.isfinite(block).all(axis=1)
-            tripped = np.zeros((steps, m), dtype=bool)
-            for a in constrained_angles(space, delta, gamma):
-                tripped |= np.abs(a) >= limit
-            tripped &= ~bad
+            bad, tripped, stop = _block_stops(space, block, block, limit, s.stop_tol)
             ok = ~(bad | tripped)
-            ends = ~ok | (metric_values(ARRAY, space, rho, delta, gamma) < s.stop_tol)
-            ended = ends.any(axis=0)
-            stop = np.where(ended, ends.argmax(axis=0), steps)
+            ended = stop < steps
             counted = (np.arange(steps)[:, None] <= stop) & ok
 
             max_ad[lanes] = np.maximum(max_ad[lanes], np.where(counted, np.abs(delta), -np.inf).max(axis=0))

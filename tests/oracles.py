@@ -16,6 +16,10 @@ reduction bit for bit; the gain and root formulas it shares with it.  (The
 check pairs eigenvalues by the best ordering; on its draws, whose conjugate
 pairs are exact, that is the sorted pairing.)
 
+:func:`integrate_reference` is the scalar integrator as a per-step loop,
+which tests every stepped state before it takes the next step; the blocked
+:func:`~unipark.simulate.integrate` must log the same run bit for bit.
+
 :func:`trajectory_csv_reference` and :func:`trajectory_json_reference` write
 a trajectory one value at a time, with ``repr`` and ``json.dump``, and
 :func:`polyline_reference` formats polyline vertices one at a time; the CLI
@@ -33,7 +37,11 @@ import numpy as np
 
 from unipark.cli import CSV_COLUMNS, SCHEMA_VERSION
 from unipark.errors import UniparkError
+from unipark.controllers import closed_loop_field
+from unipark.kernels import SCALAR
 from unipark.linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
+from unipark.simulate import Termination, _cartesian_chart, _finish
+from unipark.spaces import delta_gamma_in_space, metric_values
 
 mp.mp.dps = 40
 
@@ -292,6 +300,76 @@ def pole_roundtrip_reference(family: DesignFamily, rng, n: int, tol: float) -> t
             e.sample_index = i
             raise
     return worst < tol, worst
+
+
+# ---------------------------------------------------------------------------
+# The scalar integrator, one step at a time.
+# ---------------------------------------------------------------------------
+
+
+def _rk4_step_reference(f, y, h):
+    a1, b1, c1 = f(*y)
+    a2, b2, c2 = f(y[0] + 0.5 * h * a1, y[1] + 0.5 * h * b1, y[2] + 0.5 * h * c1)
+    a3, b3, c3 = f(y[0] + 0.5 * h * a2, y[1] + 0.5 * h * b2, y[2] + 0.5 * h * c2)
+    a4, b4, c4 = f(y[0] + h * a3, y[1] + h * b3, y[2] + h * c3)
+    sixth = h / 6.0
+    return (
+        y[0] + sixth * (a1 + 2.0 * (a2 + a3) + a4),
+        y[1] + sixth * (b1 + 2.0 * (b2 + b3) + b4),
+        y[2] + sixth * (c1 + 2.0 * (c2 + c3) + c4),
+    )
+
+
+def integrate_reference(s):
+    """The trajectory of scenario ``s``, tested after every step: the
+    metric of the last logged state, then t_max, then the RK4 step (a
+    UniparkError re-raised, an OverflowError or ValueError a numeric stop),
+    then the stepped state's finiteness, its polar map and the barrier
+    guard."""
+    p0 = s.initial_polar()
+    p = (p0.rho, p0.delta, p0.gamma)
+    if s.frame == "cartesian":
+        y, field_at, to_polar = _cartesian_chart(s)
+    else:
+        f = closed_loop_field(s.controller, s.gains)
+        y, field_at, to_polar = p, (lambda ref: f), (lambda q, ref: q)
+    states = [y]
+    polar = [p]
+    times = [0.0]
+    n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
+    space = s.space
+    limit = math.pi - s.barrier_margin
+    k = 0
+    while True:
+        if metric_values(SCALAR, space, *p) < s.stop_tol:
+            reason = Termination.CONVERGED
+            break
+        if k >= n_max:
+            reason = Termination.T_MAX
+            break
+        try:
+            y_next = _rk4_step_reference(field_at(p), y, s.dt)
+        except UniparkError:
+            raise
+        except (OverflowError, ValueError):
+            reason = Termination.NUMERIC
+            break
+        k += 1
+        if not all(map(math.isfinite, y_next)):
+            reason = Termination.NUMERIC
+            break
+        p_next = to_polar(y_next, p)
+        if p_next is None:
+            reason = Termination.CONVERGED
+            break
+        if not delta_gamma_in_space(space, p_next[1], p_next[2], limit):
+            reason = Termination.BARRIER_GUARD
+            break
+        y, p = y_next, p_next
+        states.append(y)
+        polar.append(p)
+        times.append(k * s.dt)
+    return _finish(s, times, polar, reason, cartesian=states if s.frame == "cartesian" else None)
 
 
 # ---------------------------------------------------------------------------

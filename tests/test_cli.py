@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,20 @@ class TestSimulateCommand:
         assert err.count("run failed") == 1 and "termination numeric" in err
         assert "Traceback" not in err
         assert json.loads((tmp_path / "traj_globa-cons.json").read_text())["termination"] == "numeric"
+
+    @pytest.mark.parametrize("law, frame, code", [
+        ("globa-cons", "cartesian", 0), ("globa-cons", "polar", 1), ("globa", "polar", 0),
+        ("glofo", "polar", 0), ("globa-interp", "polar", 0),
+    ])
+    def test_diverging_run_warns_nothing(self, tmp_path, law, frame, code):
+        # At dt 900 these runs diverge; their logs overflow to inf or hold
+        # values near the float range, and no numpy warning is printed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([
+                "simulate", "--controller", law, "--init-polar", "1,3,2", "--dt", "900",
+                "--t-max", "18000", "--frame", frame, "--out", str(tmp_path),
+            ]) == code
 
 
 def _scenario(kind: str) -> Scenario:
@@ -306,6 +321,19 @@ class TestSweepCommand:
             "controller": "bopa", "barrier_margin": 3.0, "init_polar": start,
         }))
         assert run(["simulate", "--config", str(sim), "--out", str(tmp_path / "si")]) == 1
+
+    def test_diverging_sweep_warns_nothing(self, tmp_path):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "controllers": ["globa-cons", "globa", "glofo", "globa-interp"], "dt": 900.0, "t_max": 18000.0,
+            "grid_polar": [[1.0, 3.0, 2.0]],
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["controllers"]
+        assert {law: recs[0]["termination"] for law, recs in summary.items()} == {
+            "globa-cons": "numeric", "globa": "t_max", "glofo": "t_max", "globa-interp": "t_max"}
 
     def test_seven_controllers_seven_colours(self, tmp_path):
         names = ["genova", "bolsa", "bopa", "bagal", "glofo", "bofo", "globa"]

@@ -4,9 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import unipark.controllers as ctl
+import unipark.simulate
+from oracles import integrate_reference
 from unipark.controllers import ControllerId, Gains, closed_loop_field, open_loop_field
-from unipark.errors import ConfigError, SingularityError
-from unipark.kernels import wrap_angle
+from unipark.errors import ConfigError, DomainError, SingularityError
+from unipark.kernels import ARRAY, SCALAR, wrap_angle
 from unipark.lyapunov import CompositeKind
 from unipark.simulate import (
     Scenario,
@@ -17,7 +20,7 @@ from unipark.simulate import (
     integrate_batch,
     sweep,
 )
-from unipark.spaces import CartesianState, PolarState, StateSpaceId
+from unipark.spaces import CartesianState, PolarState, StateSpaceId, metric_values
 
 UNIT = Gains()
 
@@ -205,6 +208,138 @@ class TestChartConsistency:
         assert len(post) >= 1
         for c in post:
             assert c.x > 0.0 and c.in_front
+
+
+def assert_same_run(got, want):
+    """Every logged array, the termination and the crossings, bit for bit."""
+    for name in ("t", "polar", "cartesian", "v", "omega", "V", "metric"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.termination is want.termination
+    crossings = [np.array([(c.t, c.x) for c in tr.crossings]).tobytes() for tr in (got, want)]
+    assert crossings[0] == crossings[1]
+
+
+def raising_law(cid, exc, at_step):
+    """The law table entry of ``cid`` with a law that raises ``exc`` on
+    scalar calls from the first RK4 stage of step ``at_step`` (counted from
+    1) on; each step evaluates the law four times.  Array calls, as in the
+    post-hoc log, pass through."""
+    law = ctl._LAWS[cid]
+    calls = [0]
+
+    def fn(xp, g, d, c):
+        if xp is SCALAR:
+            calls[0] += 1
+            if calls[0] > 4 * (at_step - 1):
+                raise exc
+        return law.fn(xp, g, d, c)
+
+    return law._replace(fn=fn)
+
+
+@pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "block_default"])
+def block_steps(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(unipark.simulate, "_BLOCK_STEPS", request.param)
+    return request.param
+
+
+FRAMES = ["polar", "cartesian"]
+
+
+class TestBlockedIntegrate:
+    """integrate steps in speculative blocks and tests each block once; its
+    runs must be those of the per-step reference loop bit for bit."""
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("cid", list(ControllerId), ids=lambda c: c.value)
+    def test_every_law(self, cid, frame, block_steps):
+        # 600 steps: a multiple of neither 64 nor 7.
+        s = Scenario(controller=cid, initial=CartesianState(-1.2, -0.7, 0.4), frame=frame,
+                     dt=0.02, t_max=12.0)
+        assert_same_run(integrate(s), integrate_reference(s))
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_converged_at_start(self, frame, block_steps):
+        s = scenario(frame=frame, stop_tol=10.0)
+        tr = integrate(s)
+        assert tr.termination is Termination.CONVERGED and len(tr.t) == 1
+        assert_same_run(tr, integrate_reference(s))
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    def test_t_max_inside_a_block(self, frame, block_steps):
+        s = scenario(initial=PolarState(1.2, 0.7, -0.4), frame=frame, dt=0.01, t_max=1.0)
+        tr = integrate(s)
+        assert tr.termination is Termination.T_MAX and len(tr.t) == 101
+        assert_same_run(tr, integrate_reference(s))
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("start", [(1.0, 3.0, 2.0), (3.0, -2.5, 2.8)])
+    def test_guard_trip(self, start, frame, block_steps):
+        s = scenario(cid=ControllerId.BAGAL, initial=PolarState(*start), frame=frame, dt=0.2)
+        tr = integrate(s)
+        assert tr.termination is Termination.BARRIER_GUARD
+        assert_same_run(tr, integrate_reference(s))
+
+    @pytest.mark.parametrize("frame, want", [("polar", Termination.NUMERIC),
+                                             ("cartesian", Termination.T_MAX)])
+    def test_diverging_step(self, frame, want, block_steps):
+        s = scenario(cid=ControllerId.GLOBA_CONS, initial=PolarState(1.0, 3.0, 2.0), frame=frame,
+                     dt=900.0, t_max=18000.0)
+        tr = integrate(s)
+        assert tr.termination is want
+        assert_same_run(tr, integrate_reference(s))
+
+    def test_metric_confirmed_by_the_scalar_metric(self, block_steps):
+        # On bagal's warped axes numpy's tan rounds some metrics one bit
+        # below math.tan's.  With stop_tol at such a row's scalar metric,
+        # the row must not converge although its array metric is below.
+        s = scenario(cid=ControllerId.BAGAL, initial=PolarState(1.0, 2.0, -1.5), dt=0.01,
+                     t_max=8.0, stop_tol=1e-300)
+        log = integrate_reference(s).polar
+        exact = np.array([metric_values(SCALAR, s.space, *row) for row in log.tolist()])
+        rounded = metric_values(ARRAY, s.space, *log.T)
+        lowest = np.minimum.accumulate(np.concatenate([[np.inf], exact[:-1]]))
+        rows = np.flatnonzero((rounded < exact) & (exact < lowest))
+        if rows.size == 0:
+            pytest.skip("numpy's tan agrees with math.tan on every row of this run")
+        s = replace(s, stop_tol=float(exact[rows[0]]))
+        tr = integrate(s)
+        assert tr.termination is Termination.CONVERGED and len(tr.t) > rows[0] + 1
+        assert_same_run(tr, integrate_reference(s))
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("exc", [DomainError("law outside its domain"), OverflowError("stage"),
+                                     ZeroDivisionError("stage")], ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("when", ["before_trip", "after_trip"])
+    def test_raising_step(self, monkeypatch, exc, when, frame, block_steps):
+        # bagal from here trips the guard a few steps in, inside the first
+        # block at the default block length.  A step that raises before the
+        # trip is handled as the per-step loop handles it; one after the trip
+        # is never reached there.
+        s = scenario(cid=ControllerId.BAGAL, initial=PolarState(3.0, -2.5, 2.8), frame=frame, dt=0.2)
+        trip = len(integrate_reference(s).t)
+        assert trip >= 3
+        at_step = trip - 1 if when == "before_trip" else trip + 1
+
+        def run(integrator):
+            with monkeypatch.context() as mp:
+                mp.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, at_step))
+                try:
+                    return integrator(s)
+                except Exception as e:  # compared below
+                    return e
+
+        got, want = run(integrate), run(integrate_reference)
+        if isinstance(want, Exception):
+            assert when == "before_trip" and not isinstance(exc, OverflowError)
+            assert got is exc and want is exc
+        else:
+            assert want.termination is (Termination.NUMERIC if when == "before_trip"
+                                        else Termination.BARRIER_GUARD)
+            assert_same_run(got, want)
 
 
 # Batches whose runs end in every termination kind; each run agrees with the
