@@ -13,7 +13,10 @@ The set is:
   globa-cons from (1, 3, 2) at dt 900 in both charts (numeric in polar,
   t_max in Cartesian) and globa, glofo and globa-interp from there in
   polar (t_max with overflowing logs); genova in both charts stopped at
-  t_max after 100 steps, not a multiple of the 64-step block;
+  t_max after 100 steps, not a multiple of the 64-step block; bagal from
+  (1, 2, -1.5) at dt 0.01 with ``--tol 4.843772453419518`` (JSON only),
+  whose converging step has a logged metric below the tolerance by the
+  last bit of ``tan`` (it converges at t = 1.01);
 - both figures of ``scripts/reproduce_figures.py``;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
@@ -74,6 +77,8 @@ ENDINGS = {
     **{f"t_max/{chart}": ["--controller", "genova", "--init-polar=1.2,0.7,-0.4", "--dt", "0.01", "--t-max", "1",
                           "--frame", chart]
        for chart in ("polar", "cartesian")},
+    "tol": ["--controller", "bagal", "--init-polar=1,2,-1.5", "--dt", "0.01", "--tol", "4.843772453419518",
+            "--format", "json"],
 }
 GAINS = {
     "passivity": ["--poles=-1,-0.5+0.9i,-0.5-0.9i"],

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -281,18 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if "svg" in fmts and traj is not None:
                 paths.append(SvgPath(traj.cartesian, label=cid.value,
                                      color=palette_color(ci)))
-            recs.append({
-                "index": r.index,
-                "initial": list(r.initial),
-                "termination": r.termination,
-                "convergence_time": r.convergence_time,
-                "path_length": r.path_length,
-                "steering_effort": r.steering_effort,
-                "min_barrier_margin": r.min_barrier_margin,
-                "v_violations": r.v_violations,
-                "front_crossings": r.front_crossings,
-                "error": r.error,
-            })
+            recs.append(dataclasses.asdict(r))
             failures += int(r.termination in _FAILED_TERMINATIONS or r.error is not None)
         summary["controllers"][cid.value] = recs
     if "json" in fmts:
@@ -388,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", default="out", help="output directory (env UNIPARK_OUT overrides)")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     sim = sub.add_parser("simulate", help="integrate one scenario")
     sim.add_argument("--config", help="scenario JSON file")
@@ -429,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="run the certificate verification suite")
     ve.add_argument("--samples", type=int, default=1000)
+    ve.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     add_common(ve)
     ve.set_defaults(fn=cmd_verify)
     return ap

@@ -312,7 +312,7 @@ def steering_tilde(cid: ControllerId, g: Gains, delta: float, gamma: float) -> f
     Raises :class:`BarrierDomainError` outside the id's state space.
     """
     check_in_space(_LAWS[cid].space, delta, gamma)
-    return make_steering_tilde(cid, g)(delta, gamma)
+    return _tilde_fn(cid)(SCALAR, g, delta, gamma)
 
 
 def steering_total(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
@@ -343,15 +343,11 @@ def _tilde_fn(cid: ControllerId) -> Callable:
     return tilde
 
 
-def _bind_tilde(xp, cid: ControllerId, g: Gains) -> Callable:
-    return partial(_tilde_fn(cid), xp, g)
-
-
 def make_steering_tilde(cid: ControllerId, g: Gains) -> Callable[[float, float], float]:
     """Bind (cid, gains) once and return a fast omega_tilde(delta, gamma)
     closure for integration loops.  No domain checks: callers guard the
     barrier separately."""
-    return _bind_tilde(SCALAR, cid, g)
+    return partial(_tilde_fn(cid), SCALAR, g)
 
 
 def steering_tilde_many(
@@ -360,7 +356,7 @@ def steering_tilde_many(
     """Vectorised omega_tilde over arrays of (delta, gamma).  No domain checks."""
     d = np.asarray(delta, dtype=float)
     c = np.asarray(gamma, dtype=float)
-    return _bind_tilde(ARRAY, cid, g)(d, c)
+    return _tilde_fn(cid)(ARRAY, g, d, c)
 
 
 _BACKSTEP_Z = {

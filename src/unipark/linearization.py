@@ -195,7 +195,6 @@ def assign_gains(
     *,
     strict: bool = True,
     epsilon: float | None = None,
-    k0: float = 1.0,
 ) -> tuple[Gains, ...]:
     """Gains realising the requested closed-loop eigenvalues.
 
@@ -231,5 +230,5 @@ def assign_gains(
                 if family is DesignFamily.PASSIVITY
                 else "forwarding consistency k2 + k1*k3/k2 = p2 + p3 failed"
             )
-        out.append(Gains(k1=k1, k2=k2, k3=k3, k4=k4, k0=k0))
+        out.append(Gains(k1=k1, k2=k2, k3=k3, k4=k4))
     return tuple(out) if out[0].k2 != out[-1].k2 else (out[0],)

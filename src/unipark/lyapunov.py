@@ -377,42 +377,39 @@ class CompositeOrder(Enum):
     V_FIRST = "v-first"      # calV(V_dg, rho^2)
 
 
+# Each combiner's value calV(r, s) and its partials (dcalV/dr, dcalV/ds);
+# ``one`` is an array of ones shaped like r.
+_COMBINERS: dict[CompositeKind, tuple[Callable, Callable]] = {
+    CompositeKind.ADD: (lambda r, s: r + s,
+                        lambda r, s, one: (one, one)),
+    CompositeKind.LOG: (lambda r, s: np.log1p(r) + s,
+                        lambda r, s, one: (1.0 / (1.0 + r), one)),
+    CompositeKind.EXPM1: (lambda r, s: np.expm1(r) + s,
+                          lambda r, s, one: (np.exp(r), one)),
+    CompositeKind.EXP_PROD: (lambda r, s: (1.0 + r) * np.exp(s) - 1.0,
+                             lambda r, s, one: ((es := np.exp(s)), (1.0 + r) * es)),
+    CompositeKind.CROSS: (lambda r, s: r + s + r * s,
+                          lambda r, s, one: (1.0 + s, 1.0 + r)),
+    CompositeKind.COSH: (lambda r, s: np.cosh(r) + s - 1.0,
+                         lambda r, s, one: (np.sinh(r), one)),
+    CompositeKind.SQRT: (lambda r, s: np.sqrt(1.0 + r) + np.sqrt(1.0 + s) - 2.0,
+                         lambda r, s, one: (0.5 / np.sqrt(1.0 + r), 0.5 / np.sqrt(1.0 + s))),
+}
+
+
+def _combiner(kind: CompositeKind) -> tuple[Callable, Callable]:
+    try:
+        return _COMBINERS[kind]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown composite kind {kind!r}") from None
+
+
 def _cal_value(kind: CompositeKind, r, s):
-    if kind is CompositeKind.ADD:
-        return r + s
-    if kind is CompositeKind.LOG:
-        return np.log1p(r) + s
-    if kind is CompositeKind.EXPM1:
-        return np.expm1(r) + s
-    if kind is CompositeKind.EXP_PROD:
-        return (1.0 + r) * np.exp(s) - 1.0
-    if kind is CompositeKind.CROSS:
-        return r + s + r * s
-    if kind is CompositeKind.COSH:
-        return np.cosh(r) + s - 1.0
-    if kind is CompositeKind.SQRT:
-        return np.sqrt(1.0 + r) + np.sqrt(1.0 + s) - 2.0
-    raise DomainError(f"unknown composite kind {kind!r}")
+    return _combiner(kind)[0](r, s)
 
 
 def _cal_partials(kind: CompositeKind, r, s):
-    one = np.ones_like(np.asarray(r, float))
-    if kind is CompositeKind.ADD:
-        return one, one
-    if kind is CompositeKind.LOG:
-        return 1.0 / (1.0 + r), one
-    if kind is CompositeKind.EXPM1:
-        return np.exp(r), one
-    if kind is CompositeKind.EXP_PROD:
-        es = np.exp(s)
-        return es, (1.0 + r) * es
-    if kind is CompositeKind.CROSS:
-        return 1.0 + s, 1.0 + r
-    if kind is CompositeKind.COSH:
-        return np.sinh(r), one
-    if kind is CompositeKind.SQRT:
-        return 0.5 / np.sqrt(1.0 + r), 0.5 / np.sqrt(1.0 + s)
-    raise DomainError(f"unknown composite kind {kind!r}")
+    return _combiner(kind)[1](r, s, np.ones_like(np.asarray(r, float)))
 
 
 @dataclass(frozen=True)

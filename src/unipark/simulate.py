@@ -7,11 +7,13 @@ directly (no v/rho division), so it has no singularity at rho = 0; the
 open-loop polar field guards rho > 1e-9.
 
 A run terminates when the state-space metric drops below ``stop_tol``
-(converged), when t reaches ``t_max``, when a constrained angle comes within
-``barrier_margin`` of +-pi (barrier guard), or when the state stops being
-finite.  For barrier controllers started inside their domain a guard trip
-means the integration contradicts the invariance certificate, so the test
-suite treats it as a failure; otherwise it is just a clean termination.
+(converged; the metric is evaluated over arrays, exactly as the ``metric``
+column and ``BatchResult.final_metric`` report it), when t reaches
+``t_max``, when a constrained angle comes within ``barrier_margin`` of +-pi
+(barrier guard), or when the state stops being finite.  For barrier
+controllers started inside their domain a guard trip means the integration
+contradicts the invariance certificate, so the test suite treats it as a
+failure; otherwise it is just a clean termination.
 
 Both integrators step speculatively in blocks and test each block once.
 :func:`integrate` takes up to K scalar RK4 steps of one run with no check in
@@ -46,7 +48,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError, UniparkError
-from .kernels import ARRAY, SCALAR, wrap_angle
+from .kernels import ARRAY, wrap_angle
 from .lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf
 from .spaces import (
     CartesianState,
@@ -319,20 +321,15 @@ def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, lim
 
     A row ends its run when its chart state is not finite (numeric), else
     when a constrained angle has magnitude ``limit`` or more (barrier
-    guard), else when its metric is below ``stop_tol`` (converged).  Returns
-    ``bad`` and ``tripped`` (K, m) and ``stop`` (m,): the first row that
-    ends each run, K where none does.  Call it under
-    ``np.errstate(all="ignore")``.
+    guard), else when its array metric, the value the log and the batch
+    report, is below ``stop_tol`` (converged).  Returns ``bad`` and
+    ``tripped`` (K, m) and ``stop`` (m,): the first row that ends each run,
+    K where none does.  Call it under ``np.errstate(all="ignore")``.
 
     Most blocks end no run, and are answered from a few whole-block
     reductions: every state finite, every constrained angle below
     ``limit`` and every rho at least ``stop_tol`` (the metric adds
     non-negative terms to rho, so it is at least rho).
-
-    Otherwise the array metric only nominates rows.  On warped axes numpy's
-    ``tan`` can differ from ``math.tan`` in the last bit, so each run's
-    first nominated row is confirmed with the scalar metric, in order, until
-    one holds or none is left.
     """
     steps, _, m = states.shape
     rho, delta, gamma = polar[:, 0], polar[:, 1], polar[:, 2]
@@ -345,26 +342,8 @@ def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, lim
     for a in angles:
         tripped |= np.abs(a) >= limit
     tripped &= ~bad
-    ends = bad | tripped
-    nominated = metric_values(ARRAY, space, rho, delta, gamma) < stop_tol * (1.0 + 1e-12)
-    nominated &= ~ends
-    ends |= nominated
-    while True:
-        ended = ends.any(axis=0)
-        stop = np.where(ended, ends.argmax(axis=0), steps)
-        runs = np.flatnonzero(ended)
-        runs = runs[nominated[stop[runs], runs]]
-        if runs.size == 0:
-            return bad, tripped, stop
-        rows = stop[runs]
-        nominated[rows, runs] = False
-        rejected = False
-        for j, i in zip(rows.tolist(), runs.tolist()):
-            if not metric_values(SCALAR, space, *polar[j, :, i].tolist()) < stop_tol:
-                ends[j, i] = False
-                rejected = True
-        if not rejected:
-            return bad, tripped, stop
+    ends = bad | tripped | (metric_values(ARRAY, space, rho, delta, gamma) < stop_tol)
+    return bad, tripped, np.where(ends.any(axis=0), ends.argmax(axis=0), steps)
 
 
 def integrate(s: Scenario) -> Trajectory:
@@ -395,7 +374,7 @@ def integrate(s: Scenario) -> Trajectory:
     space = s.space
     limit = math.pi - s.barrier_margin
     k = 0
-    reason = Termination.CONVERGED if metric_values(SCALAR, space, *p) < s.stop_tol else None
+    reason = Termination.CONVERGED if metric_values(ARRAY, space, *p) < s.stop_tol else None
     with np.errstate(all="ignore"):
         while reason is None:
             if k >= n_max:

@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = ["SvgPath", "palette_color", "render_paths"]
 
+# The longer side of the drawing, in px.
+_SIZE = 640
 _COLORS = ("#d62728", "#1f77b4", "#17becf", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -46,19 +48,11 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out
 
 
-def render_paths(
-    paths: list[SvgPath],
-    target: tuple[float, float, float] = (0.0, 0.0, 0.0),
-    size: int = 640,
-    heading_ticks_every: int = 0,
-) -> str:
-    """Render trajectories to an SVG string.
-
-    ``heading_ticks_every``: sample stride between short heading dashes;
-    0 picks roughly 25 ticks per path.
-    """
-    xs = [target[0]]
-    ys = [target[1]]
+def render_paths(paths: list[SvgPath]) -> str:
+    """Render trajectories to an SVG string of at most ``_SIZE`` px a side, with
+    about 25 heading dashes per path and the target pose at the origin."""
+    xs = [0.0]
+    ys = [0.0]
     for p in paths:
         arr = np.asarray(p.cartesian, dtype=float).reshape(-1, 3)
         xs.extend((float(arr[:, 0].min()), float(arr[:, 0].max())))
@@ -70,7 +64,7 @@ def render_paths(
     x_lo, x_hi = x_lo - pad, x_hi + pad
     y_lo, y_hi = y_lo - pad, y_hi + pad
     span_x, span_y = x_hi - x_lo, y_hi - y_lo
-    scale = (size - 70) / max(span_x, span_y)
+    scale = (_SIZE - 70) / max(span_x, span_y)
     w = int(span_x * scale) + 70
     h = int(span_y * scale) + 70
 
@@ -134,7 +128,7 @@ def render_paths(
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        stride = heading_ticks_every or max(1, len(arr) // 25)
+        stride = max(1, len(arr) // 25)
         tick_len = 0.025 * span
         for j in range(0, len(arr), stride):
             x, y, th = arr[j]
@@ -150,19 +144,15 @@ def render_paths(
             f'fill="{color}"/>'
         )
 
-    # Target pose: filled arrow at (x*, y*) along theta*.
-    tx, ty, tth = target
+    # Target pose: filled arrow at the origin along +x.
     a_len = 0.06 * span
     a_wid = 0.022 * span
-    tip = (tx + a_len * math.cos(tth), ty + a_len * math.sin(tth))
-    left = (tx - a_wid * math.sin(tth), ty + a_wid * math.cos(tth))
-    right = (tx + a_wid * math.sin(tth), ty - a_wid * math.cos(tth))
     out.append(
         '<polygon points="'
-        f'{sx(tip[0]):.2f},{sy(tip[1]):.2f} {sx(left[0]):.2f},{sy(left[1]):.2f} '
-        f'{sx(right[0]):.2f},{sy(right[1]):.2f}" fill="black"/>'
+        f'{sx(a_len):.2f},{sy(0.0):.2f} {sx(0.0):.2f},{sy(a_wid):.2f} '
+        f'{sx(0.0):.2f},{sy(-a_wid):.2f}" fill="black"/>'
     )
-    out.append(f'<circle cx="{sx(tx):.2f}" cy="{sy(ty):.2f}" r="2.5" fill="black"/>')
+    out.append(f'<circle cx="{sx(0.0):.2f}" cy="{sy(0.0):.2f}" r="2.5" fill="black"/>')
 
     # Legend for labelled paths (one entry per distinct label).
     seen: dict[str, str] = {}

@@ -86,16 +86,14 @@ class CheckResult:
         return asdict(self)
 
 
-def sample_interior(
-    space: StateSpaceId, n: int, rng: np.random.Generator, angle_span: float = 2.9
-) -> np.ndarray:
+def sample_interior(space: StateSpaceId, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, 2) samples of (delta, gamma) strictly inside ``space``.
 
-    Unconstrained axes draw from [-3, 3]; constrained axes stay a safe
-    distance from the barrier so finite differences have room.
+    Unconstrained axes draw from [-3, 3]; constrained axes from [-2.9, 2.9],
+    a safe distance from the barrier so finite differences have room.
     """
-    d_hi = min(angle_span, math.pi - 0.2) if space.delta_constrained else 3.0
-    g_hi = min(angle_span, math.pi - 0.2) if space.gamma_constrained else 3.0
+    d_hi = 2.9 if space.delta_constrained else 3.0
+    g_hi = 2.9 if space.gamma_constrained else 3.0
     return np.column_stack([rng.uniform(-d_hi, d_hi, n), rng.uniform(-g_hi, g_hi, n)])
 
 
@@ -205,13 +203,13 @@ def barrier_blowup_check(clf: SteeringClf) -> CheckResult:
 JACOBIAN_CONTROLLERS: tuple[ControllerId, ...] = tuple(_FAMILY_OF)
 
 
-def jacobian_fd_check(cid: ControllerId, g: Gains, at_rho: float = 1e-6) -> CheckResult:
+def jacobian_fd_check(cid: ControllerId, g: Gains) -> CheckResult:
     """Analytic closed-loop Jacobian vs a central finite-difference Jacobian
-    of the nonlinear closed loop at (at_rho, 0, 0)."""
+    of the nonlinear closed loop at (1e-6, 0, 0)."""
     family = family_of_controller(cid)
     analytic = jacobian(family, g)
     f = ctl.closed_loop_field(cid, g)
-    p0 = np.array([at_rho, 0.0, 0.0])
+    p0 = np.array([1e-6, 0.0, 0.0])
     h = 1e-6
     fd = np.zeros((3, 3))
     for j in range(3):
@@ -295,9 +293,10 @@ def pole_roundtrip_check(
     return CheckResult("pole_roundtrip", family.value, worst < POLE_ROUNDTRIP_TOL, worst)
 
 
-def lemma_grid_check(step: float = 1e-3, span: float = 20.0) -> CheckResult:
-    """Both appendix inequalities on the grid k in {1..10}, x in [-span, span]."""
-    x = np.arange(-span, span + 0.5 * step, step)
+def lemma_grid_check() -> CheckResult:
+    """Both appendix inequalities on the grid k in {1..10}, x in [-20, 20]
+    at step 1e-3."""
+    x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
     worst = math.inf
     for k in range(1, 11):
         s1, s2 = appendix_bounds_slack(float(k), x)
@@ -305,10 +304,10 @@ def lemma_grid_check(step: float = 1e-3, span: float = 20.0) -> CheckResult:
     return CheckResult("lemma_grid", "appendix", worst >= LEMMA_SLACK, worst)
 
 
-def certificate_samples(clf: SteeringClf, pts: np.ndarray, cap: int = 20) -> list[dict]:
+def certificate_samples(clf: SteeringClf, pts: np.ndarray) -> list[dict]:
     """Per-sample certificate records (V, rate, flag, slack margin) for the
-    first ``cap`` points, for the machine-readable report."""
-    pts = pts[:cap]
+    first 20 points, for the machine-readable report."""
+    pts = pts[:20]
     d, c = pts[:, 0], pts[:, 1]
     v = np.asarray(clf.value(d, c), dtype=float)
     rate = np.asarray(clf.rate(d, c), dtype=float)
@@ -327,12 +326,13 @@ def certificate_samples(clf: SteeringClf, pts: np.ndarray, cap: int = 20) -> lis
     ]
 
 
-def run_all(seed: int = 0, samples: int = 1000, extra_gain_sets: int = 3) -> dict:
-    """Full verification sweep; returns a JSON-ready report."""
+def run_all(seed: int = 0, samples: int = 1000) -> dict:
+    """Full verification sweep over unit gains and 3 random strict gain
+    sets; returns a JSON-ready report."""
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
-    gain_sets = [Gains()] + strict_gain_sets(extra_gain_sets, rng)
+    gain_sets = [Gains()] + strict_gain_sets(3, rng)
     checks: list[CheckResult] = []
     for cid in JACOBIAN_CONTROLLERS:
         for gi, g in enumerate(gain_sets):

@@ -38,7 +38,7 @@ import numpy as np
 from unipark.cli import CSV_COLUMNS, SCHEMA_VERSION
 from unipark.errors import UniparkError
 from unipark.controllers import closed_loop_field
-from unipark.kernels import SCALAR
+from unipark.kernels import ARRAY
 from unipark.linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 from unipark.simulate import Termination, _cartesian_chart, _finish
 from unipark.spaces import delta_gamma_in_space, metric_values
@@ -322,7 +322,7 @@ def _rk4_step_reference(f, y, h):
 
 def integrate_reference(s):
     """The trajectory of scenario ``s``, tested after every step: the
-    metric of the last logged state, then t_max, then the RK4 step (a
+    array metric of the last logged state, then t_max, then the RK4 step (a
     UniparkError re-raised, an OverflowError or ValueError a numeric stop),
     then the stepped state's finiteness, its polar map and the barrier
     guard."""
@@ -341,7 +341,9 @@ def integrate_reference(s):
     limit = math.pi - s.barrier_margin
     k = 0
     while True:
-        if metric_values(SCALAR, space, *p) < s.stop_tol:
+        with np.errstate(all="ignore"):
+            converged = metric_values(ARRAY, space, *p) < s.stop_tol
+        if converged:
             reason = Termination.CONVERGED
             break
         if k >= n_max:

@@ -192,6 +192,12 @@ def test_criterion_3_convergence(convergence_batches):
                       f"violations [{', '.join(details)}]")
 
 
+def test_converged_iff_final_metric_below_tol(convergence_batches):
+    # The batch decides convergence on the metric it reports.
+    for br in convergence_batches.values():
+        np.testing.assert_array_equal(br.converged, br.final_metric < 1e-4)
+
+
 def test_criterion_8_composite_family(convergence_batches):
     total = 0
     ok = True

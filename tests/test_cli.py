@@ -422,6 +422,19 @@ class TestVerifyCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--controller", "globa", "--init-polar=1,0.5,-0.5"],
+        ["sweep", "--controller", "globa"],
+        ["gains", "--family", "forwarding", "--poles=-1,-2,-3"],
+    ], ids=lambda c: c[0])
+    def test_seed_only_for_verify(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as e:
+            run([*command, "--seed", "1", "--out", str(tmp_path)])
+        assert e.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert run(["verify", "--samples", "1", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "verify_report.json").read_text())["seed"] == 3
+
     def test_small_run_passes(self, tmp_path, capsys):
         code = run(["verify", "--samples", "100", "--seed", "3", "--out", str(tmp_path)])
         out = capsys.readouterr().out

@@ -9,7 +9,7 @@ import unipark.simulate
 from oracles import integrate_reference
 from unipark.controllers import ControllerId, Gains, closed_loop_field, open_loop_field
 from unipark.errors import ConfigError, DomainError, SingularityError
-from unipark.kernels import ARRAY, SCALAR, wrap_angle
+from unipark.kernels import SCALAR, wrap_angle
 from unipark.lyapunov import CompositeKind
 from unipark.simulate import (
     Scenario,
@@ -292,23 +292,28 @@ class TestBlockedIntegrate:
         assert tr.termination is want
         assert_same_run(tr, integrate_reference(s))
 
-    def test_metric_confirmed_by_the_scalar_metric(self, block_steps):
+    def test_converges_on_the_logged_metric(self, block_steps):
         # On bagal's warped axes numpy's tan rounds some metrics one bit
-        # below math.tan's.  With stop_tol at such a row's scalar metric,
-        # the row must not converge although its array metric is below.
+        # below math.tan's.  With stop_tol at such a row's math.tan metric,
+        # the run converges at that row in both integrators: its logged
+        # metric is below stop_tol, and no earlier row's is.
         s = scenario(cid=ControllerId.BAGAL, initial=PolarState(1.0, 2.0, -1.5), dt=0.01,
                      t_max=8.0, stop_tol=1e-300)
-        log = integrate_reference(s).polar
-        exact = np.array([metric_values(SCALAR, s.space, *row) for row in log.tolist()])
-        rounded = metric_values(ARRAY, s.space, *log.T)
-        lowest = np.minimum.accumulate(np.concatenate([[np.inf], exact[:-1]]))
-        rows = np.flatnonzero((rounded < exact) & (exact < lowest))
+        log = integrate_reference(s)
+        exact = np.array([metric_values(SCALAR, s.space, *row) for row in log.polar.tolist()])
+        lowest = np.minimum.accumulate(np.concatenate([[np.inf], log.metric[:-1]]))
+        rows = np.flatnonzero((log.metric < exact) & (exact <= lowest))
         if rows.size == 0:
             pytest.skip("numpy's tan agrees with math.tan on every row of this run")
-        s = replace(s, stop_tol=float(exact[rows[0]]))
+        row = int(rows[0])
+        s = replace(s, stop_tol=float(exact[row]))
         tr = integrate(s)
-        assert tr.termination is Termination.CONVERGED and len(tr.t) > rows[0] + 1
+        assert tr.termination is Termination.CONVERGED and len(tr.t) == row + 1
+        assert tr.metric[-1] < s.stop_tol
         assert_same_run(tr, integrate_reference(s))
+        br = integrate_batch(s, log.polar[:1])
+        assert br.converged[0] and br.convergence_time[0] == tr.final_time
+        assert br.final_metric[0] == tr.metric[-1]
 
     @pytest.mark.parametrize("frame", FRAMES)
     @pytest.mark.parametrize("exc", [DomainError("law outside its domain"), OverflowError("stage"),
@@ -340,6 +345,26 @@ class TestBlockedIntegrate:
             assert want.termination is (Termination.NUMERIC if when == "before_trip"
                                         else Termination.BARRIER_GUARD)
             assert_same_run(got, want)
+
+
+class TestLoggedMetricDecides:
+    """A run converges on the metric its log reports: every row before the
+    last is at or above stop_tol, and a converged run's last row is below."""
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("cid", list(ControllerId), ids=lambda c: c.value)
+    def test_every_law(self, cid, frame):
+        s = Scenario(controller=cid, initial=CartesianState(-1.2, -0.7, 0.4), frame=frame,
+                     dt=0.02, t_max=40.0, stop_tol=1e-2)
+        first = integrate(s)
+        at = float(first.metric[len(first.t) // 2])
+        # A tolerance at a logged metric, and one ulp above it, put the
+        # decision on that row: it must run on past it, and stop there at
+        # the latest.
+        for tol in (s.stop_tol, at, float(np.nextafter(at, np.inf))):
+            tr = integrate(replace(s, stop_tol=tol))
+            assert tr.termination is Termination.CONVERGED
+            assert (tr.metric[:-1] >= tol).all() and tr.metric[-1] < tol
 
 
 # Batches whose runs end in every termination kind; each run agrees with the
@@ -392,6 +417,7 @@ class TestBatch:
             # numeric stop.
             np.testing.assert_allclose(br.final_states[i], tr.polar[-1], atol=1e-9)
             assert br.final_metric[i] == pytest.approx(tr.metric[-1], abs=1e-9)
+            assert br.converged[i] == (br.final_metric[i] < s.stop_tol)
         want = {
             "bagal": {Termination.CONVERGED, Termination.BARRIER_GUARD},
             "globa-cons": {Termination.NUMERIC},
