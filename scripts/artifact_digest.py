@@ -25,8 +25,8 @@ The set is:
 - the :class:`~unipark.simulate.BatchResult` of ``integrate_batch`` over 64
   seeded metric-ball starts (metric <= 4) for each of the eleven laws at
   dt 0.01, with the 7 x 2 composite monitors on genova, glofo and globa
-  (``batch/metric_ball/<law>``), and of the three batches of the suite's
-  lockstep test (``batch/lockstep/<case>``).
+  (``batch/metric_ball/<law>``), and of the six batches of the suite's
+  lockstep tests (``batch/lockstep/<case>``).
 
 Artifacts are written into a temporary directory that is removed afterwards;
 a batch is digested from the dtype, shape and bytes of every field.  Each

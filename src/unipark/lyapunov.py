@@ -422,21 +422,26 @@ class LyapunovFn:
     kind: CompositeKind = CompositeKind.ADD
     order: CompositeOrder = CompositeOrder.RHO_FIRST
 
-    def _args(self, rho, delta, gamma):
-        r = np.asarray(rho, float) ** 2
-        s = self.clf.value(delta, gamma)
+    def _ordered(self, rho_sq, v_dg):
         if self.order is CompositeOrder.RHO_FIRST:
-            return r, s
-        return s, r
+            return rho_sq, v_dg
+        return v_dg, rho_sq
+
+    def _args(self, rho, delta, gamma):
+        return self._ordered(np.asarray(rho, float) ** 2, self.clf.value(delta, gamma))
 
     def value(self, rho, delta, gamma):
-        a, b = self._args(rho, delta, gamma)
-        return _cal_value(self.kind, a, b)
+        return _cal_value(self.kind, *self._args(rho, delta, gamma))
+
+    def of_parts(self, rho_sq, v_dg):
+        """V from precomputed rho^2 and V_dg = ``clf.value(delta, gamma)``,
+        bit for bit :meth:`value`, so certificates sharing one ``clf`` can
+        evaluate it once."""
+        return _cal_value(self.kind, *self._ordered(rho_sq, v_dg))
 
     def _partials(self, rho, delta, gamma):
         """dcalV/d(rho^2) and dcalV/dV_dg."""
-        pa, pb = _cal_partials(self.kind, *self._args(rho, delta, gamma))
-        return (pa, pb) if self.order is CompositeOrder.RHO_FIRST else (pb, pa)
+        return self._ordered(*_cal_partials(self.kind, *self._args(rho, delta, gamma)))
 
     def grad(self, rho, delta, gamma):
         rho = np.asarray(rho, float)

@@ -19,12 +19,24 @@ Both integrators step speculatively in blocks and test each block once.
 :func:`integrate` takes up to K scalar RK4 steps of one run with no check in
 between, keeping the stepped states as float arrays; :func:`integrate_batch`
 compacts many runs under one setup to those still active and takes up to K
-steps of them on arrays.  One termination test, :func:`_block_stops`, then
-finds each run's first terminating step in the (K, runs) block.  The steps
-taken past it are discarded, so every result is bitwise that of testing
-after every step.  Certificate values, controls and metrics of a scalar run
-are evaluated vectorised over its stored states once it has ended; the batch
+steps of them.  One termination test, :func:`_block_stops`, then finds each
+run's first terminating step in the (K, runs) block.  The steps taken past
+it are discarded, so every result is bitwise that of testing after every
+step.  Certificate values, controls and metrics of a scalar run are
+evaluated vectorised over its stored states once it has ended; the batch
 checks its monitors once per block.
+
+The batch fills a block in one of two ways, chosen by the number of runs
+still active.  Above ``_SCALAR_RUNS`` it steps all of them at once on
+arrays; at or below it, it steps them one at a time with the scalar loop of
+:func:`integrate`, because an array step costs about the same whatever its
+length.  A batch of at most ``_SCALAR_RUNS`` runs is therefore bitwise
+:func:`integrate` run by run.  A run that crosses from the array fill
+differs only in the last bits (numpy's ``tan`` and ``arctan`` round a few
+arguments differently from ``math``'s), so its last bits depend on when its
+batch thins below the constant; a chaotic run in a large batch, such as
+bopa or barfli at dt >= 0.2, may still take a different exit than in
+:func:`integrate`.
 
 One scalar loop serves both charts.  The polar chart steps the logged state
 itself; the Cartesian chart steps the pose and rebuilds a continuous polar
@@ -269,6 +281,20 @@ def _rk4_step(f: Callable, y: tuple[float, float, float], h: float) -> tuple[flo
     )
 
 
+def _rk4_steps(f: Callable, y, h: float, steps: int, out: list):
+    """Up to ``steps`` scalar RK4 steps of the field ``f`` from ``y``, each
+    stepped state extended onto ``out``: the speculative block of one run.
+    Returns the last stepped state and the exception a step raised, which
+    ends the block early (None if no step raised)."""
+    try:
+        for _ in range(steps):
+            y = _rk4_step(f, y, h)
+            out.extend(y)
+    except Exception as e:  # a speculative step; judged by the caller, after the rows before it
+        return y, e
+    return y, None
+
+
 def _unwrap_near(angle: float, ref: float) -> float:
     two_pi = 2.0 * math.pi
     return angle + two_pi * round((ref - angle) / two_pi)
@@ -312,6 +338,15 @@ def _cartesian_chart(s: Scenario):
 # temporaries then stay within a few MiB.
 _BLOCK_STEPS = 64
 _BLOCK_LANE_STEPS = 16384
+
+# The batch steps at most this many active runs one at a time with the
+# scalar RK4, and more on arrays.  An array step costs 55-130 us whatever
+# its length, a scalar run-step 2.5-13 us, depending on the law.  At 16 runs
+# the scalar fill of a block takes 0.6-0.9 of the array fill's time for ten
+# of the eleven laws (glofo, whose scalar Si is slow, 1.9); the two break
+# even at 20-32 runs (glofo at 12).  Measured per 64-step block on
+# metric-ball starts, unit gains, dt 0.01, shared 2-vCPU VM.
+_SCALAR_RUNS = 16
 
 
 def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, limit: float, stop_tol: float):
@@ -383,9 +418,9 @@ def integrate(s: Scenario) -> Trajectory:
             steps = min(_BLOCK_STEPS, n_max - k)
             ys: list[float] = []
             ps: list[float] = []
-            error = None
-            try:
-                if cartesian:
+            if cartesian:
+                error = None
+                try:
                     for _ in range(steps):
                         y = _rk4_step(field_at(p), y, h)
                         ys.extend(y)
@@ -393,12 +428,10 @@ def integrate(s: Scenario) -> Trajectory:
                         if p is None:
                             break
                         ps.extend(p)
-                else:
-                    for _ in range(steps):
-                        y = _rk4_step(f, y, h)
-                        ys.extend(y)
-            except Exception as e:  # a speculative step; judged below, after the rows before it
-                error = e
+                except Exception as e:  # a speculative step; judged below, after the rows before it
+                    error = e
+            else:
+                y, error = _rk4_steps(f, y, h, steps, ys)
             sb = np.fromiter(ys, float, len(ys)).reshape(-1, 3)
             if cartesian:
                 # The pose that landed on the target, or whose map raised,
@@ -523,6 +556,22 @@ def _rk4_block(field: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarr
     return block
 
 
+def _scalar_block(f: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """The (steps, 3, m) block of :func:`_rk4_block`, filled one run at a
+    time by the scalar RK4 of :func:`integrate` over the scalar field ``f``.
+    A run whose stage raises ``ArithmeticError`` or ``ValueError`` has NaN
+    rows from that step on, so the block test ends it as numeric; any other
+    error propagates."""
+    block = np.full((steps, 3, y.shape[1]), np.nan)
+    for j, start in enumerate(y.T.tolist()):
+        rows: list[float] = []
+        _, error = _rk4_steps(f, start, h, steps, rows)
+        if error is not None and not isinstance(error, (ArithmeticError, ValueError)):
+            raise error
+        block[: len(rows) // 3, :, j] = np.reshape(rows, (-1, 3))
+    return block
+
+
 def integrate_batch(
     s: Scenario,
     initial_states: np.ndarray,
@@ -531,19 +580,31 @@ def integrate_batch(
     """Integrate many polar initial states (N, 3) under one scenario setup.
 
     Arithmetic mirrors :func:`integrate` (same RK4, same field, written once
-    in :func:`~unipark.controllers.closed_loop_field`); a lockstep
-    equivalence test in the suite ties the two paths together.
+    in :func:`~unipark.controllers.closed_loop_field`); lockstep
+    equivalence tests in the suite tie the two paths together.
     ``extra_lyapunov`` adds further certificates whose per-step monotonicity
     violations are counted alongside the scenario's own.
 
     The runs still active are stepped in blocks of K steps and checked once
-    per block, as the module docstring describes.
+    per block, as the module docstring describes: on arrays while more than
+    ``_SCALAR_RUNS`` are active, one at a time with the scalar RK4 of
+    :func:`integrate` once the batch has thinned to that many.  The choice
+    depends only on the active-run count, so results are deterministic, and
+    a batch of at most ``_SCALAR_RUNS`` runs equals :func:`integrate` run by
+    run, bit for bit.  Where the scalar fill's stage raises
+    ``ArithmeticError`` or ``ValueError`` (a :class:`UniparkError` too), that
+    run ends as numeric at that step, as inf or NaN ends it on arrays;
+    ``integrate_batch`` does not raise for it.
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
     space = s.space
     field = ctl.closed_loop_field(s.controller, s.gains, ARRAY)
+    scalar_field = ctl.closed_loop_field(s.controller, s.gains)
     monitors = [s.lyapunov(), *extra_lyapunov]
+    # Monitors sharing one certificate V_dg evaluate it once per block.
+    clfs = list(dict.fromkeys(fn.clf for fn in monitors))
+    clf_of = [clfs.index(fn.clf) for fn in monitors]
 
     barrier_trips = np.zeros(n, dtype=bool)
     numeric_failures = np.zeros(n, dtype=bool)
@@ -570,7 +631,10 @@ def integrate_batch(
             lanes = np.flatnonzero(active)
             m = lanes.size
             steps = min(_BLOCK_STEPS, max(1, _BLOCK_LANE_STEPS // m), n_max - k)
-            block = _rk4_block(field, ys[:, lanes], h, steps)
+            if m <= _SCALAR_RUNS:
+                block = _scalar_block(scalar_field, ys[:, lanes], h, steps)
+            else:
+                block = _rk4_block(field, ys[:, lanes], h, steps)
             rho, delta, gamma = block[:, 0], block[:, 1], block[:, 2]
 
             bad, tripped, stop = _block_stops(space, block, block, limit, s.stop_tol)
@@ -582,8 +646,10 @@ def integrate_batch(
             max_ag[lanes] = np.maximum(max_ag[lanes], np.where(counted, np.abs(gamma), -np.inf).max(axis=0))
             margin = np.where(counted, barrier_margin_values(space, delta, gamma), np.inf)
             min_margin[lanes] = np.minimum(min_margin[lanes], margin.min(axis=0))
+            rho_sq = rho**2
+            v_dg = [clf.value(delta, gamma) for clf in clfs]
             for i, fn in enumerate(monitors):
-                v = np.asarray(fn.value(rho, delta, gamma), dtype=float)
+                v = np.asarray(fn.of_parts(rho_sq, v_dg[clf_of[i]]), dtype=float)
                 before = np.concatenate([prev[i][None, lanes], v[:-1]])
                 viol[i, lanes] += (counted & (v > before + V_MONOTONE_TOL)).sum(axis=0)
                 prev[i][lanes] = v[-1]

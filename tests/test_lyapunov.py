@@ -196,6 +196,17 @@ class TestComposite:
                 r * r + float(clf.value(d, c)), rel=1e-14
             )
 
+    def test_of_parts_is_value(self):
+        # The batch monitors evaluate V_dg once per certificate and combine
+        # it through of_parts; that must be value() bit for bit.
+        r, d, c = RNG.uniform(-3.0, 3.0, (3, 200))
+        clf = logging_clf(ControllerId.GLOFO, UNIT)
+        for kind in CompositeKind:
+            for order in CompositeOrder:
+                fn = LyapunovFn(clf, kind, order)
+                got = fn.of_parts(r**2, clf.value(d, c))
+                assert got.tobytes() == fn.value(r, d, c).tobytes(), (kind, order)
+
     def test_full_gradient_matches_fd(self):
         for kind in CompositeKind:
             for order in CompositeOrder:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from unipark.simulate import (
     integrate_batch,
     sweep,
 )
-from unipark.spaces import CartesianState, PolarState, StateSpaceId, metric_values
+from unipark.spaces import CartesianState, PolarState, StateSpaceId, barrier_margin_values, metric_values
 
 UNIT = Gains()
 
@@ -222,17 +223,17 @@ def assert_same_run(got, want):
 
 
 def raising_law(cid, exc, at_step):
-    """The law table entry of ``cid`` with a law that raises ``exc`` on
-    scalar calls from the first RK4 stage of step ``at_step`` (counted from
-    1) on; each step evaluates the law four times.  Array calls, as in the
-    post-hoc log, pass through."""
+    """The law table entry of ``cid`` with a law that raises ``exc`` on the
+    first RK4 stage of scalar step ``at_step`` (counted from 1); each step
+    evaluates the law four times, and every other call, array calls as in
+    the post-hoc log too, passes through."""
     law = ctl._LAWS[cid]
     calls = [0]
 
     def fn(xp, g, d, c):
         if xp is SCALAR:
             calls[0] += 1
-            if calls[0] > 4 * (at_step - 1):
+            if calls[0] == 4 * (at_step - 1) + 1:
                 raise exc
         return law.fn(xp, g, d, c)
 
@@ -369,21 +370,38 @@ class TestLoggedMetricDecides:
 
 # Batches whose runs end in every termination kind; each run agrees with the
 # scalar loop on every BatchResult field.  Starts are polar (rho, delta, gamma).
-# bopa and barfli at dt >= 0.2 are left out: their runs are chaotic there,
-# and ULP-level differences between the scalar and array kernels grow until
-# the two paths take different exits.
+# A batch of at most simulate._SCALAR_RUNS runs steps each of them with the
+# scalar RK4 and so equals integrate bit for bit; bopa and barfli at dt 0.2
+# are chaotic, and ULP-level differences of the array kernels would grow
+# until the two paths took different exits.
+BAGAL_STARTS = [(1.0, 0.5, -0.3), (1.0, 2.9, 2.9), (1.0, 3.0, 2.0), (3.0, -2.5, 2.8),
+                (0.5, 1.0, 3.1), (2.0, 3.1, -3.1)]
 LOCKSTEP_CASES = {
     # 3 converged runs and 3 barrier-guard trips.
-    "bagal": (ControllerId.BAGAL, 0.2, 30.0,
-              [(1.0, 0.5, -0.3), (1.0, 2.9, 2.9), (1.0, 3.0, 2.0), (3.0, -2.5, 2.8),
-               (0.5, 1.0, 3.1), (2.0, 3.1, -3.1)]),
+    "bagal": (ControllerId.BAGAL, 0.2, 30.0, BAGAL_STARTS),
+    "bopa": (ControllerId.BOPA, 0.2, 30.0, BAGAL_STARTS),
+    "barfli": (ControllerId.BARFLI, 0.2, 30.0, BAGAL_STARTS),
     # Steps so large that every run ends in a numeric stop.
     "globa-cons": (ControllerId.GLOBA_CONS, 900.0, 18000.0,
                    [(1.0, 3.0, 2.0), (1.0, 0.5, -0.3), (2.0, -1.0, 1.0), (0.5, 2.0, -2.5)]),
     # Every run still active at t_max.
     "genova": (ControllerId.GENOVA, 0.01, 2.0,
                [(1.0, 0.5, -0.5), (2.0, 3.0, 1.0), (0.5, -2.0, 2.0), (1.5, 1.0, -1.0)]),
+    # 80 runs, so the batch starts on arrays and thins to the scalar fill
+    # while some runs are still active.
+    "bagal-grid": (ControllerId.BAGAL, 0.05, 30.0,
+                   [(r, d, c) for r in (0.5, 1.0, 2.0, 3.0) for d in (-3.0, -1.5, 0.0, 1.5, 3.0)
+                    for c in (-2.8, -1.0, 1.0, 2.8)]),
 }
+LOCKSTEP_KINDS = {
+    "bagal": {Termination.CONVERGED, Termination.BARRIER_GUARD},
+    "bopa": {Termination.CONVERGED, Termination.BARRIER_GUARD, Termination.T_MAX},
+    "barfli": {Termination.CONVERGED, Termination.BARRIER_GUARD, Termination.T_MAX},
+    "globa-cons": {Termination.NUMERIC},
+    "genova": {Termination.T_MAX},
+    "bagal-grid": {Termination.CONVERGED, Termination.BARRIER_GUARD},
+}
+THINNING = "bagal-grid"
 
 
 def lockstep_batch(name):
@@ -394,36 +412,95 @@ def lockstep_batch(name):
     return s, starts, integrate_batch(s, starts)
 
 
+def assert_lockstep(s, starts, br, exact):
+    """Every BatchResult field of each run against its integrate run: bit
+    for bit if ``exact``, else the floats within 1e-9.  Returns the set of
+    terminations."""
+    if exact:
+        def same(a, b):
+            return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+    else:
+        def same(a, b):
+            return np.allclose(a, b, rtol=0.0, atol=1e-9)
+    kinds = set()
+    for i, start in enumerate(starts):
+        tr = integrate(replace(s, initial=PolarState(*start)))
+        kinds.add(tr.termination)
+        assert br.converged[i] == (tr.termination is Termination.CONVERGED)
+        assert br.barrier_trips[i] == (tr.termination is Termination.BARRIER_GUARD)
+        assert br.numeric_failures[i] == (tr.termination is Termination.NUMERIC)
+        if tr.termination is Termination.CONVERGED:
+            assert same(br.convergence_time[i], tr.convergence_time())
+        else:
+            assert math.isnan(br.convergence_time[i])
+        assert br.v_violations[i] == tr.v_monotonicity_violations()
+        assert same(br.min_barrier_margin[i], tr.min_barrier_margin(s.space))
+        assert same(br.max_abs_delta[i], np.abs(tr.polar[:, 1]).max())
+        assert same(br.max_abs_gamma[i], np.abs(tr.polar[:, 2]).max())
+        # Both paths end at the last state before a guard trip or a
+        # numeric stop.
+        assert same(br.final_states[i], tr.polar[-1])
+        assert same(br.final_metric[i], tr.metric[-1])
+        assert br.converged[i] == (br.final_metric[i] < s.stop_tol)
+    return kinds
+
+
+@pytest.fixture(params=[None, 0], ids=["scalar_runs_default", "array_only"])
+def scalar_runs(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(unipark.simulate, "_SCALAR_RUNS", request.param)
+    return request.param
+
+
 class TestBatch:
-    @pytest.mark.parametrize("name", list(LOCKSTEP_CASES))
+    @pytest.mark.parametrize("name", [name for name in LOCKSTEP_CASES if name != THINNING])
     def test_lockstep_every_field(self, name):
         s, starts, br = lockstep_batch(name)
-        kinds = set()
-        for i, start in enumerate(starts):
-            tr = integrate(replace(s, initial=PolarState(*start)))
-            kinds.add(tr.termination)
-            assert br.converged[i] == (tr.termination is Termination.CONVERGED)
-            assert br.barrier_trips[i] == (tr.termination is Termination.BARRIER_GUARD)
-            assert br.numeric_failures[i] == (tr.termination is Termination.NUMERIC)
-            if tr.termination is Termination.CONVERGED:
-                assert br.convergence_time[i] == pytest.approx(tr.convergence_time(), abs=1e-9)
-            else:
-                assert math.isnan(br.convergence_time[i])
-            assert br.v_violations[i] == tr.v_monotonicity_violations()
-            assert br.min_barrier_margin[i] == pytest.approx(tr.min_barrier_margin(s.space), abs=1e-9)
-            assert br.max_abs_delta[i] == pytest.approx(np.abs(tr.polar[:, 1]).max(), abs=1e-9)
-            assert br.max_abs_gamma[i] == pytest.approx(np.abs(tr.polar[:, 2]).max(), abs=1e-9)
-            # Both paths end at the last state before a guard trip or a
-            # numeric stop.
-            np.testing.assert_allclose(br.final_states[i], tr.polar[-1], atol=1e-9)
-            assert br.final_metric[i] == pytest.approx(tr.metric[-1], abs=1e-9)
-            assert br.converged[i] == (br.final_metric[i] < s.stop_tol)
-        want = {
-            "bagal": {Termination.CONVERGED, Termination.BARRIER_GUARD},
-            "globa-cons": {Termination.NUMERIC},
-            "genova": {Termination.T_MAX},
-        }
-        assert kinds == want[name]
+        assert len(starts) <= unipark.simulate._SCALAR_RUNS
+        assert assert_lockstep(s, starts, br, exact=True) == LOCKSTEP_KINDS[name]
+
+    def test_lockstep_thinning(self, monkeypatch, scalar_runs):
+        # The fill switches from arrays to the scalar RK4 mid-run, unless
+        # the constant is 0 and every block is stepped on arrays.
+        fills = set()
+        for name in ("_rk4_block", "_scalar_block"):
+            def spy(*args, fill=getattr(unipark.simulate, name), name=name):
+                fills.add(name)
+                return fill(*args)
+
+            monkeypatch.setattr(unipark.simulate, name, spy)
+        s, starts, br = lockstep_batch(THINNING)
+        assert len(starts) > unipark.simulate._SCALAR_RUNS
+        assert assert_lockstep(s, starts, br, exact=False) == LOCKSTEP_KINDS[THINNING]
+        assert fills == ({"_rk4_block"} if scalar_runs == 0 else {"_rk4_block", "_scalar_block"})
+
+    @pytest.mark.parametrize("exc", [DomainError("law outside its domain"), OverflowError("stage"),
+                                     ZeroDivisionError("stage")], ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("at_step", [1, 5])
+    def test_raising_stage(self, monkeypatch, exc, at_step):
+        # The scalar fill steps one run at a time, the first one first, so
+        # the law raises in the first run's step at_step.  That run ends as
+        # numeric there, with the state of the step before, and the others
+        # are untouched.
+        s, starts, plain = lockstep_batch("bagal")
+        log = integrate(replace(s, initial=PolarState(*starts[0])))
+        assert len(log.t) > at_step + 1
+        monkeypatch.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, at_step))
+        br = integrate_batch(s, starts)
+        assert br.numeric_failures[0] and not (br.converged[0] or br.barrier_trips[0])
+        assert math.isnan(br.convergence_time[0])
+        assert br.final_states[0].tobytes() == log.polar[at_step - 1].tobytes()
+        assert br.final_metric[0] == log.metric[at_step - 1]
+        assert br.max_abs_delta[0] == np.abs(log.polar[:at_step, 1]).max()
+        assert br.max_abs_gamma[0] == np.abs(log.polar[:at_step, 2]).max()
+        assert br.min_barrier_margin[0] == np.min(
+            barrier_margin_values(s.space, log.polar[:at_step, 1], log.polar[:at_step, 2]))
+        assert br.v_violations[0] == np.sum(np.diff(log.V[:at_step]) > unipark.simulate.V_MONOTONE_TOL)
+        for f in dataclasses.fields(br):
+            got, want = getattr(br, f.name), getattr(plain, f.name)
+            assert (got is None) == (want is None), f.name
+            if got is not None:
+                assert got[1:].tobytes() == want[1:].tobytes(), f.name
 
     def test_matches_scalar(self):
         inits = np.array([[1.5, 1.0, -0.5], [0.8, -2.0, 0.7]])
