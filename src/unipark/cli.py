@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenv
 from .lyapunov import CompositeKind, CompositeOrder
 from .simulate import Scenario, Termination, Trajectory, integrate, sweep_point
 from .spaces import CartesianState, PolarState
-from .svg import SvgPath, palette_color, render_paths
+from .svg import SvgPath, palette_color, write_svg
 from .verify import eigenvalue_error, run_all
 
 SCHEMA_VERSION = 1
@@ -217,9 +218,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_trajectory(traj, out / f"{stem}.csv" if "csv" in fmts else None,
                          out / f"{stem}.json" if "json" in fmts else None)
     if "svg" in fmts:
-        (out / f"{stem}.svg").write_text(
-            render_paths([SvgPath(traj.cartesian, label=scenario.controller.value)])
-        )
+        write_svg(out / f"{stem}.svg", [SvgPath(traj.cartesian, label=scenario.controller.value)])
     print(
         f"{scenario.controller.value}: {traj.termination.value} at t={traj.final_time:g}, "
         f"metric={traj.metric[-1]:.3e}, outputs in {out}"
@@ -287,11 +286,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary["controllers"][cid.value] = recs
     if "json" in fmts:
         _write_json(summary, out / "sweep_summary.json")
+    text = _summary_text(summary)
     if "txt" in fmts:
-        (out / "sweep_summary.txt").write_text(_summary_text(summary))
+        (out / "sweep_summary.txt").write_text(text)
     if "svg" in fmts and paths:
-        (out / "sweep_overlay.svg").write_text(render_paths(paths))
-    print(_summary_text(summary), end="")
+        write_svg(out / "sweep_overlay.svg", paths)
+    print(text, end="")
     print(f"outputs in {out}")
     return 1 if failures else 0
 
@@ -424,9 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves it unchanged, so it is reused."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as e:

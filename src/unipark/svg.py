@@ -3,19 +3,29 @@
 One drawing shows (x, y) paths with periodic heading ticks, the target pose
 marker at the origin (arrow along the target heading), and labelled axes.
 No external assets, scripts, or fonts beyond generic sans-serif.
+
+The document is produced as a stream of text pieces, each polyline a chunk
+of ``_CHUNK_VERTICES`` vertices at a time.  :func:`write_svg` writes the
+pieces straight to a file, so memory is bounded by the kept paths, not by
+the document; :func:`render_paths` joins the same pieces into a string.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-__all__ = ["SvgPath", "palette_color", "render_paths"]
+__all__ = ["SvgPath", "palette_color", "render_paths", "write_svg"]
 
 # The longer side of the drawing, in px.
 _SIZE = 640
+# Polyline vertices formatted per piece, so a piece stays small however long
+# the path.
+_CHUNK_VERTICES = 1024
 _COLORS = ("#d62728", "#1f77b4", "#17becf", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -50,7 +60,25 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def render_paths(paths: list[SvgPath]) -> str:
     """Render trajectories to an SVG string of at most ``_SIZE`` px a side, with
-    about 25 heading dashes per path and the target pose at the origin."""
+    about 25 heading dashes per path and the target pose at the origin.
+
+    The string is the pieces :func:`write_svg` streams, joined; it holds the
+    whole document, so write files with :func:`write_svg`."""
+    return "".join(_pieces(paths))
+
+
+def write_svg(path: Path, paths: list[SvgPath]) -> None:
+    """Write the drawing of :func:`render_paths` to ``path``, piece by piece.
+
+    Each polyline is formatted ``_CHUNK_VERTICES`` vertices at a time, so
+    memory beyond the kept paths stays bounded however long they are; the
+    bytes equal ``render_paths(paths)``."""
+    with open(path, "w") as fh:
+        fh.writelines(_pieces(paths))
+
+
+def _pieces(paths: list[SvgPath]) -> Iterator[str]:
+    """The SVG document of ``paths`` as consecutive text pieces."""
     xs = [0.0]
     ys = [0.0]
     for p in paths:
@@ -76,83 +104,86 @@ def render_paths(paths: list[SvgPath]) -> str:
         # SVG y grows downward; world y grows upward.
         return (h - 40.0) - (y - y_lo) * scale
 
-    out = [
+    # Every element ends its line except the closing tag.
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
-    ]
+        f'viewBox="0 0 {w} {h}">\n'
+    )
+    yield f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n'
     # Axes with tick labels.
     ax_y = sy(y_lo)
     ax_x = sx(x_lo)
-    out.append(
+    yield (
         f'<line x1="{sx(x_lo):.1f}" y1="{ax_y:.1f}" x2="{sx(x_hi):.1f}" y2="{ax_y:.1f}" '
-        'stroke="#444" stroke-width="1"/>'
+        'stroke="#444" stroke-width="1"/>\n'
     )
-    out.append(
+    yield (
         f'<line x1="{ax_x:.1f}" y1="{sy(y_lo):.1f}" x2="{ax_x:.1f}" y2="{sy(y_hi):.1f}" '
-        'stroke="#444" stroke-width="1"/>'
+        'stroke="#444" stroke-width="1"/>\n'
     )
     for t in _ticks(x_lo, x_hi):
-        out.append(
+        yield (
             f'<line x1="{sx(t):.1f}" y1="{ax_y:.1f}" x2="{sx(t):.1f}" y2="{ax_y + 4:.1f}" '
-            'stroke="#444" stroke-width="1"/>'
+            'stroke="#444" stroke-width="1"/>\n'
         )
-        out.append(
+        yield (
             f'<text x="{sx(t):.1f}" y="{ax_y + 16:.1f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle" fill="#444">{t:g}</text>'
+            f'font-size="11" text-anchor="middle" fill="#444">{t:g}</text>\n'
         )
     for t in _ticks(y_lo, y_hi):
-        out.append(
+        yield (
             f'<line x1="{ax_x - 4:.1f}" y1="{sy(t):.1f}" x2="{ax_x:.1f}" y2="{sy(t):.1f}" '
-            'stroke="#444" stroke-width="1"/>'
+            'stroke="#444" stroke-width="1"/>\n'
         )
-        out.append(
+        yield (
             f'<text x="{ax_x - 7:.1f}" y="{sy(t) + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end" fill="#444">{t:g}</text>'
+            f'font-size="11" text-anchor="end" fill="#444">{t:g}</text>\n'
         )
-    out.append(
+    yield (
         f'<text x="{sx(x_hi):.1f}" y="{ax_y + 32:.1f}" font-family="sans-serif" '
-        'font-size="12" text-anchor="end" fill="#222">x [m]</text>'
+        'font-size="12" text-anchor="end" fill="#222">x [m]</text>\n'
     )
-    out.append(
+    yield (
         f'<text x="{ax_x + 6:.1f}" y="{sy(y_hi) - 8:.1f}" font-family="sans-serif" '
-        'font-size="12" fill="#222">y [m]</text>'
+        'font-size="12" fill="#222">y [m]</text>\n'
     )
 
     # Trajectories.
     for i, p in enumerate(paths):
         arr = np.asarray(p.cartesian, dtype=float).reshape(-1, 3)
         color = p.color or palette_color(i)
-        screen = np.column_stack((sx(arr[:, 0]), sy(arr[:, 1])))
-        pts = " ".join(["%.2f,%.2f"] * len(arr)) % tuple(screen.ravel().tolist())
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        yield '<polyline points="'
+        for start in range(0, len(arr), _CHUNK_VERTICES):
+            chunk = arr[start:start + _CHUNK_VERTICES]
+            screen = np.column_stack((sx(chunk[:, 0]), sy(chunk[:, 1])))
+            yield ((" " if start else "") + " ".join(["%.2f,%.2f"] * len(chunk))
+                   % tuple(screen.ravel().tolist()))
+        yield f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
         stride = max(1, len(arr) // 25)
         tick_len = 0.025 * span
         for j in range(0, len(arr), stride):
             x, y, th = arr[j]
-            out.append(
+            yield (
                 f'<line x1="{sx(x):.2f}" y1="{sy(y):.2f}" '
                 f'x2="{sx(x + tick_len * math.cos(th)):.2f}" '
                 f'y2="{sy(y + tick_len * math.sin(th)):.2f}" '
-                f'stroke="{color}" stroke-width="0.8" opacity="0.7"/>'
+                f'stroke="{color}" stroke-width="0.8" opacity="0.7"/>\n'
             )
         # Start marker.
-        out.append(
+        yield (
             f'<circle cx="{sx(arr[0, 0]):.2f}" cy="{sy(arr[0, 1]):.2f}" r="3" '
-            f'fill="{color}"/>'
+            f'fill="{color}"/>\n'
         )
 
     # Target pose: filled arrow at the origin along +x.
     a_len = 0.06 * span
     a_wid = 0.022 * span
-    out.append(
+    yield (
         '<polygon points="'
         f'{sx(a_len):.2f},{sy(0.0):.2f} {sx(0.0):.2f},{sy(a_wid):.2f} '
-        f'{sx(0.0):.2f},{sy(-a_wid):.2f}" fill="black"/>'
+        f'{sx(0.0):.2f},{sy(-a_wid):.2f}" fill="black"/>\n'
     )
-    out.append(f'<circle cx="{sx(0.0):.2f}" cy="{sy(0.0):.2f}" r="2.5" fill="black"/>')
+    yield f'<circle cx="{sx(0.0):.2f}" cy="{sy(0.0):.2f}" r="2.5" fill="black"/>\n'
 
     # Legend for labelled paths (one entry per distinct label).
     seen: dict[str, str] = {}
@@ -161,13 +192,12 @@ def render_paths(paths: list[SvgPath]) -> str:
             seen[p.label] = p.color or palette_color(i)
     for row, (label, color) in enumerate(seen.items()):
         ly = 20 + 16 * row
-        out.append(
+        yield (
             f'<line x1="{w - 130}" y1="{ly}" x2="{w - 110}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
+            f'stroke="{color}" stroke-width="2"/>\n'
         )
-        out.append(
+        yield (
             f'<text x="{w - 104}" y="{ly + 4}" font-family="sans-serif" font-size="12" '
-            f'fill="#222">{label}</text>'
+            f'fill="#222">{label}</text>\n'
         )
-    out.append("</svg>")
-    return "\n".join(out)
+    yield "</svg>"

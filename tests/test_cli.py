@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unipark.cli
+import unipark.svg
 from oracles import polyline_reference, trajectory_csv_reference, trajectory_json_reference
 from unipark.cli import main, write_trajectory
 from unipark.controllers import ControllerId, Gains
 from unipark.lyapunov import CompositeKind, CompositeOrder
 from unipark.simulate import Scenario, integrate
 from unipark.spaces import CartesianState, PolarState
-from unipark.svg import SvgPath, render_paths
+from unipark.svg import SvgPath, render_paths, write_svg
 
 
 def run(argv):
@@ -226,12 +228,39 @@ class TestTrajectoryWriters:
             assert (tmp_path / "traj_globa.json").read_text() == trajectory_json_reference(traj)
 
     def test_polylines(self):
-        polar, crossing, one_row = (integrate(_scenario(k)).cartesian for k in ("polar", "crossing", "one_row"))
+        polar, crossing, one_row, long = (
+            integrate(_scenario(k)).cartesian for k in ("polar", "crossing", "one_row", "long")
+        )
+        chunk = unipark.svg._CHUNK_VERTICES
+        assert len(long) > 2 * chunk + 1 and len(long) % chunk  # a partial last chunk
         far = crossing * np.array([-40.0, 25.0, 1.0]) + np.array([3.0, -7.0, 0.0])
-        for paths in ([polar], [one_row], [polar, crossing, one_row], [far, polar]):
+        for paths in ([polar], [one_row], [polar, crossing, one_row], [far, polar],
+                      [long], [long[:2 * chunk + 1], long[:2 * chunk], polar]):
             svg_paths = [SvgPath(a, label="p") for a in paths]
             drawn = re.findall(r'<polyline points="([^"]*)"', render_paths(svg_paths))
             assert drawn == polyline_reference(svg_paths)
+
+    def test_write_svg_is_render_paths(self, tmp_path):
+        long, crossing = (integrate(_scenario(k)).cartesian for k in ("long", "crossing"))
+        paths = [SvgPath(long, label="long"), SvgPath(crossing, label="crossing", color="#123456"),
+                 SvgPath(long[:2 * unipark.svg._CHUNK_VERTICES], label="long")]
+        write_svg(tmp_path / "o.svg", paths)
+        assert (tmp_path / "o.svg").read_bytes() == render_paths(paths).encode()
+
+    def test_write_svg_memory_is_bounded(self, tmp_path):
+        # The whole polyline formatted at once would hold its text, its
+        # 400k floats and their list and tuple: several times the document.
+        s = np.linspace(0.0, 40.0, 200_000)
+        r = np.exp(-0.05 * s)
+        path = SvgPath(np.column_stack((r * np.cos(s), r * np.sin(s), s)))
+        out = tmp_path / "big.svg"
+        tracemalloc.start()
+        try:
+            write_svg(out, [path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size
 
 
 class TestSweepCommand:
