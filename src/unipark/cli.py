@@ -317,14 +317,20 @@ def _summary_text(summary: dict) -> str:
 
 
 def _parse_pole(text: str) -> complex:
+    t = text.strip()
     try:
-        return complex(text.strip().replace("i", "j"))
+        z = complex(t[:-1] + "j" if t.endswith("i") else t)  # the "i" of inf stays
     except ValueError:
         raise ConfigError(f"bad pole {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ConfigError(f"pole {text!r} must be finite")
+    return z
 
 
 def cmd_gains(args: argparse.Namespace) -> int:
     family = _choice(DesignFamily, args.family, "family")
+    if args.epsilon is not None and not math.isfinite(args.epsilon):
+        raise ConfigError(f"--epsilon must be finite, got {args.epsilon!r}")
     poles = [_parse_pole(p) for p in args.poles.split(",") if p.strip()]
     if len(poles) != 3:
         raise ConfigError(f"--poles needs three comma-separated values, got {len(poles)}")

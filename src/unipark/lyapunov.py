@@ -18,7 +18,8 @@ space (:func:`unipark.spaces.warp_delta_gamma`).  With ``q = sqrt(k1/k3)``:
 
 Gradients are one chain rule through ``J = 1 + (Delta/2)^2`` (likewise for
 Gamma) on each constrained axis, ``J = 1`` elsewhere.  The closed-form rates
-stay per law, each its own bound, and libac keeps its own certificate.
+stay per law, each its own bound, and read tan(angle/2) as Delta/2 or
+Gamma/2 from the same warp; libac keeps its own certificate.
 
 Full-state certificates are built modularly as composites
 ``V(rho, delta, gamma) = calV(rho^2, V_dg)`` (or with the arguments swapped),
@@ -27,9 +28,10 @@ radially unbounded, and has positive partial derivatives off the origin.
 Seven ready-made combiners are provided (:class:`CompositeKind`); the
 default ``r + s`` reproduces the plain additive certificates.
 
-All evaluators accept floats or numpy arrays and are pure; gradients are
-hand-derived closed forms guarded by finite-difference tests, keeping the
-artifact free of automatic differentiation.
+Each per-family function is written once over a primitive namespace ``xp``,
+as the laws are; :class:`SteeringClf` passes ``ARRAY``.  All evaluators are
+pure; gradients are hand-derived closed forms guarded by finite-difference
+tests, keeping the artifact free of automatic differentiation.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .controllers import (
     ControllerId,
     Gains,
     controller_space,
-    z_barfli,
+    steering_tilde_many,
     z_globa,
     z_libac,
     zeta_bofo,
@@ -79,8 +81,8 @@ class RateKind(Enum):
 
 
 # ---------------------------------------------------------------------------
-# Per-family V_dg.  Value and gradient take (g: Gains, ss, d, c), the rate
-# (g, d, c), with d, c float arrays; s = tan(delta/2), t = tan(gamma/2).
+# Per-family V_dg.  Value, gradient and rate all take (xp, g: Gains, ss, d, c)
+# like the laws; a rate's s = tan(delta/2), t = tan(gamma/2) are Delta/2, Gamma/2.
 # ---------------------------------------------------------------------------
 
 
@@ -132,14 +134,14 @@ def _passivity(weight: Callable) -> tuple[Callable, Callable]:
     """W(U) + z^2 with U = Delta^2 + q^2*Gamma^2 and z = Delta + q*Gamma; genova
     (Aicardi et al., IEEE RAM 1995) is the unwarped case."""
 
-    def value(g, ss, d, c):
-        big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+    def value(xp, g, ss, d, c):
+        big_d, big_g = warp_delta_gamma(xp, ss, d, c)
         w, _ = weight(g, _storage(g, big_d, big_g))
         z = big_d + g.q * big_g
         return w + z * z
 
-    def grad(g, ss, d, c):
-        big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+    def grad(xp, g, ss, d, c):
+        big_d, big_g = warp_delta_gamma(xp, ss, d, c)
         jd, jg = _warp_slopes(ss, big_d, big_g)
         _, wp = weight(g, _storage(g, big_d, big_g))
         q = g.q
@@ -153,105 +155,100 @@ def _passivity(weight: Callable) -> tuple[Callable, Callable]:
 
 def _forwarding(zeta: Callable, slope: Callable) -> tuple[Callable, Callable]:
     """zeta^2 + q^2*Gamma^2 for zeta = delta + (k1/k2)*phi(gamma), where
-    ``slope`` is phi'(gamma); delta is never constrained here."""
+    ``slope(xp, c)`` is phi'(gamma); delta is never constrained here."""
 
-    def value(g, ss, d, c):
-        _, big_g = warp_delta_gamma(ARRAY, ss, d, c)
-        z = zeta(ARRAY, g, d, c)
+    def value(xp, g, ss, d, c):
+        _, big_g = warp_delta_gamma(xp, ss, d, c)
+        z = zeta(xp, g, d, c)
         return z * z + g.q * g.q * big_g * big_g
 
-    def grad(g, ss, d, c):
-        big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+    def grad(xp, g, ss, d, c):
+        big_d, big_g = warp_delta_gamma(xp, ss, d, c)
         _, jg = _warp_slopes(ss, big_d, big_g)
         q = g.q
-        z = zeta(ARRAY, g, d, c)
-        return 2.0 * z, 2.0 * z * g.k1 / g.k2 * slope(c) + 2.0 * q * q * big_g * jg
+        z = zeta(xp, g, d, c)
+        return 2.0 * z, 2.0 * z * g.k1 / g.k2 * slope(xp, c) + 2.0 * q * q * big_g * jg
 
     return value, grad
 
 
-def _backstepping_value(g, ss, d, c):
+def _backstepping_value(xp, g, ss, d, c):
     """Delta^2 + q^2*z^2 with z = gamma + atan(2*k2*Delta)/2; gamma is never
     constrained here."""
-    big_d, _ = warp_delta_gamma(ARRAY, ss, d, c)
-    z = z_globa(ARRAY, g, big_d, c)
+    big_d, _ = warp_delta_gamma(xp, ss, d, c)
+    z = z_globa(xp, g, big_d, c)
     return big_d * big_d + g.q * g.q * z * z
 
 
-def _backstepping_grad(g, ss, d, c):
-    big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+def _backstepping_grad(xp, g, ss, d, c):
+    big_d, big_g = warp_delta_gamma(xp, ss, d, c)
     jd, _ = _warp_slopes(ss, big_d, big_g)
     q = g.q
-    z = z_globa(ARRAY, g, big_d, c)
+    z = z_globa(xp, g, big_d, c)
     n2 = 1.0 + 4.0 * g.k2 * g.k2 * big_d * big_d
     return 2.0 * big_d * jd + 2.0 * q * q * z * g.k2 * jd / n2, 2.0 * q * q * z
 
 
-def _genova_rate(g, d, c):
+def _genova_rate(xp, g, ss, d, c):
     q = g.q
     z = d + q * c
     return -2.0 * g.k1 * g.k2 * c * c - 1.5 * g.k2 * z * z - 2.0 * g.k1 * q * c**4
 
 
-def _bolsa_rate(g, d, c):
+def _bolsa_rate(xp, g, ss, d, c):
     q = g.q
-    t = np.tan(0.5 * c)
+    t = 0.5 * warp_delta_gamma(xp, ss, d, c)[1]
     v0 = 4.0 * t * t
-    return (
-        -2.0 * g.k1 * g.k2 * v0
-        - 1.5 * g.k2 * (d + q * t) ** 2
-        - 2.0 * g.k1 * q * v0 * v0
-    )
+    return -2.0 * g.k1 * g.k2 * v0 - 1.5 * g.k2 * (d + q * t) ** 2 - 2.0 * g.k1 * q * v0 * v0
 
 
-def _bopa_rate(g, d, c):
+def _bopa_rate(xp, g, ss, d, c):
     q = g.q
-    s = np.tan(0.5 * d)
+    s = 0.5 * warp_delta_gamma(xp, ss, d, c)[0]
     return -1.5 * g.k2 * (s + q * c) ** 2 - 4.0 * _a_bopa(g) * q * q * c**4
 
 
-def _bagal_rate(g, d, c):
+def _bagal_rate(xp, g, ss, d, c):
     q = g.q
-    s = np.tan(0.5 * d)
-    t = np.tan(0.5 * c)
+    big_d, big_g = warp_delta_gamma(xp, ss, d, c)
+    s, t = 0.5 * big_d, 0.5 * big_g
     return -16.0 * _a_bagal(g) * q * q * t**4 - 1.5 * g.k2 * (s + q * t) ** 2
 
 
-def _glofo_rate(g, d, c):
-    zeta = zeta_glofo(ARRAY, g, d, c)
-    w = g.k3 / g.k2 * ARRAY.sinc(2.0 * c) * zeta
+def _glofo_rate(xp, g, ss, d, c):
+    zeta = zeta_glofo(xp, g, d, c)
+    w = g.k3 / g.k2 * xp.sinc(2.0 * c) * zeta
     return -g.k1 * g.k2 / g.k3 * (w * w + c * c + (w + c) ** 2)
 
 
-def _bofo_rate(g, d, c):
-    t = np.tan(0.5 * c)
-    zeta = zeta_bofo(ARRAY, g, d, c)
-    w = g.k3 / g.k2 * np.cos(c) / (1.0 + t * t) * zeta
+def _bofo_rate(xp, g, ss, d, c):
+    t = 0.5 * warp_delta_gamma(xp, ss, d, c)[1]
+    zeta = zeta_bofo(xp, g, d, c)
+    w = g.k3 / g.k2 * xp.cos(c) / (1.0 + t * t) * zeta
     return -g.k1 * g.k2 / g.k3 * (w * w + 4.0 * t * t + (w + 2.0 * t) ** 2)
 
 
-def _globa_rate(g, d, c):
-    q = g.q
-    z = z_globa(ARRAY, g, d, c)
-    n = np.sqrt(1.0 + 4.0 * g.k2 * g.k2 * d * d)
-    return -2.0 * g.k1 * g.k2 * d * d / n - 2.0 * q * q * g.k4 * z * z
+def _globa_rate(weight: float) -> Callable:
+    """-weight*k1*k2*d^2/sqrt(1 + 4*k2^2*d^2) - 2*q^2*k4*z^2: globa's exact
+    rate at weight 2, and at weight 1 the Young-bounded decrease of the
+    interpretable and conservative variants, which reuse its certificate."""
+
+    def rate(xp, g, ss, d, c):
+        q = g.q
+        z = z_globa(xp, g, d, c)
+        n = xp.sqrt(1.0 + 4.0 * g.k2 * g.k2 * d * d)
+        return -weight * g.k1 * g.k2 * d * d / n - 2.0 * q * q * g.k4 * z * z
+
+    return rate
 
 
-def _barfli_rate(g, d, c):
+def _barfli_rate(xp, g, ss, d, c):
     q = g.q
-    s = np.tan(0.5 * d)
-    z = z_barfli(ARRAY, g, d, c)
-    n = np.sqrt(1.0 + 16.0 * g.k2 * g.k2 * s * s)
+    big_d, _ = warp_delta_gamma(xp, ss, d, c)
+    s = 0.5 * big_d
+    z = z_globa(xp, g, big_d, c)
+    n = xp.sqrt(1.0 + 16.0 * g.k2 * g.k2 * s * s)
     return -8.0 * g.k1 * g.k2 * (1.0 + s * s) * s * s / n - 2.0 * g.k4 * q * q * z * z
-
-
-# Interpretable/conservative backstepping reuse the globa certificate; their
-# Young-bounded decrease shares one closed form.
-def _globa_variant_rate(g, d, c):
-    q = g.q
-    z = z_globa(ARRAY, g, d, c)
-    n = np.sqrt(1.0 + 4.0 * g.k2 * g.k2 * d * d)
-    return -g.k1 * g.k2 * d * d / n - 2.0 * q * q * g.k4 * z * z
 
 
 # libac: pairing the law with the plain 4*tan^2(delta/2) barrier only
@@ -262,24 +259,23 @@ def _globa_variant_rate(g, d, c):
 #   V' = -(k1*k2/k3)*tan^2(delta/2) - 2*k1*(gamma + delta/2)^2
 
 
-def _libac_value(g, ss, d, c):
-    big_d, _ = warp_delta_gamma(ARRAY, ss, d, c)
-    s = 0.5 * big_d
-    z = z_libac(ARRAY, g, d, c)
+def _libac_value(xp, g, ss, d, c):
+    s = 0.5 * warp_delta_gamma(xp, ss, d, c)[0]
+    z = z_libac(xp, g, d, c)
     return g.k2 / g.k3 * s * s + g.q * g.q * z * z
 
 
-def _libac_grad(g, ss, d, c):
-    big_d, big_g = warp_delta_gamma(ARRAY, ss, d, c)
+def _libac_grad(xp, g, ss, d, c):
+    big_d, big_g = warp_delta_gamma(xp, ss, d, c)
     jd, _ = _warp_slopes(ss, big_d, big_g)
     q = g.q
-    z = z_libac(ARRAY, g, d, c)
+    z = z_libac(xp, g, d, c)
     return g.k2 / g.k3 * (0.5 * big_d) * jd + q * q * z, 2.0 * q * q * z
 
 
-def _libac_rate(g, d, c):
-    s = np.tan(0.5 * d)
-    z = z_libac(ARRAY, g, d, c)
+def _libac_rate(xp, g, ss, d, c):
+    s = 0.5 * warp_delta_gamma(xp, ss, d, c)[0]
+    z = z_libac(xp, g, d, c)
     return -g.k1 * g.k2 / g.k3 * s * s - 2.0 * g.k1 * z * z
 
 
@@ -287,27 +283,25 @@ _FamilyFns = tuple[Callable, Callable, Callable, RateKind]
 
 _QUADRATIC = _passivity(_passivity_weight)
 _BACKSTEPPING = (_backstepping_value, _backstepping_grad)
+_GLOFO = _forwarding(zeta_glofo, lambda xp, c: xp.sinc(2.0 * c))
+_BOFO = _forwarding(zeta_bofo, lambda xp, c: xp.cos(c))
 
 _FAMILIES: dict[ControllerId, _FamilyFns] = {
     ControllerId.GENOVA: (*_QUADRATIC, _genova_rate, RateKind.UPPER_BOUND),
     ControllerId.BOLSA: (*_QUADRATIC, _bolsa_rate, RateKind.UPPER_BOUND),
     ControllerId.BOPA: (*_passivity(_cubic_weight(_a_bopa)), _bopa_rate, RateKind.UPPER_BOUND),
     ControllerId.BAGAL: (*_passivity(_cubic_weight(_a_bagal)), _bagal_rate, RateKind.UPPER_BOUND),
-    ControllerId.GLOFO: (
-        *_forwarding(zeta_glofo, lambda c: ARRAY.sinc(2.0 * c)), _glofo_rate, RateKind.EQUALITY
-    ),
-    ControllerId.BOFO: (*_forwarding(zeta_bofo, np.cos), _bofo_rate, RateKind.EQUALITY),
-    ControllerId.GLOBA: (*_BACKSTEPPING, _globa_rate, RateKind.EQUALITY),
+    ControllerId.GLOFO: (*_GLOFO, _glofo_rate, RateKind.EQUALITY),
+    ControllerId.BOFO: (*_BOFO, _bofo_rate, RateKind.EQUALITY),
+    ControllerId.GLOBA: (*_BACKSTEPPING, _globa_rate(2.0), RateKind.EQUALITY),
+    ControllerId.GLOBA_INTERP: (*_BACKSTEPPING, _globa_rate(1.0), RateKind.UPPER_BOUND),
+    ControllerId.GLOBA_CONS: (*_BACKSTEPPING, _globa_rate(1.0), RateKind.UPPER_BOUND),
     ControllerId.BARFLI: (*_BACKSTEPPING, _barfli_rate, RateKind.EQUALITY),
-}
-
-STRICT_FAMILIES: tuple[ControllerId, ...] = tuple(_FAMILIES)
-
-_LOGGING_EXTRAS: dict[ControllerId, _FamilyFns] = {
-    ControllerId.GLOBA_INTERP: (*_BACKSTEPPING, _globa_variant_rate, RateKind.UPPER_BOUND),
-    ControllerId.GLOBA_CONS: (*_BACKSTEPPING, _globa_variant_rate, RateKind.UPPER_BOUND),
     ControllerId.LIBAC: (_libac_value, _libac_grad, _libac_rate, RateKind.EQUALITY),
 }
+
+_LOGGING_ONLY = (ControllerId.GLOBA_INTERP, ControllerId.GLOBA_CONS, ControllerId.LIBAC)
+STRICT_FAMILIES: tuple[ControllerId, ...] = tuple(c for c in _FAMILIES if c not in _LOGGING_ONLY)
 
 
 @dataclass(frozen=True)
@@ -328,19 +322,19 @@ class SteeringClf:
     _rate: Callable = field(repr=False)
 
     def value(self, delta, gamma):
-        return self._value(self.gains, self.space, np.asarray(delta, float), np.asarray(gamma, float))
+        return self._value(ARRAY, self.gains, self.space, np.asarray(delta, float), np.asarray(gamma, float))
 
     def grad(self, delta, gamma):
-        return self._grad(self.gains, self.space, np.asarray(delta, float), np.asarray(gamma, float))
+        return self._grad(ARRAY, self.gains, self.space, np.asarray(delta, float), np.asarray(gamma, float))
 
     def rate(self, delta, gamma):
-        return self._rate(self.gains, np.asarray(delta, float), np.asarray(gamma, float))
+        return self._rate(ARRAY, self.gains, self.space, np.asarray(delta, float), np.asarray(gamma, float))
 
 
 def steering_clf(cid: ControllerId, gains: Gains) -> SteeringClf:
     """The strict certificate belonging to one of the eight core steering
     families."""
-    if cid not in _FAMILIES:
+    if cid not in STRICT_FAMILIES:
         raise DomainError(
             f"{cid.value} has no strict certificate of its own; use logging_clf for the derived one"
         )
@@ -351,7 +345,7 @@ def logging_clf(cid: ControllerId, gains: Gains) -> SteeringClf:
     """Certificate used to log V along simulations, defined for all eleven
     controllers (the backstepping variants reuse or adapt the globa/barfli
     certificates)."""
-    value, grad, rate, kind = _FAMILIES.get(cid) or _LOGGING_EXTRAS[cid]
+    value, grad, rate, kind = _FAMILIES[cid]
     return SteeringClf(cid, gains, controller_space(cid), kind, value, grad, rate)
 
 
@@ -515,13 +509,13 @@ def directional_derivative(fn: LyapunovFn, f: Callable, rho, delta, gamma):
     return gr * fr + gd * fd + gc * fc
 
 
-def steering_directional_derivative(clf: SteeringClf, omega_tilde: Callable, delta, gamma):
-    """grad V_dg . (delta', gamma') along the steering subsystem with
-    gamma' = -omega_tilde(delta, gamma)."""
+def steering_directional_derivative(clf: SteeringClf, delta, gamma):
+    """grad V_dg . (delta', gamma') along the steering subsystem closed by
+    the certificate's own law, gamma' = -omega_tilde(delta, gamma)."""
     gd, gc = clf.grad(delta, gamma)
-    delta = np.asarray(delta, float)
     gamma = np.asarray(gamma, float)
-    return gd * 0.5 * clf.gains.k1 * np.sin(2.0 * gamma) - gc * omega_tilde(delta, gamma)
+    omega_tilde = steering_tilde_many(clf.controller, clf.gains, delta, gamma)
+    return gd * 0.5 * clf.gains.k1 * np.sin(2.0 * gamma) - gc * omega_tilde
 
 
 def storage_energy(space: StateSpaceId, g: Gains, delta, gamma):

@@ -159,8 +159,7 @@ def rate_check(clf: SteeringClf, samples: np.ndarray) -> CheckResult:
     subsystem: equal to RATE_EQ_RTOL for equality-flag families, dominating
     with slack >= RATE_DOM_SLACK for upper-bound families."""
     d, c = samples[:, 0], samples[:, 1]
-    tilde = lambda dd, cc: ctl.steering_tilde_many(clf.controller, clf.gains, dd, cc)
-    vdot = np.asarray(steering_directional_derivative(clf, tilde, d, c))
+    vdot = np.asarray(steering_directional_derivative(clf, d, c))
     rate = np.asarray(clf.rate(d, c))
     if clf.rate_kind is RateKind.EQUALITY:
         err = np.abs(vdot - rate) / np.maximum(1.0, np.abs(rate))
@@ -311,8 +310,7 @@ def certificate_samples(clf: SteeringClf, pts: np.ndarray) -> list[dict]:
     d, c = pts[:, 0], pts[:, 1]
     v = np.asarray(clf.value(d, c), dtype=float)
     rate = np.asarray(clf.rate(d, c), dtype=float)
-    tilde = lambda dd, cc: ctl.steering_tilde_many(clf.controller, clf.gains, dd, cc)
-    vdot = np.asarray(steering_directional_derivative(clf, tilde, d, c), dtype=float)
+    vdot = np.asarray(steering_directional_derivative(clf, d, c), dtype=float)
     return [
         {
             "delta": float(d[i]),

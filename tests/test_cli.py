@@ -442,6 +442,19 @@ class TestGainsCommand:
     def test_bad_pole_count(self, tmp_path):
         assert run(["gains", "--family", "passivity", "--poles=-1,-2", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--poles=-1,nan,-2"],
+        ["--poles=nan,-0.5+0.9i,-0.5-0.9i"],
+        ["--poles=-1,-0.5+nani,-0.5-nani"],
+        ["--poles=-1,-2,inf"],
+        ["--poles=-1,-2,-3", "--epsilon", "nan"],
+        ["--poles=-1,-2,-3", "--epsilon", "inf"],
+    ])
+    def test_non_finite_input_is_usage_error(self, tmp_path, capsys, args):
+        assert run(["gains", "--family", "backstepping", *args, "--out", str(tmp_path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "must be finite" in line
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("samples", ["0", "-5"])

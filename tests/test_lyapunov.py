@@ -6,6 +6,7 @@ import pytest
 from oracles import certificate_oracle
 from unipark.controllers import ControllerId, Gains, backstep_z, steering_tilde_many
 from unipark.errors import DomainError
+from unipark.kernels import SCALAR
 from unipark.lyapunov import (
     STRICT_FAMILIES,
     CompositeKind,
@@ -358,6 +359,38 @@ class TestLoggingCertificates:
     def test_steering_clf_rejects_variants(self):
         with pytest.raises(DomainError):
             steering_clf(ControllerId.LIBAC, UNIT)
+
+
+def _components(clf, xp, d, c):
+    """Value, both gradient components and rate of ``clf`` over ``xp``."""
+    g, ss = clf.gains, clf.space
+    return (clf._value(xp, g, ss, d, c), *clf._grad(xp, g, ss, d, c), clf._rate(xp, g, ss, d, c))
+
+
+class TestNamespaces:
+    @pytest.mark.parametrize("namespace", ["scalar", "sympy"])
+    def test_certificates_match_array(self, namespace):
+        # Every certificate is written once over xp, so SCALAR and a sympy
+        # namespace evaluate the same closed forms SteeringClf does over
+        # ARRAY.  Expressions are built in symbols, then evaluated to 30
+        # digits.
+        if namespace == "sympy":
+            pytest.importorskip("sympy")
+            from symbolic import DELTA, GAMMA, SYMBOLIC, at
+
+        rng = np.random.default_rng(13)
+        for g in (UNIT, *strict_gain_sets(1, rng)):
+            for cid in ControllerId:
+                clf = logging_clf(cid, g)
+                pts = sample_interior(clf.space, 4, rng)
+                d, c = pts[:, 0], pts[:, 1]
+                want = np.stack([clf.value(d, c), *clf.grad(d, c), clf.rate(d, c)], axis=1)
+                if namespace == "scalar":
+                    got = [_components(clf, SCALAR, float(a), float(b)) for a, b in pts]
+                else:
+                    exprs = _components(clf, SYMBOLIC, DELTA, GAMMA)
+                    got = [[at(e, float(a), float(b)) for e in exprs] for a, b in pts]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=cid.value)
 
 
 class TestAppendixBounds:
