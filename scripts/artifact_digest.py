@@ -16,7 +16,9 @@ The set is:
   t_max after 100 steps, not a multiple of the 64-step block; bagal from
   (1, 2, -1.5) at dt 0.01 with ``--tol 4.843772453419518`` (JSON only),
   whose converging step has a logged metric below the tolerance by the
-  last bit of ``tan`` (it converges at t = 1.01);
+  last bit of ``tan`` (it converges at t = 1.01); libac from
+  (1, 2.891592653589793, 0.7853981633974483) at dt 1, whose law divides
+  by zero in the first step's second RK4 stage (numeric at t = 0);
 - both figures of ``scripts/reproduce_figures.py``;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
@@ -79,6 +81,8 @@ ENDINGS = {
        for chart in ("polar", "cartesian")},
     "tol": ["--controller", "bagal", "--init-polar=1,2,-1.5", "--dt", "0.01", "--tol", "4.843772453419518",
             "--format", "json"],
+    "stage_error": ["--controller", "libac", "--init-polar=1,2.891592653589793,0.7853981633974483", "--dt", "1",
+                    "--t-max", "10"],
 }
 GAINS = {
     "passivity": ["--poles=-1,-0.5+0.9i,-0.5-0.9i"],

@@ -104,36 +104,39 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _scenario_from(cfg: dict, args: argparse.Namespace) -> Scenario:
-    get = lambda flag, key, default=None: (
-        flag if flag is not None else cfg.get(key, default)
-    )
-    controller = get(args.controller, "controller")
+def _scenario_from(cfg: dict, args: argparse.Namespace, controller=None, initial=None) -> Scenario:
+    """The scenario of the flags of ``args``, each overriding the config
+    field of its name in ``cfg``.  ``controller`` and ``initial``, when
+    given, replace --controller and --init-cart or --init-polar."""
+    def get(name, default=None):
+        flag = getattr(args, name)
+        return flag if flag is not None else cfg.get(name, default)
+
+    controller = controller or get("controller")
     if controller is None:
         raise ConfigError("a controller is required (--controller or config field)")
-    gains_spec = get(args.gains, "gains", "1,1,1,1")
-    init_cart = get(args.init_cart, "init_cart")
-    init_polar = get(args.init_polar, "init_polar")
-    if init_cart is not None and init_polar is not None:
-        raise ConfigError("give exactly one of init_cart / init_polar")
     # Out-of-range gains and non-finite states are config errors too.
     try:
-        if init_cart is not None:
-            initial = CartesianState(*_parse_floats(init_cart, "init_cart"))
-        elif init_polar is not None:
-            initial = PolarState(*_parse_floats(init_polar, "init_polar"))
-        else:
-            raise ConfigError("an initial state is required (--init-cart or --init-polar)")
+        if initial is None:
+            init_cart, init_polar = get("init_cart"), get("init_polar")
+            if init_cart is not None and init_polar is not None:
+                raise ConfigError("give exactly one of init_cart / init_polar")
+            if init_cart is not None:
+                initial = CartesianState(*_parse_floats(init_cart, "init_cart"))
+            elif init_polar is not None:
+                initial = PolarState(*_parse_floats(init_polar, "init_polar"))
+            else:
+                raise ConfigError("an initial state is required (--init-cart or --init-polar)")
         return Scenario(
             controller=_choice(ControllerId, controller, "controller"),
-            gains=_parse_gains(gains_spec),
+            gains=_parse_gains(get("gains", "1,1,1,1")),
             initial=initial,
-            frame=get(args.frame, "frame", "polar"),
-            dt=_number(get(args.dt, "dt", 1e-3), "dt"),
-            t_max=_number(get(args.t_max, "t_max", 100.0), "t_max"),
-            stop_tol=_number(get(args.tol, "tol", 1e-4), "tol"),
+            frame=get("frame", "polar"),
+            dt=_number(get("dt", 1e-3), "dt"),
+            t_max=_number(get("t_max", 100.0), "t_max"),
+            stop_tol=_number(get("tol", 1e-4), "tol"),
             barrier_margin=_number(cfg.get("barrier_margin", 1e-9), "barrier_margin"),
-            composite=_choice(CompositeKind, get(args.composite, "composite", "add"), "composite"),
+            composite=_choice(CompositeKind, get("composite", "add"), "composite"),
             composite_order=_choice(CompositeOrder, cfg.get("composite_order", "rho-first"),
                                     "composite_order"),
         )
@@ -264,17 +267,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     paths = []
     failures = 0
     for ci, cid in enumerate(controllers):
-        sub_cfg = dict(cfg)
-        sub_cfg["controller"] = cid.value
-        # The base scenario's own initial state is a placeholder; the grid
-        # supplies the real ones.
-        sub_cfg.pop("init_cart", None)
-        sub_cfg.pop("init_polar", None)
-        base = _scenario_from(sub_cfg, argparse.Namespace(
-            controller=None, gains=args.gains, init_cart=None, init_polar="1,0,0",
-            frame=args.frame, dt=args.dt, t_max=args.t_max, tol=args.tol,
-            composite=args.composite,
-        ))
+        # Scenario's default start is a placeholder; the grid supplies the
+        # real ones.
+        base = _scenario_from(cfg, args, cid, Scenario.initial)
         recs = []
         for i, initial in enumerate(grid):
             r, traj = sweep_point(base, i, initial)
@@ -374,8 +369,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one ``error:`` line and exit 2, as config errors
+    are; the subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="unipark",
         description="Polar-coordinate unicycle parking: simulation, sweeps, "
         "gain assignment, and certificate verification.",
@@ -385,30 +388,27 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default="out", help="output directory (env UNIPARK_OUT overrides)")
 
+    def add_scenario(p):  # the flags of simulate and sweep that override config fields
+        p.add_argument("--controller", help="controller acronym (e.g. globa)")
+        p.add_argument("--gains", help="comma list k1,k2,k3[,k4[,k0]]")
+        p.add_argument("--frame", choices=("polar", "cartesian"))
+        p.add_argument("--dt", type=float)
+        p.add_argument("--t-max", dest="t_max", type=float)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--composite", help="certificate combiner for logging")
+
     sim = sub.add_parser("simulate", help="integrate one scenario")
     sim.add_argument("--config", help="scenario JSON file")
-    sim.add_argument("--controller", help="controller acronym (e.g. globa)")
-    sim.add_argument("--gains", help="comma list k1,k2,k3[,k4[,k0]]")
+    add_scenario(sim)
     sim.add_argument("--init-cart", dest="init_cart", help="x,y,theta")
     sim.add_argument("--init-polar", dest="init_polar", help="rho,delta,gamma")
-    sim.add_argument("--frame", choices=("polar", "cartesian"))
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--t-max", dest="t_max", type=float)
-    sim.add_argument("--tol", type=float)
-    sim.add_argument("--composite", help="certificate combiner for logging")
     sim.add_argument("--format", default="csv,json,svg")
     add_common(sim)
     sim.set_defaults(fn=cmd_simulate)
 
     sw = sub.add_parser("sweep", help="run a grid of initial states")
-    sw.add_argument("--config", required=False, help="sweep JSON file with grid")
-    sw.add_argument("--controller")
-    sw.add_argument("--gains")
-    sw.add_argument("--frame", choices=("polar", "cartesian"))
-    sw.add_argument("--dt", type=float)
-    sw.add_argument("--t-max", dest="t_max", type=float)
-    sw.add_argument("--tol", type=float)
-    sw.add_argument("--composite")
+    sw.add_argument("--config", help="sweep JSON file with grid")
+    add_scenario(sw)
     sw.add_argument("--format", default="json,svg,txt")
     add_common(sw)
     sw.set_defaults(fn=cmd_sweep)

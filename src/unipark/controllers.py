@@ -121,12 +121,14 @@ class Gains:
 
     @property
     def strict_passivity(self) -> bool:
-        """Whether k1*k3 >= k2^2 (needed by the passivity strict certificates).
+        """Whether k1*k3 >= k2^2 (needed by the passivity strict certificates)."""
+        return not Gains.passivity_broken(self.k1, self.k2, self.k3)
 
-        Tolerant at the equality boundary, where pole-assigned gains land up
-        to rounding.
-        """
-        return self.k1 * self.k3 >= self.k2 * self.k2 * (1.0 - 1e-12)
+    @staticmethod
+    def passivity_broken(k1, k2, k3):
+        """Whether gains (floats or arrays) miss k1*k3 >= k2^2, tolerating the
+        rounding of pole-assigned gains at equality (damping 1/2)."""
+        return k2 * k2 * (1.0 - 1e-12) > k1 * k3
 
 
 @dataclass(frozen=True)

@@ -175,9 +175,7 @@ def gain_branches(xp, family: DesignFamily, p1, re2, im2, re3, im3, epsilon=None
     meet (k1*k3 >= k2^2 in strict passivity, k2 + k1*k3/k2 = p2 + p3)."""
     if family is DesignFamily.PASSIVITY:
         k2, k3 = re2 + re3, (re2 * re3 - im2 * im3) / p1
-        # Tolerate rounding at the damping-1/2 boundary where k2^2 = k1*k3
-        # holds exactly; genuine real-pair violations exceed it by >= 4x.
-        return ((p1, k2, k3, 1.0, strict & (k2 * k2 > p1 * k3 * (1.0 + 1e-12))),)
+        return ((p1, k2, k3, 1.0, strict & Gains.passivity_broken(p1, k2, k3)),)
     if family is DesignFamily.FORWARDING:
         k3, total, spread = re2 * re3 / p1, re2 + re3, xp.abs(re2 - re3)
         tol = 1e-9 * xp.where(total > 1.0, total, 1.0)

@@ -16,36 +16,39 @@ contradicts the invariance certificate, so the test suite treats it as a
 failure; otherwise it is just a clean termination.
 
 Both integrators step speculatively in blocks and test each block once.
-:func:`integrate` takes up to K scalar RK4 steps of one run with no check in
-between, keeping the stepped states as float arrays; :func:`integrate_batch`
-compacts many runs under one setup to those still active and takes up to K
-steps of them.  One termination test, :func:`_block_stops`, then finds each
-run's first terminating step in the (K, runs) block.  The steps taken past
-it are discarded, so every result is bitwise that of testing after every
-step.  Certificate values, controls and metrics of a scalar run are
-evaluated vectorised over its stored states once it has ended; the batch
-checks its monitors once per block.
+:func:`integrate` has its chart's fill take up to K steps of one run with
+no check in between, returned as float arrays; :func:`integrate_batch`
+compacts many runs under one setup to those still active and fills K steps
+of them.  One termination test, :func:`_block_stops`, then finds each run's
+first terminating step in the (K, runs) block.  The steps taken past it are
+discarded, so every result is bitwise that of testing after every step.
+Certificate values, controls and metrics of a scalar run are evaluated
+vectorised over its stored states once it has ended; the batch checks its
+monitors once per block.
 
-The batch fills a block in one of two ways, chosen by the number of runs
-still active.  Above ``_SCALAR_RUNS`` it steps all of them at once on
-arrays; at or below it, it steps them one at a time with the scalar loop of
-:func:`integrate`, because an array step costs about the same whatever its
-length.  A batch of at most ``_SCALAR_RUNS`` runs is therefore bitwise
-:func:`integrate` run by run.  A run that crosses from the array fill
-differs only in the last bits (numpy's ``tan`` and ``arctan`` round a few
-arguments differently from ``math``'s), so its last bits depend on when its
-batch thins below the constant; a chaotic run in a large batch, such as
-bopa or barfli at dt >= 0.2, may still take a different exit than in
-:func:`integrate`.
+One scalar fill, :func:`_scalar_block`, steps runs one at a time: it is the
+polar chart's fill, and the batch's while at most ``_SCALAR_RUNS`` runs are
+active (more are stepped at once on arrays, because an array step costs
+about the same whatever its length).  A batch of at most
+``_SCALAR_RUNS`` runs is therefore bitwise :func:`integrate` run by run.  A
+run that crosses from the array fill differs only in the last bits (numpy's
+``tan`` and ``arctan`` round a few arguments differently from ``math``'s),
+so its last bits depend on when its batch thins below the constant; a
+chaotic run in a large batch, such as bopa or barfli at dt >= 0.2, may
+still take a different exit than in :func:`integrate`.
 
-One scalar loop serves both charts.  The polar chart steps the logged state
-itself; the Cartesian chart steps the pose and rebuilds a continuous polar
-state by unwrapping the transformed angles against the previous step.  After
-a Cartesian-chart run, every crossing of the x-axis is read off the logged
-poses with the linearly interpolated crossing time and abscissa, supporting
-the front-line (x > 0, y = 0) avoidance analysis.  No smoothing is applied:
-the curvature discontinuity of the underlying feedback is preserved in the
-log.
+The Cartesian chart's fill steps the pose and rebuilds a continuous polar
+state by unwrapping the transformed angles against the previous step.
+After a Cartesian-chart run, every crossing of the x-axis is read off the
+logged poses with the linearly interpolated crossing time and abscissa,
+supporting the front-line (x > 0, y = 0) avoidance analysis.  No smoothing
+is applied: the curvature discontinuity of the underlying feedback is
+preserved in the log.
+
+One policy holds for a step that raises: a stage (or the Cartesian map)
+that raises ``ArithmeticError`` or ``ValueError``, a :class:`UniparkError`
+included, leaves NaN rows from that step on, so the block test ends the run
+there as numeric; any other error propagates.
 """
 
 from __future__ import annotations
@@ -92,6 +95,12 @@ __all__ = [
 # Per-step allowance for certificate increases attributable to integration
 # and rounding noise.
 V_MONOTONE_TOL = 1e-9
+
+
+def _rises(before, after, tol: float = V_MONOTONE_TOL):
+    """Where a certificate rose from ``before`` to ``after`` by more than
+    ``tol``: the one rise test of the log and the batch."""
+    return after > before + tol
 
 
 class Termination(Enum):
@@ -203,7 +212,7 @@ class Trajectory:
 
     def v_monotonicity_violations(self, tol: float = V_MONOTONE_TOL) -> int:
         with np.errstate(all="ignore"):
-            return int(np.sum(np.diff(self.V) > tol))
+            return int(np.sum(_rises(self.V[:-1], self.V[1:], tol)))
 
     def convergence_time(self) -> float | None:
         return self.final_time if self.termination is Termination.CONVERGED else None
@@ -281,18 +290,37 @@ def _rk4_step(f: Callable, y: tuple[float, float, float], h: float) -> tuple[flo
     )
 
 
-def _rk4_steps(f: Callable, y, h: float, steps: int, out: list):
-    """Up to ``steps`` scalar RK4 steps of the field ``f`` from ``y``, each
-    stepped state extended onto ``out``: the speculative block of one run.
-    Returns the last stepped state and the exception a step raised, which
-    ends the block early (None if no step raised)."""
-    try:
-        for _ in range(steps):
-            y = _rk4_step(f, y, h)
-            out.extend(y)
-    except Exception as e:  # a speculative step; judged by the caller, after the rows before it
-        return y, e
-    return y, None
+def _scalar_block(f: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
+    """``steps`` scalar RK4 steps of the field ``f`` from each run of ``y``
+    (3, m), one run at a time, as a (steps, 3, m) block: the layout of
+    :func:`_rk4_block` and :func:`_block_stops`.  It is the batch's scalar
+    fill, and at m = 1 the polar chart's fill of :func:`integrate`.  A run
+    whose stage raises ``ArithmeticError`` or ``ValueError`` has NaN rows
+    from that step on, so the block test ends it as numeric; any other
+    error propagates."""
+    block = np.full((steps, 3, y.shape[1]), np.nan)
+    for j, state in enumerate(y.T.tolist()):
+        rows: list[float] = []
+        try:
+            for _ in range(steps):
+                state = _rk4_step(f, state, h)
+                rows.extend(state)
+        except (ArithmeticError, ValueError):
+            pass
+        block[: len(rows) // 3, :, j] = np.fromiter(rows, float, len(rows)).reshape(-1, 3)
+    return block
+
+
+def _polar_fill(s: Scenario):
+    """The polar chart's fill ``fill(y, p, steps) -> (states, polar rows,
+    landed)``: the scalar fill of one run, whose states are its polar rows."""
+    f = ctl.closed_loop_field(s.controller, s.gains)
+
+    def fill(y, p, steps):
+        block = _scalar_block(f, y, s.dt, steps)
+        return block, block, False
+
+    return fill
 
 
 def _unwrap_near(angle: float, ref: float) -> float:
@@ -333,6 +361,36 @@ def _cartesian_chart(s: Scenario):
     return (c0.x, c0.y, c0.theta), field_at, to_polar
 
 
+def _cartesian_fill(s: Scenario):
+    """The initial pose (3, 1) and the Cartesian chart's fill: RK4 steps of
+    the pose ``y``, each mapped to the polar row that continues ``p``, with
+    NaN rows from a raising step on, as in :func:`_scalar_block`.  A step
+    that lands exactly on the target has no polar angles: the blocks end
+    before it, and ``landed`` is set."""
+    c0, field_at, to_polar = _cartesian_chart(s)
+
+    def fill(y, p, steps):
+        y, p = y[:, 0].tolist(), p[:, 0].tolist()
+        rows: list[float] = []
+        landed = False
+        try:
+            for _ in range(steps):
+                y = _rk4_step(field_at(p), y, s.dt)
+                p = to_polar(y, p)
+                if p is None:
+                    landed = True
+                    break
+                rows.extend((*y, *p))
+        except (ArithmeticError, ValueError):
+            pass
+        block = np.full((len(rows) // 6 if landed else steps, 2, 3, 1), np.nan)
+        block[: len(rows) // 6, :, :, 0] = np.fromiter(rows, float, len(rows)).reshape(-1, 2, 3)
+        # Copies: a kept pose must not hold its block's polar rows alive.
+        return block[:, 0].copy(), block[:, 1].copy(), landed
+
+    return np.reshape(c0, (3, 1)), fill
+
+
 # A block takes at most this many steps, and at most this many lane-steps
 # (steps times active runs): the block buffer and the monitors' (K, m)
 # temporaries then stay within a few MiB.
@@ -364,13 +422,14 @@ def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, lim
     Most blocks end no run, and are answered from a few whole-block
     reductions: every state finite, every constrained angle below
     ``limit`` and every rho at least ``stop_tol`` (the metric adds
-    non-negative terms to rho, so it is at least rho).
+    non-negative terms to rho, so it is at least rho).  A block of no rows
+    ends no run.
     """
     steps, _, m = states.shape
     rho, delta, gamma = polar[:, 0], polar[:, 1], polar[:, 2]
     angles = constrained_angles(space, delta, gamma)
-    if (np.isfinite(states).all() and rho.min() >= stop_tol
-            and all(np.abs(a).max() < limit for a in angles)):
+    if (np.isfinite(states).all() and rho.min(initial=np.inf) >= stop_tol
+            and all(np.abs(a).max(initial=0.0) < limit for a in angles)):
         return np.zeros((steps, m), dtype=bool), np.zeros((steps, m), dtype=bool), np.full(m, steps)
     bad = ~np.isfinite(states).all(axis=1)
     tripped = np.zeros_like(bad)
@@ -382,102 +441,41 @@ def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, lim
 
 
 def integrate(s: Scenario) -> Trajectory:
-    """Run the scenario in the chart selected by ``s.frame``.  Each chart
-    supplies the RK4 field for a step from the last logged polar state and
-    the map from the stepped state to the next logged polar state.
+    """Run the scenario in the chart selected by ``s.frame``.
 
-    The run advances in speculative blocks of up to ``_BLOCK_STEPS`` steps
-    with no check in between; :func:`_block_stops` then finds the first
-    step that ends the run, and the steps taken past it are discarded.  A
-    step that raises ends its block.  If no earlier step ends the run, the
-    error is handled as a per-step loop would: a :class:`UniparkError` is
-    re-raised, an ``OverflowError`` or ``ValueError`` from a stage (e.g.
-    ``math.cos(inf)``) ends the run as numeric, and anything else, or any
-    error of the Cartesian chart's map, propagates.
+    The chart's fill takes a speculative block of up to ``_BLOCK_STEPS``
+    steps; :func:`_block_stops` then finds the first step that ends the
+    run, and the steps past it are discarded.  A step whose stage raises
+    ends the run under the module's one policy, as in
+    :func:`integrate_batch`.  A Cartesian step that lands exactly on the
+    target ends the run as converged, unlogged.
     """
     p0 = s.initial_polar()
-    p = (p0.rho, p0.delta, p0.gamma)
-    cartesian = s.frame == "cartesian"
-    if cartesian:
-        y, field_at, to_polar = _cartesian_chart(s)
-    else:
-        y, f = p, ctl.closed_loop_field(s.controller, s.gains)
-    states = [np.array([y])]
-    polar = [np.array([p])]
+    p = np.array([[p0.rho], [p0.delta], [p0.gamma]])
+    y, fill = _cartesian_fill(s) if s.frame == "cartesian" else (p, _polar_fill(s))
+    states, polar = [y[None]], [p[None]]
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
-    h = s.dt
     space = s.space
     limit = math.pi - s.barrier_margin
     k = 0
-    reason = Termination.CONVERGED if metric_values(ARRAY, space, *p) < s.stop_tol else None
+    reason = Termination.CONVERGED if metric_values(ARRAY, space, p0.rho, p0.delta, p0.gamma) < s.stop_tol else None
     with np.errstate(all="ignore"):
-        while reason is None:
-            if k >= n_max:
-                reason = Termination.T_MAX
-                break
-            steps = min(_BLOCK_STEPS, n_max - k)
-            ys: list[float] = []
-            ps: list[float] = []
-            if cartesian:
-                error = None
-                try:
-                    for _ in range(steps):
-                        y = _rk4_step(field_at(p), y, h)
-                        ys.extend(y)
-                        p = to_polar(y, p)
-                        if p is None:
-                            break
-                        ps.extend(p)
-                except Exception as e:  # a speculative step; judged below, after the rows before it
-                    error = e
-            else:
-                y, error = _rk4_steps(f, y, h, steps, ys)
-            sb = np.fromiter(ys, float, len(ys)).reshape(-1, 3)
-            if cartesian:
-                # The pose that landed on the target, or whose map raised,
-                # has no polar row: a NaN row ends nothing but its own test.
-                mapped = len(ps) // 3
-                ps.extend((math.nan,) * (len(ys) - len(ps)))
-                pb = np.fromiter(ps, float, len(ps)).reshape(-1, 3)
-            else:
-                pb = sb
-                mapped = len(sb)
-            stop = 0  # a block whose first step raised has no rows to test
-            if len(sb):
-                bad, tripped, stop = _block_stops(space, sb[:, :, None], pb[:, :, None], limit, s.stop_tol)
-                stop = int(stop[0])
-            if stop < len(sb):
-                if bad[stop, 0]:
-                    reason = Termination.NUMERIC
-                elif tripped[stop, 0]:
-                    reason = Termination.BARRIER_GUARD
-                else:
-                    reason = Termination.CONVERGED
-                    stop += 1  # a converging row is logged
-                keep = stop
-            else:
-                keep = mapped
-                if error is None and mapped < len(sb):
-                    # A step that lands exactly on the target has no polar angles.
-                    reason = Termination.CONVERGED
-                elif error is not None:
-                    # A stage that overflowed before the stepped state could
-                    # be tested, e.g. math.cos(inf), ends the run; a
-                    # UniparkError (a ValueError too), any other error and
-                    # any error of the chart's map are raised.
-                    stage_overflow = isinstance(error, (OverflowError, ValueError)) and not isinstance(
-                        error, UniparkError
-                    )
-                    if mapped < len(sb) or not stage_overflow:
-                        raise error
-                    reason = Termination.NUMERIC
-            polar.append(pb[:keep])
+        while reason is None and k < n_max:
+            sb, pb, landed = fill(states[-1][-1], polar[-1][-1], min(_BLOCK_STEPS, n_max - k))
+            bad, tripped, stop = _block_stops(space, sb, pb, limit, s.stop_tol)
+            keep = int(stop[0])
+            if keep < len(sb):
+                reason = (Termination.NUMERIC if bad[keep, 0] else
+                          Termination.BARRIER_GUARD if tripped[keep, 0] else Termination.CONVERGED)
+                keep += reason is Termination.CONVERGED  # a converging row is logged
+            elif landed:
+                reason = Termination.CONVERGED
             states.append(sb[:keep])
+            polar.append(pb[:keep])
             k += keep
     polar = np.concatenate(polar)
-    return _finish(
-        s, np.arange(len(polar)) * h, polar, reason, cartesian=np.concatenate(states) if cartesian else None
-    )
+    return _finish(s, np.arange(len(polar)) * s.dt, polar, reason or Termination.T_MAX,
+                   cartesian=np.concatenate(states) if s.frame == "cartesian" else None)
 
 
 def axis_crossings(cartesian: np.ndarray, dt: float) -> list[AxisCrossing]:
@@ -556,22 +554,6 @@ def _rk4_block(field: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarr
     return block
 
 
-def _scalar_block(f: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
-    """The (steps, 3, m) block of :func:`_rk4_block`, filled one run at a
-    time by the scalar RK4 of :func:`integrate` over the scalar field ``f``.
-    A run whose stage raises ``ArithmeticError`` or ``ValueError`` has NaN
-    rows from that step on, so the block test ends it as numeric; any other
-    error propagates."""
-    block = np.full((steps, 3, y.shape[1]), np.nan)
-    for j, start in enumerate(y.T.tolist()):
-        rows: list[float] = []
-        _, error = _rk4_steps(f, start, h, steps, rows)
-        if error is not None and not isinstance(error, (ArithmeticError, ValueError)):
-            raise error
-        block[: len(rows) // 3, :, j] = np.reshape(rows, (-1, 3))
-    return block
-
-
 def integrate_batch(
     s: Scenario,
     initial_states: np.ndarray,
@@ -591,10 +573,9 @@ def integrate_batch(
     :func:`integrate` once the batch has thinned to that many.  The choice
     depends only on the active-run count, so results are deterministic, and
     a batch of at most ``_SCALAR_RUNS`` runs equals :func:`integrate` run by
-    run, bit for bit.  Where the scalar fill's stage raises
-    ``ArithmeticError`` or ``ValueError`` (a :class:`UniparkError` too), that
-    run ends as numeric at that step, as inf or NaN ends it on arrays;
-    ``integrate_batch`` does not raise for it.
+    run, bit for bit.  A stage that raises ends its run as :func:`integrate`
+    does: as numeric at that step for ``ArithmeticError`` or ``ValueError``
+    (a :class:`UniparkError` too), and any other error propagates.
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
@@ -651,7 +632,7 @@ def integrate_batch(
             for i, fn in enumerate(monitors):
                 v = np.asarray(fn.of_parts(rho_sq, v_dg[clf_of[i]]), dtype=float)
                 before = np.concatenate([prev[i][None, lanes], v[:-1]])
-                viol[i, lanes] += (counted & (v > before + V_MONOTONE_TOL)).sum(axis=0)
+                viol[i, lanes] += (counted & _rises(before, v)).sum(axis=0)
                 prev[i][lanes] = v[-1]
 
             # Keep the state before a guard trip or a numeric stop, as integrate logs.

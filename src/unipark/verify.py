@@ -278,7 +278,7 @@ def pole_roundtrip_check(
             ks = np.stack(np.broadcast_arrays(k1, k2, k3, k4))
             flagged |= broken | ~(np.isfinite(ks) & (ks > 0.0)).all(axis=0)
             if family is DesignFamily.PASSIVITY:
-                flagged |= ~(k1 * k3 >= k2 * k2 * (1.0 - 1e-12))  # Gains.strict_passivity
+                flagged |= Gains.passivity_broken(k1, k2, k3)  # Gains.strict_passivity
             r2, i2, r3, i3 = block_roots(ARRAY, family, k1, k2, k3, k4)
             achieved = np.stack([-k1, r2, r3], -1) + 1j * np.stack([0.0 * k1, i2, i3], -1)
             err = np.fmax(err, eigenvalue_error(achieved, wanted))

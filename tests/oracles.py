@@ -322,8 +322,8 @@ def _rk4_step_reference(f, y, h):
 
 def integrate_reference(s):
     """The trajectory of scenario ``s``, tested after every step: the
-    array metric of the last logged state, then t_max, then the RK4 step (a
-    UniparkError re-raised, an OverflowError or ValueError a numeric stop),
+    array metric of the last logged state, then t_max, then the RK4 step (an
+    ArithmeticError or ValueError, a UniparkError too, is a numeric stop),
     then the stepped state's finiteness, its polar map and the barrier
     guard."""
     p0 = s.initial_polar()
@@ -351,9 +351,7 @@ def integrate_reference(s):
             break
         try:
             y_next = _rk4_step_reference(field_at(p), y, s.dt)
-        except UniparkError:
-            raise
-        except (OverflowError, ValueError):
+        except (ArithmeticError, ValueError):
             reason = Termination.NUMERIC
             break
         k += 1

@@ -36,6 +36,10 @@ def read_rows(path: Path):
     return header, data
 
 
+# libac's law divides by zero in the first RK4 step from here at dt 1.
+LIBAC_DIVIDES = "1,2.891592653589793,0.7853981633974483"
+
+
 class TestSimulateCommand:
     def test_writes_artifacts_and_converges(self, tmp_path):
         code = run([
@@ -144,6 +148,15 @@ class TestSimulateCommand:
         assert err.count("run failed") == 1 and "termination numeric" in err
         assert "Traceback" not in err
         assert json.loads((tmp_path / "traj_globa-cons.json").read_text())["termination"] == "numeric"
+
+    def test_stage_error_is_numeric(self, tmp_path, capsys):
+        # libac's second RK4 stage lands on delta = pi, where its law divides
+        # by zero: the run fails as numeric, without a traceback.
+        assert run([
+            "simulate", "--controller", "libac", "--init-polar", LIBAC_DIVIDES, "--dt", "1",
+            "--t-max", "10", "--out", str(tmp_path),
+        ]) == 1
+        assert capsys.readouterr().err == "run failed: termination numeric\n"
 
     @pytest.mark.parametrize("law, frame, code", [
         ("globa-cons", "cartesian", 0), ("globa-cons", "polar", 1), ("globa", "polar", 0),
@@ -351,6 +364,37 @@ class TestSweepCommand:
         }))
         assert run(["simulate", "--config", str(sim), "--out", str(tmp_path / "si")]) == 1
 
+    def test_stage_error_is_numeric(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "controllers": ["libac"], "dt": 1.0, "t_max": 10.0,
+            "grid_polar": [[float(v) for v in LIBAC_DIVIDES.split(",")]],
+        }))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        [rec] = summary["controllers"]["libac"]
+        assert rec["termination"] == "numeric" and rec["error"] is None
+        assert capsys.readouterr().err == ""
+
+    def test_flags_override_config(self, tmp_path, monkeypatch):
+        bases = []
+        real = unipark.cli.sweep_point
+
+        def spy(base, index, initial):
+            bases.append(base)
+            return real(base, index, initial)
+
+        monkeypatch.setattr(unipark.cli, "sweep_point", spy)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "controllers": ["globa"], "gains": [1, 2, 3, 4], "dt": 0.01, "t_max": 0.5, "tol": 0.5,
+            "init_polar": [2.0, 0.5, 0.5], "grid_polar": [[1.0, 0.5, 0.2]],
+        }))
+        assert run(["sweep", "--config", str(cfg), "--dt", "0.02", "--composite", "cross",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert bases == [Scenario(controller=ControllerId.GLOBA, gains=Gains(1.0, 2.0, 3.0, 4.0), dt=0.02,
+                                  t_max=0.5, stop_tol=0.5, composite=CompositeKind.CROSS)]
+
     def test_diverging_sweep_warns_nothing(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
@@ -546,6 +590,24 @@ def _run_config(command: str, cfg: dict) -> tuple[int, str]:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
     return code, err.getvalue()
+
+
+class TestUsageErrors:
+    """A command line that argparse rejects exits 2 with one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gains", "--family", "backstepping", "--poles=-1,-2,-3", "--epsilon", "-inf"],
+        ["simulate", "--dt", "x"],
+        ["sweep", "--frame", "spherical"],
+        ["bogus"],
+        [],
+    ])
+    def test_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestConfigFuzz:

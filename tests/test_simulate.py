@@ -323,8 +323,8 @@ class TestBlockedIntegrate:
     def test_raising_step(self, monkeypatch, exc, when, frame, block_steps):
         # bagal from here trips the guard a few steps in, inside the first
         # block at the default block length.  A step that raises before the
-        # trip is handled as the per-step loop handles it; one after the trip
-        # is never reached there.
+        # trip ends the run as numeric, whatever it raises; one after the
+        # trip is never reached.
         s = scenario(cid=ControllerId.BAGAL, initial=PolarState(3.0, -2.5, 2.8), frame=frame, dt=0.2)
         trip = len(integrate_reference(s).t)
         assert trip >= 3
@@ -339,13 +339,43 @@ class TestBlockedIntegrate:
                     return e
 
         got, want = run(integrate), run(integrate_reference)
-        if isinstance(want, Exception):
-            assert when == "before_trip" and not isinstance(exc, OverflowError)
-            assert got is exc and want is exc
-        else:
-            assert want.termination is (Termination.NUMERIC if when == "before_trip"
-                                        else Termination.BARRIER_GUARD)
-            assert_same_run(got, want)
+        assert want.termination is (Termination.NUMERIC if when == "before_trip"
+                                    else Termination.BARRIER_GUARD)
+        assert_same_run(got, want)
+
+
+# libac from here at dt 1: stage 2 of the first RK4 step lands on delta = pi
+# exactly, where 1 + cos(delta) == 0 and the law divides by zero.
+LIBAC_DIVIDES = (1.0, 2.891592653589793, 0.7853981633974483)
+
+
+class TestStageErrorPolicy:
+    """Both integrators end a run as numeric at a step whose stage raises
+    ArithmeticError or ValueError, and let any other error through."""
+
+    def test_libac_division_by_zero(self, block_steps):
+        s = scenario(cid=ControllerId.LIBAC, initial=PolarState(*LIBAC_DIVIDES), dt=1.0, t_max=10.0)
+        with pytest.raises(ZeroDivisionError):
+            ctl.closed_loop_field(s.controller, s.gains)(1.0, math.pi, 0.5)
+        tr = integrate(s)
+        assert tr.termination is Termination.NUMERIC
+        assert tr.polar.tolist() == [list(LIBAC_DIVIDES)]
+        assert_same_run(tr, integrate_reference(s))
+        br = integrate_batch(s, [LIBAC_DIVIDES])
+        assert br.numeric_failures.tolist() == [True]
+        assert not (br.converged[0] or br.barrier_trips[0])
+        assert br.final_states.tolist() == [list(LIBAC_DIVIDES)]
+
+    @pytest.mark.parametrize("integrator", ["polar", "cartesian", "batch"])
+    def test_other_errors_propagate(self, monkeypatch, integrator):
+        start = (3.0, -2.5, 2.8)
+        s = scenario(cid=ControllerId.BAGAL, initial=PolarState(*start), dt=0.2,
+                     frame="polar" if integrator == "batch" else integrator)
+        exc = RuntimeError("not a numeric failure")
+        monkeypatch.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, 2))
+        with pytest.raises(RuntimeError) as e:
+            integrate_batch(s, [start]) if integrator == "batch" else integrate(s)
+        assert e.value is exc
 
 
 class TestLoggedMetricDecides:
@@ -461,7 +491,8 @@ class TestBatch:
 
     def test_lockstep_thinning(self, monkeypatch, scalar_runs):
         # The fill switches from arrays to the scalar RK4 mid-run, unless
-        # the constant is 0 and every block is stepped on arrays.
+        # the constant is 0 and every block is stepped on arrays.  Only the
+        # batch's fills are counted: integrate fills with _scalar_block too.
         fills = set()
         for name in ("_rk4_block", "_scalar_block"):
             def spy(*args, fill=getattr(unipark.simulate, name), name=name):
@@ -470,9 +501,9 @@ class TestBatch:
 
             monkeypatch.setattr(unipark.simulate, name, spy)
         s, starts, br = lockstep_batch(THINNING)
+        assert fills == ({"_rk4_block"} if scalar_runs == 0 else {"_rk4_block", "_scalar_block"})
         assert len(starts) > unipark.simulate._SCALAR_RUNS
         assert assert_lockstep(s, starts, br, exact=False) == LOCKSTEP_KINDS[THINNING]
-        assert fills == ({"_rk4_block"} if scalar_runs == 0 else {"_rk4_block", "_scalar_block"})
 
     @pytest.mark.parametrize("exc", [DomainError("law outside its domain"), OverflowError("stage"),
                                      ZeroDivisionError("stage")], ids=lambda e: type(e).__name__)
@@ -495,7 +526,7 @@ class TestBatch:
         assert br.max_abs_gamma[0] == np.abs(log.polar[:at_step, 2]).max()
         assert br.min_barrier_margin[0] == np.min(
             barrier_margin_values(s.space, log.polar[:at_step, 1], log.polar[:at_step, 2]))
-        assert br.v_violations[0] == np.sum(np.diff(log.V[:at_step]) > unipark.simulate.V_MONOTONE_TOL)
+        assert br.v_violations[0] == np.sum(log.V[1:at_step] > log.V[:at_step - 1] + unipark.simulate.V_MONOTONE_TOL)
         for f in dataclasses.fields(br):
             got, want = getattr(br, f.name), getattr(plain, f.name)
             assert (got is None) == (want is None), f.name
