@@ -253,9 +253,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _sweep_grid(cfg)
     if len(grid) == 0:
         raise ConfigError("sweep grid is empty")
-    controllers = cfg.get("controllers")
+    # --controller overrides both config fields, as every flag does its field.
+    controllers = [args.controller] if args.controller is not None else cfg.get("controllers")
     if controllers is None:
-        controllers = [cfg.get("controller") or (args.controller or "")]
+        controllers = [cfg.get("controller") or ""]
     if not isinstance(controllers, list):
         raise ConfigError(f"controllers must be a list of names, got {controllers!r}")
     controllers = [_choice(ControllerId, c, "controller") for c in controllers if c]

@@ -439,22 +439,11 @@ def closed_loop_field(cid: ControllerId, g: Gains, xp=SCALAR) -> Callable[[float
     rho-independent, and the rho/rho cancellation is built in, so there is
     no singularity at rho = 0.
     """
-    # The law is called directly rather than through a bound partial: one
-    # call layer less on every RK4 stage.
     tilde = _tilde_fn(cid)
-    cos, sin = xp.cos, xp.sin
-    # -k1*rho and 0.5*k1*sin(.) parse as (-k1)*rho and (0.5*k1)*sin(.), so
-    # folding the constants leaves the arithmetic unchanged.
-    neg_k1 = -g.k1
-    half_k1 = 0.5 * g.k1
 
     def field(rho, delta, gamma):
-        cg = cos(gamma)
-        return (
-            neg_k1 * rho * cg * cg,
-            half_k1 * sin(2.0 * gamma),
-            -tilde(xp, g, delta, gamma),
-        )
+        cg = xp.cos(gamma)
+        return -g.k1 * rho * cg * cg, 0.5 * g.k1 * xp.sin(2.0 * gamma), -tilde(xp, g, delta, gamma)
 
     return field
 

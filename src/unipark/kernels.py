@@ -8,7 +8,9 @@ plain Python floats.
 ``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``psi``, ``si``,
 ``where``) that the laws, metrics, certificates and pole formulas are written
 over once: the scalar one is made of :mod:`math` and the kernels below, the
-array one of their numpy/scipy counterparts.
+array one of their numpy/scipy counterparts.  A third, :data:`TRACE`, run
+on :class:`Sym` values, records the code written over it as straight-line
+Python on a :class:`Tape` (``simulate._rk4_kernel`` compiles it).
 
 Conventions
 -----------
@@ -138,3 +140,70 @@ ARRAY = _namespace(
     psi=lambda z, gamma: _sinc_array(z) * np.cos(z - 2.0 * gamma),
     si=lambda a: _sici(a)[0], where=np.where,
 )
+
+
+# The primitives a traced expression may call; compiled code calls SCALAR's.
+TRACED = ("sin", "cos", "tan", "atan", "sqrt", "abs", "sinc", "psi", "si")
+
+
+class Tape:
+    """Straight-line code recorded by :class:`Sym` values: ``lines`` maps
+    each expression, in the order first met, to the local it is computed
+    into (an expression met again reuses it: every operation is pure), and
+    ``consts`` binds the constants no literal spells, such as inf."""
+
+    def __init__(self) -> None:
+        self.lines: dict[str, str] = {}
+        self.consts: dict[str, object] = {}
+
+    def text(self, x) -> str:
+        if isinstance(x, Sym):
+            return x.name
+        if type(x) in (int, float) and math.isfinite(x):
+            r = repr(x)  # round-trips the exact value and type
+            return f"({r})" if r[0] == "-" else r
+        name = f"k{len(self.consts)}"
+        self.consts[name] = x
+        return name
+
+    def emit(self, expr: str) -> "Sym":
+        return Sym(self, self.lines.setdefault(expr, f"v{len(self.lines)}"))
+
+
+class Sym:
+    """A traced float.  Each arithmetic operation on it and each
+    :data:`TRACE` primitive of it is recorded on its tape, operands in the
+    order given, so constants fold by the float operations of untraced
+    code.  Branching on or comparing it raises ``TypeError``."""
+
+    __slots__ = ("tape", "name")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected methods
+
+    def __init__(self, tape: Tape, name: str) -> None:
+        self.tape, self.name = tape, name
+
+    def __neg__(self) -> "Sym":
+        return self.tape.emit(f"-{self.name}")
+
+    def _no_value(self, *_):
+        raise TypeError("a traced value cannot be branched on or compared")
+
+    __bool__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _no_value
+
+
+for _op, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv"), ("**", "pow")):
+    setattr(Sym, f"__{_name}__", lambda a, b, op=_op: a.tape.emit(f"{a.name} {op} {a.tape.text(b)}"))
+    setattr(Sym, f"__r{_name}__", lambda a, b, op=_op: a.tape.emit(f"{a.tape.text(b)} {op} {a.name}"))
+
+
+def _recorder(name: str):
+    def record(*args):
+        tape = next((a.tape for a in args if isinstance(a, Sym)), None)
+        if tape is None:  # no traced argument: a constant
+            return getattr(SCALAR, name)(*args)
+        return tape.emit(f"{name}({', '.join(map(tape.text, args))})")
+
+    return record
+
+
+TRACE = _namespace("TRACE", **{name: _recorder(name) for name in TRACED})

@@ -29,7 +29,10 @@ monitors once per block.
 One scalar fill, :func:`_scalar_block`, steps runs one at a time: it is the
 polar chart's fill, and the batch's while at most ``_SCALAR_RUNS`` runs are
 active (more are stepped at once on arrays, because an array step costs
-about the same whatever its length).  A batch of at most
+about the same whatever its length).  It runs the law's compiled kernel
+(:func:`_rk4_kernel`): :func:`_rk4_step` over the closed-loop field, traced
+once into straight-line Python with the gains and ``dt`` folded in, bitwise
+the interpreted step.  A batch of at most
 ``_SCALAR_RUNS`` runs is therefore bitwise :func:`integrate` run by run.  A
 run that crosses from the array fill differs only in the last bits (numpy's
 ``tan`` and ``arctan`` round a few arguments differently from ``math``'s),
@@ -53,9 +56,13 @@ there as numeric; any other error propagates.
 
 from __future__ import annotations
 
+import itertools
+import linecache
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,7 +70,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError, UniparkError
-from .kernels import ARRAY, wrap_angle
+from .kernels import ARRAY, SCALAR, TRACE, TRACED, Sym, Tape, wrap_angle
 from .lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf
 from .spaces import (
     CartesianState,
@@ -290,21 +297,46 @@ def _rk4_step(f: Callable, y: tuple[float, float, float], h: float) -> tuple[flo
     )
 
 
-def _scalar_block(f: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
-    """``steps`` scalar RK4 steps of the field ``f`` from each run of ``y``
-    (3, m), one run at a time, as a (steps, 3, m) block: the layout of
-    :func:`_rk4_block` and :func:`_block_stops`.  It is the batch's scalar
-    fill, and at m = 1 the polar chart's fill of :func:`integrate`.  A run
-    whose stage raises ``ArithmeticError`` or ``ValueError`` has NaN rows
-    from that step on, so the block test ends it as numeric; any other
-    error propagates."""
+@lru_cache(maxsize=64)
+def _rk4_kernel(cid: ControllerId, g: Gains, h: float) -> Callable:
+    """``kernel(r, d, c, steps, extend)``: ``steps`` RK4 steps of ``cid``'s
+    closed loop from (r, d, c), each new state passed to ``extend``.  The
+    loop body is :func:`_rk4_step` over the closed-loop field traced through
+    :data:`~unipark.kernels.TRACE`: the same float operations in the same
+    order calling the same SCALAR primitives, with ``g`` and ``h`` folded
+    and repeated expressions computed once, so a step is bitwise the
+    interpreted one and raises where it does.  Its source is in
+    :mod:`linecache`, as ``<rk4 law #n>``, while the kernel lives."""
+    tape = Tape()
+    y = _rk4_step(ctl.closed_loop_field(cid, g, TRACE), tuple(Sym(tape, v) for v in "rdc"), h)
+    body = "".join(f"\n        {name} = {expr}" for expr, name in tape.lines.items())
+    src = (f"def kernel(r, d, c, steps, extend):\n    for _ in range(steps):{body}\n"
+           f"        r, d, c = {', '.join(map(tape.text, y))}\n        extend((r, d, c))\n")
+    filename = f"<rk4 {cid.value} #{next(_KERNEL_IDS)}>"
+    scope = {name: getattr(SCALAR, name) for name in TRACED} | tape.consts
+    exec(compile(src, filename, "exec"), scope)
+    kernel = scope["kernel"]
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    weakref.finalize(kernel, linecache.cache.pop, filename, None)
+    return kernel
+
+
+_KERNEL_IDS = itertools.count()
+
+
+def _scalar_block(kernel: Callable, y: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` steps of the compiled RK4 ``kernel`` of :func:`_rk4_kernel`
+    from each run of ``y`` (3, m), one run at a time, as a (steps, 3, m)
+    block: the layout of :func:`_rk4_block` and :func:`_block_stops`.  It is
+    the batch's scalar fill, and at m = 1 the polar chart's fill of
+    :func:`integrate`.  A run whose stage raises ``ArithmeticError`` or
+    ``ValueError`` has NaN rows from that step on, so the block test ends it
+    as numeric; any other error propagates."""
     block = np.full((steps, 3, y.shape[1]), np.nan)
-    for j, state in enumerate(y.T.tolist()):
+    for j, (r, d, c) in enumerate(y.T.tolist()):
         rows: list[float] = []
         try:
-            for _ in range(steps):
-                state = _rk4_step(f, state, h)
-                rows.extend(state)
+            kernel(r, d, c, steps, rows.extend)
         except (ArithmeticError, ValueError):
             pass
         block[: len(rows) // 3, :, j] = np.fromiter(rows, float, len(rows)).reshape(-1, 3)
@@ -314,10 +346,10 @@ def _scalar_block(f: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarra
 def _polar_fill(s: Scenario):
     """The polar chart's fill ``fill(y, p, steps) -> (states, polar rows,
     landed)``: the scalar fill of one run, whose states are its polar rows."""
-    f = ctl.closed_loop_field(s.controller, s.gains)
+    kernel = _rk4_kernel(s.controller, s.gains, s.dt)
 
     def fill(y, p, steps):
-        block = _scalar_block(f, y, s.dt, steps)
+        block = _scalar_block(kernel, y, steps)
         return block, block, False
 
     return fill
@@ -398,12 +430,13 @@ _BLOCK_STEPS = 64
 _BLOCK_LANE_STEPS = 16384
 
 # The batch steps at most this many active runs one at a time with the
-# scalar RK4, and more on arrays.  An array step costs 55-130 us whatever
-# its length, a scalar run-step 2.5-13 us, depending on the law.  At 16 runs
-# the scalar fill of a block takes 0.6-0.9 of the array fill's time for ten
-# of the eleven laws (glofo, whose scalar Si is slow, 1.9); the two break
-# even at 20-32 runs (glofo at 12).  Measured per 64-step block on
-# metric-ball starts, unit gains, dt 0.01, shared 2-vCPU VM.
+# compiled scalar RK4, and more on arrays.  An array step costs 80-220 us
+# whatever its length, a scalar run-step 2.7-10.5 us, depending on the law.
+# At 16 runs the scalar fill of a block takes 0.40-0.66 of the array fill's
+# time for ten of the eleven laws (glofo, whose scalar Si is slow, 1.1-1.5);
+# the two break even at 24-48 runs (glofo at 12-16), but moving the constant
+# moves the last bits of runs that cross from the array fill.  Measured per
+# 64-step block on metric-ball starts, unit gains, dt 0.01, 2-vCPU VM.
 _SCALAR_RUNS = 16
 
 
@@ -533,10 +566,9 @@ def _rk4_block(field: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarr
     of :func:`_rk4_step`; returns the stepped states as a (steps, 3, m)
     block, the layout :func:`_block_stops` tests.
 
-    It is kept apart from :func:`_rk4_step`, which :func:`integrate` calls
-    on tuples once per step, because its stage buffer is faster on arrays:
-    ``batch_grid`` ``run_steps_per_s`` median 1.83e6 against 1.74e6 (10 of
-    10 alternating pairs, shared 2-vCPU VM)."""
+    It is kept apart from :func:`_rk4_step`, which steps tuples, because
+    its stage buffer is faster on arrays: ``batch_grid`` ``run_steps_per_s``
+    median 1.83e6 against 1.74e6 (10 of 10 alternating pairs, 2-vCPU VM)."""
     m = y.shape[1]
     block = np.empty((steps, 3, m))
     stage = np.empty((4, 3, m))
@@ -581,7 +613,6 @@ def integrate_batch(
     n = ys.shape[1]
     space = s.space
     field = ctl.closed_loop_field(s.controller, s.gains, ARRAY)
-    scalar_field = ctl.closed_loop_field(s.controller, s.gains)
     monitors = [s.lyapunov(), *extra_lyapunov]
     # Monitors sharing one certificate V_dg evaluate it once per block.
     clfs = list(dict.fromkeys(fn.clf for fn in monitors))
@@ -613,7 +644,7 @@ def integrate_batch(
             m = lanes.size
             steps = min(_BLOCK_STEPS, max(1, _BLOCK_LANE_STEPS // m), n_max - k)
             if m <= _SCALAR_RUNS:
-                block = _scalar_block(scalar_field, ys[:, lanes], h, steps)
+                block = _scalar_block(_rk4_kernel(s.controller, s.gains, h), ys[:, lanes], steps)
             else:
                 block = _rk4_block(field, ys[:, lanes], h, steps)
             rho, delta, gamma = block[:, 0], block[:, 1], block[:, 2]

@@ -299,6 +299,16 @@ class TestSweepCommand:
         assert (tmp_path / "out" / "sweep_overlay.svg").exists()
         assert (tmp_path / "out" / "sweep_summary.txt").exists()
 
+    @pytest.mark.parametrize("field", [{"controller": "globa"}, {"controllers": ["globa", "barfli"]}],
+                             ids=lambda f: next(iter(f)))
+    def test_controller_flag_overrides_config(self, tmp_path, field):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({**field, "dt": 0.01, "t_max": 1.0, "grid_polar": [[1.0, 0.5, 0.2]]}))
+        assert run(["sweep", "--config", str(cfg), "--controller", "bagal", "--format", "json",
+                    "--out", str(tmp_path / "out")]) in (0, 1)
+        summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        assert list(summary["controllers"]) == ["bagal"]
+
     def test_empty_grid_usage_error(self, tmp_path):
         cfg = self._config(tmp_path, [])
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -1,5 +1,10 @@
+import contextlib
 import dataclasses
+import gc
+import linecache
 import math
+import re
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +15,7 @@ import unipark.simulate
 from oracles import integrate_reference
 from unipark.controllers import ControllerId, Gains, closed_loop_field, open_loop_field
 from unipark.errors import ConfigError, DomainError, SingularityError
-from unipark.kernels import SCALAR, wrap_angle
+from unipark.kernels import SCALAR, Sym, Tape, wrap_angle
 from unipark.lyapunov import CompositeKind
 from unipark.simulate import (
     Scenario,
@@ -22,6 +27,7 @@ from unipark.simulate import (
     sweep,
 )
 from unipark.spaces import CartesianState, PolarState, StateSpaceId, barrier_margin_values, metric_values
+from unipark.verify import strict_gain_sets
 
 UNIT = Gains()
 
@@ -240,6 +246,36 @@ def raising_law(cid, exc, at_step):
     return law._replace(fn=fn)
 
 
+@contextlib.contextmanager
+def raising_step(exc, at_step, frame="polar"):
+    """bagal's scalar step ``at_step`` (counted from 1) raising ``exc`` in
+    its first stage.  The Cartesian chart's stepper calls the law, so there
+    the law table entry raises (:func:`raising_law`).  A compiled polar
+    kernel calls no law at run time, so in the polar chart and the batch
+    SCALAR.tan raises, on the first of its eight calls in that step: two
+    per RK4 stage, none merged in the kernel, and every other call passes
+    through.  The kernel cache is cleared around the patch, so the kernels
+    compiled under it call the patched tan and none outlives it."""
+    with pytest.MonkeyPatch.context() as mp:
+        if frame == "cartesian":
+            mp.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, at_step))
+        else:
+            tan, calls = SCALAR.tan, [0]
+
+            def counted(a):
+                calls[0] += 1
+                if calls[0] == 8 * (at_step - 1) + 1:
+                    raise exc
+                return tan(a)
+
+            mp.setattr(SCALAR, "tan", counted)
+        unipark.simulate._rk4_kernel.cache_clear()
+        try:
+            yield
+        finally:
+            unipark.simulate._rk4_kernel.cache_clear()
+
+
 @pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "block_default"])
 def block_steps(request, monkeypatch):
     if request.param is not None:
@@ -320,7 +356,7 @@ class TestBlockedIntegrate:
     @pytest.mark.parametrize("exc", [DomainError("law outside its domain"), OverflowError("stage"),
                                      ZeroDivisionError("stage")], ids=lambda e: type(e).__name__)
     @pytest.mark.parametrize("when", ["before_trip", "after_trip"])
-    def test_raising_step(self, monkeypatch, exc, when, frame, block_steps):
+    def test_raising_step(self, exc, when, frame, block_steps):
         # bagal from here trips the guard a few steps in, inside the first
         # block at the default block length.  A step that raises before the
         # trip ends the run as numeric, whatever it raises; one after the
@@ -331,8 +367,7 @@ class TestBlockedIntegrate:
         at_step = trip - 1 if when == "before_trip" else trip + 1
 
         def run(integrator):
-            with monkeypatch.context() as mp:
-                mp.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, at_step))
+            with raising_step(exc, at_step, frame):
                 return integrator(s)
 
         got, want = run(integrate), run(integrate_reference)
@@ -364,13 +399,12 @@ class TestStageErrorPolicy:
         assert br.final_states.tolist() == [list(LIBAC_DIVIDES)]
 
     @pytest.mark.parametrize("integrator", ["polar", "cartesian", "batch"])
-    def test_other_errors_propagate(self, monkeypatch, integrator):
+    def test_other_errors_propagate(self, integrator):
         start = (3.0, -2.5, 2.8)
         s = scenario(cid=ControllerId.BAGAL, initial=PolarState(*start), dt=0.2,
                      frame="polar" if integrator == "batch" else integrator)
         exc = RuntimeError("not a numeric failure")
-        monkeypatch.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, 2))
-        with pytest.raises(RuntimeError) as e:
+        with raising_step(exc, 2, s.frame), pytest.raises(RuntimeError) as e:
             integrate_batch(s, [start]) if integrator == "batch" else integrate(s)
         assert e.value is exc
 
@@ -393,6 +427,121 @@ class TestLoggedMetricDecides:
             tr = integrate(replace(s, stop_tol=tol))
             assert tr.termination is Termination.CONVERGED
             assert (tr.metric[:-1] >= tol).all() and tr.metric[-1] < tol
+
+
+# The compiled RK4 kernel of each law against the interpreted _rk4_step over
+# closed_loop_field: an ordinary start, the bagal guard-trip start, two
+# near-barrier starts, the libac start whose stage divides by zero at dt 1,
+# and the start on which globa-cons diverges at dt 900.
+KERNEL_STARTS = [(1.0, 0.5, -0.3), (3.0, -2.5, 2.8), (1.0, math.pi - 1e-6, 1e-6 - math.pi),
+                 (0.5, 3.1, 3.1), (1.0, 2.891592653589793, 0.7853981633974483), (1.0, 3.0, 2.0)]
+KERNEL_GAINS = {"unit": UNIT, "fig5": Gains(1.0, 1.0, 0.1, 1.0),
+                "strict": strict_gain_sets(1, np.random.default_rng(15))[0]}
+
+
+def stepped(step, y, n):
+    """The rows of up to ``n`` steps ``step(y, count, extend)`` from ``y``,
+    and the type of the ArithmeticError or ValueError that cut them short
+    (None if none did)."""
+    rows = []
+    try:
+        step(y, n, rows.extend)
+    except (ArithmeticError, ValueError) as e:
+        return np.array(rows), type(e)
+    return np.array(rows), None
+
+
+def interpreted(f, h):
+    def step(y, n, extend):
+        for _ in range(n):
+            y = unipark.simulate._rk4_step(f, y, h)
+            extend(y)
+
+    return step
+
+
+class TestRk4Kernel:
+    """Each law's compiled kernel steps bit for bit as the interpreted RK4
+    does, raises what it raises at the same step, and shows its own source
+    lines in tracebacks."""
+
+    @pytest.mark.parametrize("gains", list(KERNEL_GAINS), ids=str)
+    @pytest.mark.parametrize("cid", list(ControllerId), ids=lambda c: c.value)
+    def test_bitwise_interpreted(self, cid, gains):
+        g = KERNEL_GAINS[gains]
+        for h in (1e-3, 0.01, 0.2, 1.0, 900.0):
+            kernel = unipark.simulate._rk4_kernel(cid, g, h)
+            step = interpreted(closed_loop_field(cid, g), h)
+            for y in KERNEL_STARTS:
+                got, got_exc = stepped(lambda y, n, extend: kernel(*y, n, extend), y, 100)
+                want, want_exc = stepped(step, y, 100)
+                assert got.tobytes() == want.tobytes() and got_exc is want_exc, (h, y)
+                if h == 900.0:  # every law diverges: a step raises or leaves the floats
+                    assert want_exc is ValueError or not np.isfinite(want).all(), y
+                if cid is ControllerId.LIBAC and gains != "strict" and h == 1.0 and y == KERNEL_STARTS[4]:
+                    assert want_exc is ZeroDivisionError and len(want) == 0
+
+    def test_raising_primitive(self):
+        # The compiled kernel raises where the interpreted step does: in
+        # the first stage of step 5, after four logged steps.
+        f, h = closed_loop_field(ControllerId.BAGAL, UNIT), 0.2
+        ends = []
+        for compiled in (True, False):
+            with raising_step(OverflowError("stage"), 5):
+                if compiled:
+                    kernel = unipark.simulate._rk4_kernel(ControllerId.BAGAL, UNIT, h)
+                    step = lambda y, n, extend: kernel(*y, n, extend)  # noqa: E731
+                else:
+                    step = interpreted(f, h)
+                ends.append(stepped(step, (1.0, 0.5, -0.3), 10))
+        (got, got_exc), (want, want_exc) = ends
+        assert got_exc is want_exc is OverflowError
+        assert len(got) == len(want) == 4 * 3
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("law", [
+        lambda xp, g, d, c: c if c > 0.0 else -c,
+        lambda xp, g, d, c: xp.sin(c) * (d == c),
+        lambda xp, g, d, c: min(c, d),
+    ], ids=["branch", "equality", "min"])
+    def test_branching_law_fails_at_trace(self, monkeypatch, law):
+        monkeypatch.setitem(ctl._LAWS, ControllerId.GENOVA, ctl._LAWS[ControllerId.GENOVA]._replace(fn=law))
+        unipark.simulate._rk4_kernel.cache_clear()
+        try:
+            with pytest.raises(TypeError, match="traced value"):
+                unipark.simulate._rk4_kernel(ControllerId.GENOVA, UNIT, 0.01)
+        finally:
+            unipark.simulate._rk4_kernel.cache_clear()
+
+    def test_traced_value_has_no_truth_or_order(self):
+        tape = Tape()
+        x, y = Sym(tape, "x"), Sym(tape, "y")
+        for probe in (bool, lambda a: a < y, lambda a: a <= 1.0, lambda a: a > y, lambda a: a >= 0,
+                      lambda a: a == y, lambda a: a != 2.0, lambda a: 1.0 < a):
+            with pytest.raises(TypeError):
+                probe(x)
+        # Repeated expressions share one line; operand order is kept, and
+        # a negative literal stays one operand.
+        assert (x * 2.0).name == (x * 2.0).name != (2.0 * x).name
+        assert ((-2.0) ** x).name == "v2"
+        assert list(tape.lines) == ["x * 2.0", "2.0 * x", "(-2.0) ** x"]
+
+    def test_traceback_shows_kernel_line(self):
+        s = scenario(cid=ControllerId.BAGAL, initial=PolarState(1.0, 0.5, -0.3), dt=0.2)
+        with raising_step(RuntimeError("in a primitive"), 3), pytest.raises(RuntimeError) as e:
+            integrate(s)
+        frame = traceback.extract_tb(e.value.__traceback__)[-2]
+        assert frame.filename.startswith("<rk4 bagal #")
+        assert re.fullmatch(r"v\d+ = tan\(v\d+\)", frame.line)
+        assert "= tan(" in "".join(traceback.format_exception(e.value))
+
+    def test_source_released_with_kernel(self):
+        kernel = unipark.simulate._rk4_kernel.__wrapped__(ControllerId.GLOBA, UNIT, 0.01)
+        name = kernel.__code__.co_filename
+        assert linecache.getline(name, 1).startswith("def kernel(r, d, c, steps, extend):")
+        del kernel
+        gc.collect()
+        assert name not in linecache.cache
 
 
 # Batches whose runs end in every termination kind; each run agrees with the
@@ -505,7 +654,7 @@ class TestBatch:
     @pytest.mark.parametrize("exc", [DomainError("law outside its domain"), OverflowError("stage"),
                                      ZeroDivisionError("stage")], ids=lambda e: type(e).__name__)
     @pytest.mark.parametrize("at_step", [1, 5])
-    def test_raising_stage(self, monkeypatch, exc, at_step):
+    def test_raising_stage(self, exc, at_step):
         # The scalar fill steps one run at a time, the first one first, so
         # the law raises in the first run's step at_step.  That run ends as
         # numeric there, with the state of the step before, and the others
@@ -513,8 +662,8 @@ class TestBatch:
         s, starts, plain = lockstep_batch("bagal")
         log = integrate(replace(s, initial=PolarState(*starts[0])))
         assert len(log.t) > at_step + 1
-        monkeypatch.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, at_step))
-        br = integrate_batch(s, starts)
+        with raising_step(exc, at_step):
+            br = integrate_batch(s, starts)
         assert br.numeric_failures[0] and not (br.converged[0] or br.barrier_trips[0])
         assert math.isnan(br.convergence_time[0])
         assert br.final_states[0].tobytes() == log.polar[at_step - 1].tobytes()
