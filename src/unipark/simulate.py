@@ -297,6 +297,9 @@ def _rk4_step(f: Callable, y: tuple[float, float, float], h: float) -> tuple[flo
     )
 
 
+_KERNEL_IDS = itertools.count()
+
+
 @lru_cache(maxsize=64)
 def _rk4_kernel(cid: ControllerId, g: Gains, h: float) -> Callable:
     """``kernel(r, d, c, steps, extend)``: ``steps`` RK4 steps of ``cid``'s
@@ -319,9 +322,6 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float) -> Callable:
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     weakref.finalize(kernel, linecache.cache.pop, filename, None)
     return kernel
-
-
-_KERNEL_IDS = itertools.count()
 
 
 def _scalar_block(kernel: Callable, y: np.ndarray, steps: int) -> np.ndarray:
