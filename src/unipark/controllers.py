@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -76,18 +75,17 @@ __all__ = [
     "ControllerId",
     "ControlInput",
     "controller_space",
-    "all_controller_ids",
     "velocity",
     "velocity_cartesian",
     "steering_tilde",
     "steering_total",
-    "make_steering_tilde",
     "steering_tilde_many",
     "heading_only",
     "reverse_parking_wrap",
     "backstep_z",
     "forward_zeta",
     "closed_loop_field",
+    "closed_loop_input",
     "open_loop_field",
 ]
 
@@ -155,10 +153,6 @@ class ControllerId(Enum):
 
 def controller_space(cid: ControllerId) -> StateSpaceId:
     return _LAWS[cid].space
-
-
-def all_controller_ids() -> tuple[ControllerId, ...]:
-    return tuple(ControllerId)
 
 
 def velocity(p: PolarState, k1: float) -> float:
@@ -345,13 +339,6 @@ def _tilde_fn(cid: ControllerId) -> Callable:
     return tilde
 
 
-def make_steering_tilde(cid: ControllerId, g: Gains) -> Callable[[float, float], float]:
-    """Bind (cid, gains) once and return a fast omega_tilde(delta, gamma)
-    closure for integration loops.  No domain checks: callers guard the
-    barrier separately."""
-    return partial(_tilde_fn(cid), SCALAR, g)
-
-
 def steering_tilde_many(
     cid: ControllerId, g: Gains, delta: np.ndarray, gamma: np.ndarray
 ) -> np.ndarray:
@@ -446,6 +433,17 @@ def closed_loop_field(cid: ControllerId, g: Gains, xp=SCALAR) -> Callable[[float
         return -g.k1 * rho * cg * cg, 0.5 * g.k1 * xp.sin(2.0 * gamma), -tilde(xp, g, delta, gamma)
 
     return field
+
+
+def closed_loop_input(cid: ControllerId, g: Gains, xp=SCALAR) -> Callable[[float, float, float], tuple]:
+    """The closed-loop inputs (v, omega) at a polar state under steering law
+    ``cid``, written over ``xp`` like :func:`closed_loop_field`; no checks."""
+    tilde = _tilde_fn(cid)
+
+    def u(rho, delta, gamma):
+        return g.k1 * rho * xp.cos(gamma), 0.5 * g.k1 * xp.sin(2.0 * gamma) + tilde(xp, g, delta, gamma)
+
+    return u
 
 
 def open_loop_field(p: PolarState, v: float, omega: float) -> tuple[float, float, float]:

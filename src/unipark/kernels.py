@@ -8,9 +8,11 @@ plain Python floats.
 ``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``psi``, ``si``,
 ``where``) that the laws, metrics, certificates and pole formulas are written
 over once: the scalar one is made of :mod:`math` and the kernels below, the
-array one of their numpy/scipy counterparts.  A third, :data:`TRACE`, run
-on :class:`Sym` values, records the code written over it as straight-line
-Python on a :class:`Tape` (``simulate._rk4_kernel`` compiles it).
+array one of their numpy/scipy counterparts; the scalar one also has
+``atan2``, ``hypot`` and ``round`` for the Cartesian chart.  A third,
+:data:`TRACE`, run on :class:`Sym` values, records code written over any of
+them but ``where`` as straight-line Python on a :class:`Tape`, which
+``simulate._rk4_kernel`` compiles over the scalar or the array ones.
 
 Conventions
 -----------
@@ -130,6 +132,7 @@ SCALAR = _namespace(
     "SCALAR",
     sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt, abs=abs,
     sinc=sinc, psi=psi, si=sine_integral, where=lambda cond, a, b: a if cond else b,
+    atan2=math.atan2, hypot=math.hypot, round=round,
 )
 
 ARRAY = _namespace(
@@ -142,8 +145,9 @@ ARRAY = _namespace(
 )
 
 
-# The primitives a traced expression may call; compiled code calls SCALAR's.
-TRACED = ("sin", "cos", "tan", "atan", "sqrt", "abs", "sinc", "psi", "si")
+# The primitives a traced expression may call; compiled code calls SCALAR's
+# or ARRAY's.
+TRACED = ("sin", "cos", "tan", "atan", "sqrt", "abs", "sinc", "psi", "si", "atan2", "hypot", "round")
 
 
 class Tape:

@@ -26,22 +26,22 @@ Certificate values, controls and metrics of a scalar run are evaluated
 vectorised over its stored states once it has ended; the batch checks its
 monitors once per block.
 
-One scalar fill, :func:`_scalar_block`, steps runs one at a time: it is the
-polar chart's fill, and the batch's while at most ``_SCALAR_RUNS`` runs are
-active (more are stepped at once on arrays, because an array step costs
-about the same whatever its length).  It runs the law's compiled kernel
-(:func:`_rk4_kernel`): :func:`_rk4_step` over the closed-loop field, traced
-once into straight-line Python with the gains and ``dt`` folded in, bitwise
-the interpreted step.  A batch of at most
-``_SCALAR_RUNS`` runs is therefore bitwise :func:`integrate` run by run.  A
-run that crosses from the array fill differs only in the last bits (numpy's
-``tan`` and ``arctan`` round a few arguments differently from ``math``'s),
-so its last bits depend on when its batch thins below the constant; a
-chaotic run in a large batch, such as bopa or barfli at dt >= 0.2, may
-still take a different exit than in :func:`integrate`.
+Every fill runs a kernel compiled by :func:`_rk4_kernel` from
+:func:`_rk4_step` over a field written once over a primitive namespace,
+bitwise the interpreted step, in one of three loops.  The polar loop steps
+one run's floats (:func:`_scalar_block`): it is the polar chart's fill, and
+the batch's while at most ``_SCALAR_RUNS`` runs are active, so such a batch
+is bitwise :func:`integrate` run by run.  The array loop steps more runs at
+once, because an array step costs about the same whatever its length.  A
+run that crosses from it differs only in the last bits (numpy's ``tan`` and
+``arctan`` round a few arguments differently from ``math``'s), so its last
+bits depend on when its batch thins below the constant; a chaotic run in a
+large batch, such as bopa or barfli at dt >= 0.2, may still take a
+different exit than in :func:`integrate`.  The Cartesian loop is the
+Cartesian chart's fill: it steps the pose, with the closed loop computed at
+each stage's polar state, and rebuilds a continuous polar state by
+unwrapping the transformed angles against the previous step.
 
-The Cartesian chart's fill steps the pose and rebuilds a continuous polar
-state by unwrapping the transformed angles against the previous step.
 After a Cartesian-chart run, every crossing of the x-axis is read off the
 logged poses with the linearly interpolated crossing time and abscissa,
 supporting the front-line (x > 0, y = 0) avoidance analysis.  No smoothing
@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 import linecache
 import math
+import re
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -70,7 +71,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError, UniparkError
-from .kernels import ARRAY, SCALAR, TRACE, TRACED, Sym, Tape, wrap_angle
+from .kernels import ARRAY, SCALAR, TRACE, Sym, Tape, wrap_angle
 from .lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf
 from .spaces import (
     CartesianState,
@@ -81,6 +82,7 @@ from .spaces import (
     constrained_angles,
     delta_gamma_in_space,
     metric_values,
+    on_target,
     polar_to_cartesian,
 )
 
@@ -251,10 +253,7 @@ def _finish(s: Scenario, t, polar, termination, cartesian=None) -> Trajectory:
         else:
             cart = np.asarray(cartesian, dtype=float).reshape(-1, 3)
             crossings = axis_crossings(cart, s.dt)
-        v = s.gains.k1 * rho * np.cos(gamma)
-        omega = 0.5 * s.gains.k1 * np.sin(2.0 * gamma) + ctl.steering_tilde_many(
-            s.controller, s.gains, delta, gamma
-        )
+        v, omega = ctl.closed_loop_input(s.controller, s.gains, ARRAY)(rho, delta, gamma)
         V = np.asarray(s.lyapunov().value(rho, delta, gamma), dtype=float)
         met = metric_values(ARRAY, s.space, rho, delta, gamma)
     meta = {
@@ -297,26 +296,88 @@ def _rk4_step(f: Callable, y: tuple[float, float, float], h: float) -> tuple[flo
     )
 
 
+def _pose_to_polar(xp, pose, ref):
+    """The polar row of ``pose`` (x, y, theta), written over ``xp``.  Both
+    angles are unwrapped against those of the polar row ``ref``, so a run
+    stays on the chart initial_polar() picked for the controller."""
+    x, y, theta = pose
+    two_pi = 2.0 * math.pi
+    delta = xp.atan2(y + 0.0, x) + math.pi
+    delta = delta + two_pi * xp.round((ref[1] - delta) / two_pi)
+    gamma = delta - theta
+    return xp.hypot(x, y), delta, gamma + two_pi * xp.round((ref[2] - gamma) / two_pi)
+
+
+def _pose_field(cid: ControllerId, g: Gains, xp, ref) -> Callable:
+    """The closed loop in the pose for one RK4 step from the polar row
+    ``ref``, its inputs computed at each stage's :func:`_pose_to_polar` row."""
+    u = ctl.closed_loop_input(cid, g, xp)
+
+    def field(x, y, theta):
+        v, omega = u(*_pose_to_polar(xp, (x, y, theta), ref))
+        return v * xp.cos(theta), v * xp.sin(theta), omega
+
+    return field
+
+
 _KERNEL_IDS = itertools.count()
+
+# Each kind of kernel's loop around its traced ``{step}`` to ``{out}``: polar
+# steps floats (r, d, c), passing each step to ``extend``; array steps arrays
+# (m,) into ``block[k]`` (3, m); cartesian steps the pose from the polar row
+# (., d, c) and passes it with its polar row ``{polar}`` (from ``{map}``),
+# or returns True on a step that lands exactly on the target.
+_LOOPS = {
+    "polar": ("def kernel(r, d, c, steps, extend):\n    for _ in range(steps):{step}\n"
+              "        r, d, c = {out}\n        extend((r, d, c))\n"),
+    "array": ("def kernel(r, d, c, block):\n    for k in range(len(block)):{step}\n"
+              "        block[k] = r, d, c = {out}\n"),
+    "cartesian": ("def kernel(x, y, th, d, c, steps, extend):\n    for _ in range(steps):{step}\n"
+                  "        x, y, th = {out}\n        if on_target(x, y):\n            return True{map}\n"
+                  "        r, d, c = {polar}\n        extend((x, y, th, r, d, c))\n    return False\n"),
+}
+
+
+def _loop_body(lines, keep=None) -> str:
+    """The traced ``lines`` (expression, local) as a loop body.  With
+    ``keep``, each local not in it is deleted after its last use, so an
+    array kernel holds a few of its arrays at a time, not all of them."""
+    body, seen = [], set(keep or ())
+    for expr, name in reversed(lines):
+        dead = [] if keep is None else [v for v in (name, *re.findall(r"\bv\d+\b", expr)) if v not in seen]
+        seen.update(dead)
+        body += [f"\n        del {', '.join(dict.fromkeys(dead))}"] if dead else []
+        body.append(f"\n        {name} = {expr}")
+    return "".join(reversed(body))
 
 
 @lru_cache(maxsize=64)
-def _rk4_kernel(cid: ControllerId, g: Gains, h: float) -> Callable:
-    """``kernel(r, d, c, steps, extend)``: ``steps`` RK4 steps of ``cid``'s
-    closed loop from (r, d, c), each new state passed to ``extend``.  The
-    loop body is :func:`_rk4_step` over the closed-loop field traced through
-    :data:`~unipark.kernels.TRACE`: the same float operations in the same
-    order calling the same SCALAR primitives, with ``g`` and ``h`` folded
-    and repeated expressions computed once, so a step is bitwise the
-    interpreted one and raises where it does.  Its source is in
-    :mod:`linecache`, as ``<rk4 law #n>``, while the kernel lives."""
+def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> Callable:
+    """The RK4 of ``cid``'s closed loop at step ``h`` compiled into the
+    ``loop`` of :data:`_LOOPS`, the one stepper of every fill: :func:`_rk4_step`
+    over the closed-loop field (Cartesian: :func:`_pose_field`, then
+    :func:`_pose_to_polar`) traced through :data:`~unipark.kernels.TRACE`,
+    the same float operations in the same order calling the same primitives
+    (ARRAY's in the array loop), with ``g`` and ``h`` folded and repeated
+    expressions computed once, so a step is bitwise the interpreted one and
+    raises where it does.  Its source is in :mod:`linecache`, as
+    ``<rk4 law #n>``, while the kernel lives."""
     tape = Tape()
-    y = _rk4_step(ctl.closed_loop_field(cid, g, TRACE), tuple(Sym(tape, v) for v in "rdc"), h)
-    body = "".join(f"\n        {name} = {expr}" for expr, name in tape.lines.items())
-    src = (f"def kernel(r, d, c, steps, extend):\n    for _ in range(steps):{body}\n"
-           f"        r, d, c = {', '.join(map(tape.text, y))}\n        extend((r, d, c))\n")
+    if loop == "cartesian":
+        ref = (None, Sym(tape, "d"), Sym(tape, "c"))
+        out = _rk4_step(_pose_field(cid, g, TRACE, ref), tuple(Sym(tape, v) for v in ("x", "y", "th")), h)
+    else:
+        out = _rk4_step(ctl.closed_loop_field(cid, g, TRACE), tuple(Sym(tape, v) for v in "rdc"), h)
+    n = len(tape.lines)
+    polar = _pose_to_polar(TRACE, out, ref) if loop == "cartesian" else ()
+    lines = list(tape.lines.items())
+    keep = {v.name for v in out} if loop == "array" else None
+    src = _LOOPS[loop].format(step=_loop_body(lines[:n], keep), out=", ".join(map(tape.text, out)),
+                              map=_loop_body(lines[n:]), polar=", ".join(map(tape.text, polar)))
     filename = f"<rk4 {cid.value} #{next(_KERNEL_IDS)}>"
-    scope = {name: getattr(SCALAR, name) for name in TRACED} | tape.consts
+    xp = ARRAY if loop == "array" else SCALAR
+    scope = {name: getattr(xp, name) for name in re.findall(r"(\w+)\(", " ".join(tape.lines))}
+    scope |= tape.consts | {"on_target": on_target}
     exec(compile(src, filename, "exec"), scope)
     kernel = scope["kernel"]
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
@@ -325,13 +386,12 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float) -> Callable:
 
 
 def _scalar_block(kernel: Callable, y: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` steps of the compiled RK4 ``kernel`` of :func:`_rk4_kernel`
-    from each run of ``y`` (3, m), one run at a time, as a (steps, 3, m)
-    block: the layout of :func:`_rk4_block` and :func:`_block_stops`.  It is
-    the batch's scalar fill, and at m = 1 the polar chart's fill of
-    :func:`integrate`.  A run whose stage raises ``ArithmeticError`` or
-    ``ValueError`` has NaN rows from that step on, so the block test ends it
-    as numeric; any other error propagates."""
+    """``steps`` steps of the polar ``kernel`` of :func:`_rk4_kernel` from
+    each run of ``y`` (3, m), one run at a time, as a (steps, 3, m) block,
+    the array kernel's layout: the batch's scalar fill, and at m = 1 the
+    polar chart's fill of :func:`integrate`.  A run whose stage raises
+    ``ArithmeticError`` or ``ValueError`` has NaN rows from that step on, so
+    the block test ends it as numeric; any other error propagates."""
     block = np.full((steps, 3, y.shape[1]), np.nan)
     for j, (r, d, c) in enumerate(y.T.tolist()):
         rows: list[float] = []
@@ -355,64 +415,21 @@ def _polar_fill(s: Scenario):
     return fill
 
 
-def _unwrap_near(angle: float, ref: float) -> float:
-    two_pi = 2.0 * math.pi
-    return angle + two_pi * round((ref - angle) / two_pi)
-
-
-def _cartesian_chart(s: Scenario):
-    """Cartesian kinematics, the feedback computed through the polar transform
-    at every stage: the initial pose, ``field_at`` and ``to_polar``."""
-    c0 = s.initial_cartesian()
-    if c0.x * c0.x + c0.y * c0.y == 0.0:
-        raise ConfigError("cartesian integration requires a nonzero initial position")
-    tilde = ctl.make_steering_tilde(s.controller, s.gains)
-    k1 = s.gains.k1
-
-    # Both angles are unwrapped against the previous step's values, so the
-    # run stays on the chart initial_polar() picked for the controller.
-    def polar_cont(x: float, y: float, theta: float, ref):
-        delta = _unwrap_near(math.atan2(y + 0.0, x) + math.pi, ref[1])
-        return math.hypot(x, y), delta, _unwrap_near(delta - theta, ref[2])
-
-    def field_at(ref):
-        def field(x: float, y: float, theta: float):
-            rho, delta, gamma = polar_cont(x, y, theta, ref)
-            v = k1 * rho * math.cos(gamma)
-            omega = 0.5 * k1 * math.sin(2.0 * gamma) + tilde(delta, gamma)
-            return v * math.cos(theta), v * math.sin(theta), omega
-
-        return field
-
-    def to_polar(c, ref):
-        # A step that lands exactly on the target has no polar angles.
-        if c[0] * c[0] + c[1] * c[1] == 0.0:
-            return None
-        return polar_cont(*c, ref)
-
-    return (c0.x, c0.y, c0.theta), field_at, to_polar
-
-
 def _cartesian_fill(s: Scenario):
-    """The initial pose (3, 1) and the Cartesian chart's fill: RK4 steps of
-    the pose ``y``, each mapped to the polar row that continues ``p``, with
-    NaN rows from a raising step on, as in :func:`_scalar_block`.  A step
-    that lands exactly on the target has no polar angles: the blocks end
-    before it, and ``landed`` is set."""
-    c0, field_at, to_polar = _cartesian_chart(s)
+    """The initial pose (3, 1) and the Cartesian chart's fill: the Cartesian
+    kernel's steps of the pose ``y`` from the polar row ``p``, with NaN rows
+    from a raising step on, as in :func:`_scalar_block`.  The blocks end
+    before a step that lands exactly on the target, and ``landed`` is set."""
+    c0 = s.initial_cartesian()
+    if on_target(c0.x, c0.y):
+        raise ConfigError("cartesian integration requires a nonzero initial position")
+    kernel = _rk4_kernel(s.controller, s.gains, s.dt, "cartesian")
 
     def fill(y, p, steps):
-        y, p = y[:, 0].tolist(), p[:, 0].tolist()
         rows: list[float] = []
         landed = False
         try:
-            for _ in range(steps):
-                y = _rk4_step(field_at(p), y, s.dt)
-                p = to_polar(y, p)
-                if p is None:
-                    landed = True
-                    break
-                rows.extend((*y, *p))
+            landed = kernel(*y[:, 0].tolist(), *p[1:, 0].tolist(), steps, rows.extend)
         except (ArithmeticError, ValueError):
             pass
         block = np.full((len(rows) // 6 if landed else steps, 2, 3, 1), np.nan)
@@ -420,7 +437,7 @@ def _cartesian_fill(s: Scenario):
         # Copies: a kept pose must not hold its block's polar rows alive.
         return block[:, 0].copy(), block[:, 1].copy(), landed
 
-    return np.reshape(c0, (3, 1)), fill
+    return np.array([[c0.x], [c0.y], [c0.theta]]), fill
 
 
 # A block takes at most this many steps, and at most this many lane-steps
@@ -429,14 +446,13 @@ def _cartesian_fill(s: Scenario):
 _BLOCK_STEPS = 64
 _BLOCK_LANE_STEPS = 16384
 
-# The batch steps at most this many active runs one at a time with the
-# compiled scalar RK4, and more on arrays.  An array step costs 80-220 us
-# whatever its length, a scalar run-step 2.7-10.5 us, depending on the law.
-# At 16 runs the scalar fill of a block takes 0.40-0.66 of the array fill's
-# time for ten of the eleven laws (glofo, whose scalar Si is slow, 1.1-1.5);
-# the two break even at 24-48 runs (glofo at 12-16), but moving the constant
-# moves the last bits of runs that cross from the array fill.  Measured per
-# 64-step block on metric-ball starts, unit gains, dt 0.01, 2-vCPU VM.
+# The batch steps at most this many active runs one at a time with the polar
+# kernel, and more with the array kernel.  An array step costs 55-210 us
+# whatever its length (to 48 runs), a scalar run-step 2.3-6 us (glofo, whose
+# Si is slow, 13 us).  At 16 runs the scalar fill takes 0.37-0.61 of the
+# array fill's time (glofo 1.6); they break even at 24-48 runs, but moving
+# the constant moves the last bits of runs that cross from the array fill.
+# Per 64-step block, metric-ball starts, unit gains, dt 0.01, 2-vCPU VM.
 _SCALAR_RUNS = 16
 
 
@@ -561,31 +577,6 @@ class BatchResult:
     extra_v_violations: np.ndarray | None = None  # (n_extra, N) when monitored
 
 
-def _rk4_block(field: Callable, y: np.ndarray, h: float, steps: int) -> np.ndarray:
-    """``steps`` RK4 steps of every lane of ``y`` (3, m), with the arithmetic
-    of :func:`_rk4_step`; returns the stepped states as a (steps, 3, m)
-    block, the layout :func:`_block_stops` tests.
-
-    It is kept apart from :func:`_rk4_step`, which steps tuples, because
-    its stage buffer is faster on arrays: ``batch_grid`` ``run_steps_per_s``
-    median 1.83e6 against 1.74e6 (10 of 10 alternating pairs, 2-vCPU VM)."""
-    m = y.shape[1]
-    block = np.empty((steps, 3, m))
-    stage = np.empty((4, 3, m))
-
-    def f(i: int, x: np.ndarray) -> np.ndarray:
-        stage[i, 0], stage[i, 1], stage[i, 2] = field(x[0], x[1], x[2])
-        return stage[i]
-
-    for k in range(steps):
-        k1s = f(0, y)
-        k2s = f(1, y + 0.5 * h * k1s)
-        k3s = f(2, y + 0.5 * h * k2s)
-        k4s = f(3, y + h * k3s)
-        y = np.add(y, (h / 6.0) * (k1s + 2.0 * (k2s + k3s) + k4s), out=block[k])
-    return block
-
-
 def integrate_batch(
     s: Scenario,
     initial_states: np.ndarray,
@@ -593,26 +584,24 @@ def integrate_batch(
 ) -> BatchResult:
     """Integrate many polar initial states (N, 3) under one scenario setup.
 
-    Arithmetic mirrors :func:`integrate` (same RK4, same field, written once
-    in :func:`~unipark.controllers.closed_loop_field`); lockstep
-    equivalence tests in the suite tie the two paths together.
+    Its kernels come from the generator of :func:`integrate`'s, and
+    lockstep equivalence tests in the suite tie the two paths together.
     ``extra_lyapunov`` adds further certificates whose per-step monotonicity
     violations are counted alongside the scenario's own.
 
     The runs still active are stepped in blocks of K steps and checked once
-    per block, as the module docstring describes: on arrays while more than
-    ``_SCALAR_RUNS`` are active, one at a time with the scalar RK4 of
-    :func:`integrate` once the batch has thinned to that many.  The choice
-    depends only on the active-run count, so results are deterministic, and
-    a batch of at most ``_SCALAR_RUNS`` runs equals :func:`integrate` run by
-    run, bit for bit.  A stage that raises ends its run as :func:`integrate`
+    per block, as the module docstring describes: with the array kernel
+    while more than ``_SCALAR_RUNS`` are active, one at a time with the
+    polar kernel of :func:`integrate` once the batch has thinned to that
+    many.  The choice depends only on the active-run count, so results are
+    deterministic, and a batch of at most ``_SCALAR_RUNS`` runs equals
+    :func:`integrate` run by run, bit for bit.  A stage that raises ends its run as :func:`integrate`
     does: as numeric at that step for ``ArithmeticError`` or ``ValueError``
     (a :class:`UniparkError` too), and any other error propagates.
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
     space = s.space
-    field = ctl.closed_loop_field(s.controller, s.gains, ARRAY)
     monitors = [s.lyapunov(), *extra_lyapunov]
     # Monitors sharing one certificate V_dg evaluate it once per block.
     clfs = list(dict.fromkeys(fn.clf for fn in monitors))
@@ -646,7 +635,8 @@ def integrate_batch(
             if m <= _SCALAR_RUNS:
                 block = _scalar_block(_rk4_kernel(s.controller, s.gains, h), ys[:, lanes], steps)
             else:
-                block = _rk4_block(field, ys[:, lanes], h, steps)
+                block = np.empty((steps, 3, m))
+                _rk4_kernel(s.controller, s.gains, h, "array")(*ys[:, lanes], block)
             rho, delta, gamma = block[:, 0], block[:, 1], block[:, 2]
 
             bad, tripped, stop = _block_stops(space, block, block, limit, s.stop_tol)

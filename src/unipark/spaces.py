@@ -61,6 +61,7 @@ __all__ = [
     "IntegratorState",
     "StateSpaceId",
     "BARRIER_ANGLE_LIMIT",
+    "on_target",
     "cartesian_to_polar",
     "polar_to_cartesian",
     "wrap_angles",
@@ -146,6 +147,12 @@ class StateSpaceId(Enum):
 _ORIGIN = CartesianState(0.0, 0.0, 0.0)
 
 
+def on_target(dx: float, dy: float) -> bool:
+    """Whether the offset (dx, dy) from the target is exactly zero; tested per
+    coordinate, since ``dx*dx + dy*dy`` underflows to 0 below about 1e-162."""
+    return dx == 0.0 and dy == 0.0
+
+
 def cartesian_to_polar(c: CartesianState, target: CartesianState = _ORIGIN) -> PolarState:
     """Transform a pose to polar coordinates relative to ``target``.
 
@@ -156,7 +163,7 @@ def cartesian_to_polar(c: CartesianState, target: CartesianState = _ORIGIN) -> P
     """
     dx = c.x - target.x
     dy = c.y - target.y
-    if dx * dx + dy * dy == 0.0:
+    if on_target(dx, dy):
         raise TransformError("polar transform undefined at zero distance to target")
     rho = math.hypot(dx, dy)
     # +0.0 normalises -0.0 so the branch cut lands on delta = 2*pi exactly.

@@ -38,10 +38,10 @@ import numpy as np
 from unipark.cli import CSV_COLUMNS, SCHEMA_VERSION
 from unipark.errors import UniparkError
 from unipark.controllers import closed_loop_field
-from unipark.kernels import ARRAY
+from unipark.kernels import ARRAY, SCALAR
 from unipark.linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
-from unipark.simulate import Termination, _cartesian_chart, _finish
-from unipark.spaces import delta_gamma_in_space, metric_values
+from unipark.simulate import Termination, _finish, _pose_field, _pose_to_polar
+from unipark.spaces import delta_gamma_in_space, metric_values, on_target
 
 mp.mp.dps = 40
 
@@ -329,7 +329,10 @@ def integrate_reference(s):
     p0 = s.initial_polar()
     p = (p0.rho, p0.delta, p0.gamma)
     if s.frame == "cartesian":
-        y, field_at, to_polar = _cartesian_chart(s)
+        c0 = s.initial_cartesian()
+        y = (c0.x, c0.y, c0.theta)
+        field_at = lambda ref: _pose_field(s.controller, s.gains, SCALAR, ref)  # noqa: E731
+        to_polar = lambda q, ref: None if on_target(q[0], q[1]) else _pose_to_polar(SCALAR, q, ref)  # noqa: E731
     else:
         f = closed_loop_field(s.controller, s.gains)
         y, field_at, to_polar = p, (lambda ref: f), (lambda q, ref: q)

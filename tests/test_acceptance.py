@@ -14,7 +14,6 @@ from oracles import steering_tilde_oracle
 from unipark.controllers import (
     ControllerId,
     Gains,
-    all_controller_ids,
     controller_space,
     steering_tilde,
 )
@@ -98,7 +97,7 @@ def test_criterion_1_closed_form_fidelity():
     gains = Gains(k1=1.3, k2=0.8, k3=1.6, k4=1.1)
     kd = {"k1": gains.k1, "k2": gains.k2, "k3": gains.k3, "k4": gains.k4}
     worst = 0.0
-    for cid in all_controller_ids():
+    for cid in ControllerId:
         for d, c in sample_pairs(cid, rng, 20):
             want = float(steering_tilde_oracle(cid.value, kd, d, c))
             got = steering_tilde(cid, gains, d, c)
@@ -108,7 +107,7 @@ def test_criterion_1_closed_form_fidelity():
     for cid, d, c, want in SPEC_EXAMPLES:
         got = steering_tilde(cid, UNIT, d, c)
         examples_ok &= abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    for cid in all_controller_ids():
+    for cid in ControllerId:
         examples_ok &= steering_tilde(cid, UNIT, 0.0, 0.0) == 0.0
     ok = worst < 1e-12 and examples_ok
     report(1, ok, f"11 laws x 20 oracle pairs, worst rel err {worst:.2e} (tol 1e-12); "
@@ -162,7 +161,7 @@ def test_criterion_2_certificates():
 def convergence_batches():
     rng = np.random.default_rng(300)
     results = {}
-    for cid in all_controller_ids():
+    for cid in ControllerId:
         grid = sample_metric_ball(controller_space(cid), 100, rng)
         s = Scenario(controller=cid, gains=UNIT, initial=PolarState(1.0, 0.0, 0.0),
                      dt=1e-3, t_max=100.0, stop_tol=1e-4)

@@ -8,13 +8,12 @@ from unipark.controllers import (
     ControlInput,
     ControllerId,
     Gains,
-    all_controller_ids,
     backstep_z,
     closed_loop_field,
+    closed_loop_input,
     controller_space,
     forward_zeta,
     heading_only,
-    make_steering_tilde,
     open_loop_field,
     reverse_parking_wrap,
     steering_tilde,
@@ -104,7 +103,7 @@ class TestSteeringExamples:
         assert backstep_z(ControllerId.GLOBA, UNIT, 0.0, math.pi / 4) == pytest.approx(math.pi / 4)
 
     def test_all_zero_at_origin(self):
-        for cid in all_controller_ids():
+        for cid in ControllerId:
             assert steering_tilde(cid, UNIT, 0.0, 0.0) == 0.0
             assert steering_total(cid, UNIT, 0.0, 0.0) == 0.0
 
@@ -135,7 +134,7 @@ class TestSteeringProperties:
     def test_oracle_agreement(self):
         rng = np.random.default_rng(8)
         gains = [UNIT, Gains(k1=2.0, k2=0.8, k3=1.5, k4=1.2)]
-        for cid in all_controller_ids():
+        for cid in ControllerId:
             for g in gains:
                 kd = {"k1": g.k1, "k2": g.k2, "k3": g.k3, "k4": g.k4}
                 for d, c in sample_inside(cid, rng, 25):
@@ -146,7 +145,7 @@ class TestSteeringProperties:
     def test_vectorised_matches_scalar(self):
         rng = np.random.default_rng(9)
         for g in (UNIT, Gains(k1=2.0, k2=0.8, k3=1.5, k4=1.2)):
-            for cid in all_controller_ids():
+            for cid in ControllerId:
                 pts = sample_inside(cid, rng, 200)
                 vec = steering_tilde_many(cid, g, pts[:, 0], pts[:, 1])
                 sca = np.array([steering_tilde(cid, g, d, c) for d, c in pts])
@@ -154,7 +153,7 @@ class TestSteeringProperties:
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(10)
-        for cid in all_controller_ids():
+        for cid in ControllerId:
             for d, c in sample_inside(cid, rng, 50):
                 plus = steering_tilde(cid, UNIT, d, c)
                 minus = steering_tilde(cid, UNIT, -d, -c)
@@ -214,9 +213,13 @@ class TestSteeringProperties:
             assert gs_genova == pytest.approx(g.k2, rel=1e-7)
             assert gs_glofo == pytest.approx(g.k2 + g.k1 * g.k3 / g.k2, rel=1e-7)
 
-    def test_make_steering_tilde_closure(self):
-        f = make_steering_tilde(ControllerId.BARFLI, UNIT)
-        assert f(0.5, -0.3) == pytest.approx(steering_tilde(ControllerId.BARFLI, UNIT, 0.5, -0.3))
+    def test_closed_loop_input(self):
+        # The velocity law and the total steering input of each law.
+        g = Gains(k1=2.0, k2=0.8, k3=1.5, k4=1.2)
+        for cid in ControllerId:
+            v, omega = closed_loop_input(cid, g)(1.5, 0.5, -0.3)
+            assert v == velocity(PolarState(1.5, 0.5, -0.3), g.k1)
+            assert omega == pytest.approx(steering_total(cid, g, 0.5, -0.3), rel=1e-15, abs=1e-15)
 
 
 class TestHeadingOnly:

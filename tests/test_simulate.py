@@ -15,7 +15,7 @@ import unipark.simulate
 from oracles import integrate_reference
 from unipark.controllers import ControllerId, Gains, closed_loop_field, open_loop_field
 from unipark.errors import ConfigError, DomainError, SingularityError
-from unipark.kernels import SCALAR, Sym, Tape, wrap_angle
+from unipark.kernels import ARRAY, SCALAR, Sym, Tape, wrap_angle
 from unipark.lyapunov import CompositeKind
 from unipark.simulate import (
     Scenario,
@@ -89,6 +89,16 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             Scenario(controller=ControllerId.GENOVA, initial=CartesianState(0.0, 0.0, 1.0),
                      frame="cartesian")
+
+    @pytest.mark.parametrize("frame", ["polar", "cartesian"])
+    def test_tiny_position_accepted(self, frame):
+        # x*x underflows to 0 here, yet the start is off the target.
+        s = Scenario(controller=ControllerId.GENOVA, initial=CartesianState(1e-200, 0.0, 0.0),
+                     frame=frame, dt=0.01, t_max=1.0)
+        assert s.initial_polar() == PolarState(1e-200, math.pi, math.pi)
+        tr = integrate(s)
+        assert tr.termination is Termination.T_MAX and len(tr.t) == 101
+        assert_same_run(tr, integrate_reference(s))
 
 
 class TestIntegrate:
@@ -228,47 +238,25 @@ def assert_same_run(got, want):
     assert crossings[0] == crossings[1]
 
 
-def raising_law(cid, exc, at_step):
-    """The law table entry of ``cid`` with a law that raises ``exc`` on the
-    first RK4 stage of scalar step ``at_step`` (counted from 1); each step
-    evaluates the law four times, and every other call, array calls as in
-    the post-hoc log too, passes through."""
-    law = ctl._LAWS[cid]
-    calls = [0]
-
-    def fn(xp, g, d, c):
-        if xp is SCALAR:
-            calls[0] += 1
-            if calls[0] == 4 * (at_step - 1) + 1:
-                raise exc
-        return law.fn(xp, g, d, c)
-
-    return law._replace(fn=fn)
-
-
 @contextlib.contextmanager
-def raising_step(exc, at_step, frame="polar"):
+def raising_step(exc, at_step):
     """bagal's scalar step ``at_step`` (counted from 1) raising ``exc`` in
-    its first stage.  The Cartesian chart's stepper calls the law, so there
-    the law table entry raises (:func:`raising_law`).  A compiled polar
-    kernel calls no law at run time, so in the polar chart and the batch
-    SCALAR.tan raises, on the first of its eight calls in that step: two
-    per RK4 stage, none merged in the kernel, and every other call passes
+    its first stage, in either chart.  A compiled kernel calls no law at run
+    time, so SCALAR.tan raises, on the first of its eight calls in that
+    step: two per RK4 stage, none merged in the kernel (see
+    ``test_bagal_step_calls_tan_eight_times``), and every other call passes
     through.  The kernel cache is cleared around the patch, so the kernels
     compiled under it call the patched tan and none outlives it."""
     with pytest.MonkeyPatch.context() as mp:
-        if frame == "cartesian":
-            mp.setitem(ctl._LAWS, ControllerId.BAGAL, raising_law(ControllerId.BAGAL, exc, at_step))
-        else:
-            tan, calls = SCALAR.tan, [0]
+        tan, calls = SCALAR.tan, [0]
 
-            def counted(a):
-                calls[0] += 1
-                if calls[0] == 8 * (at_step - 1) + 1:
-                    raise exc
-                return tan(a)
+        def counted(a):
+            calls[0] += 1
+            if calls[0] == 8 * (at_step - 1) + 1:
+                raise exc
+            return tan(a)
 
-            mp.setattr(SCALAR, "tan", counted)
+        mp.setattr(SCALAR, "tan", counted)
         unipark.simulate._rk4_kernel.cache_clear()
         try:
             yield
@@ -367,7 +355,7 @@ class TestBlockedIntegrate:
         at_step = trip - 1 if when == "before_trip" else trip + 1
 
         def run(integrator):
-            with raising_step(exc, at_step, frame):
+            with raising_step(exc, at_step):
                 return integrator(s)
 
         got, want = run(integrate), run(integrate_reference)
@@ -404,7 +392,7 @@ class TestStageErrorPolicy:
         s = scenario(cid=ControllerId.BAGAL, initial=PolarState(*start), dt=0.2,
                      frame="polar" if integrator == "batch" else integrator)
         exc = RuntimeError("not a numeric failure")
-        with raising_step(exc, 2, s.frame), pytest.raises(RuntimeError) as e:
+        with raising_step(exc, 2), pytest.raises(RuntimeError) as e:
             integrate_batch(s, [start]) if integrator == "batch" else integrate(s)
         assert e.value is exc
 
@@ -429,10 +417,11 @@ class TestLoggedMetricDecides:
             assert (tr.metric[:-1] >= tol).all() and tr.metric[-1] < tol
 
 
-# The compiled RK4 kernel of each law against the interpreted _rk4_step over
-# closed_loop_field: an ordinary start, the bagal guard-trip start, two
-# near-barrier starts, the libac start whose stage divides by zero at dt 1,
-# and the start on which globa-cons diverges at dt 900.
+# The compiled RK4 kernels of each law against the interpreted _rk4_step over
+# closed_loop_field, on floats and on these starts as the lanes of one array:
+# an ordinary start, the bagal guard-trip start, two near-barrier starts, the
+# libac start whose stage divides by zero at dt 1, and the start on which
+# globa-cons diverges at dt 900.
 KERNEL_STARTS = [(1.0, 0.5, -0.3), (3.0, -2.5, 2.8), (1.0, math.pi - 1e-6, 1e-6 - math.pi),
                  (0.5, 3.1, 3.1), (1.0, 2.891592653589793, 0.7853981633974483), (1.0, 3.0, 2.0)]
 KERNEL_GAINS = {"unit": UNIT, "fig5": Gains(1.0, 1.0, 0.1, 1.0),
@@ -461,14 +450,15 @@ def interpreted(f, h):
 
 
 class TestRk4Kernel:
-    """Each law's compiled kernel steps bit for bit as the interpreted RK4
-    does, raises what it raises at the same step, and shows its own source
+    """Each law's compiled kernels step bit for bit as the interpreted RK4
+    does, raise what it raises at the same step, and show their own source
     lines in tracebacks."""
 
     @pytest.mark.parametrize("gains", list(KERNEL_GAINS), ids=str)
     @pytest.mark.parametrize("cid", list(ControllerId), ids=lambda c: c.value)
     def test_bitwise_interpreted(self, cid, gains):
         g = KERNEL_GAINS[gains]
+        lanes = tuple(np.array(KERNEL_STARTS).T)
         for h in (1e-3, 0.01, 0.2, 1.0, 900.0):
             kernel = unipark.simulate._rk4_kernel(cid, g, h)
             step = interpreted(closed_loop_field(cid, g), h)
@@ -480,6 +470,18 @@ class TestRk4Kernel:
                     assert want_exc is ValueError or not np.isfinite(want).all(), y
                 if cid is ControllerId.LIBAC and gains != "strict" and h == 1.0 and y == KERNEL_STARTS[4]:
                     assert want_exc is ZeroDivisionError and len(want) == 0
+            block, rows = np.empty((100, 3, len(KERNEL_STARTS))), []
+            with np.errstate(all="ignore"):
+                unipark.simulate._rk4_kernel(cid, g, h, "array")(*lanes, block)
+                interpreted(closed_loop_field(cid, g, ARRAY), h)(lanes, 100, rows.append)
+            assert block.tobytes() == np.array(rows).tobytes(), h
+
+    @pytest.mark.parametrize("loop", ["polar", "cartesian"])
+    def test_bagal_step_calls_tan_eight_times(self, loop):
+        # raising_step counts on it: two calls per RK4 stage, none merged.
+        kernel = unipark.simulate._rk4_kernel(ControllerId.BAGAL, UNIT, 0.2, loop)
+        src = "".join(linecache.getlines(kernel.__code__.co_filename))
+        assert len(re.findall(r"\btan\(", src)) == 8
 
     def test_raising_primitive(self):
         # The compiled kernel raises where the interpreted step does: in
@@ -636,18 +638,18 @@ class TestBatch:
         assert assert_lockstep(s, starts, br, exact=True) == LOCKSTEP_KINDS[name]
 
     def test_lockstep_thinning(self, monkeypatch, scalar_runs):
-        # The fill switches from arrays to the scalar RK4 mid-run, unless
-        # the constant is 0 and every block is stepped on arrays.  Only the
-        # batch's fills are counted: integrate fills with _scalar_block too.
-        fills = set()
-        for name in ("_rk4_block", "_scalar_block"):
-            def spy(*args, fill=getattr(unipark.simulate, name), name=name):
-                fills.add(name)
-                return fill(*args)
+        # The fill switches from the array kernel to the scalar one mid-run,
+        # unless the constant is 0 and every block is stepped on arrays.
+        # Only the batch's kernels are counted: integrate runs polar ones.
+        loops, kernel = set(), unipark.simulate._rk4_kernel
 
-            monkeypatch.setattr(unipark.simulate, name, spy)
+        def spy(cid, g, h, loop="polar"):
+            loops.add(loop)
+            return kernel(cid, g, h, loop)
+
+        monkeypatch.setattr(unipark.simulate, "_rk4_kernel", spy)
         s, starts, br = lockstep_batch(THINNING)
-        assert fills == ({"_rk4_block"} if scalar_runs == 0 else {"_rk4_block", "_scalar_block"})
+        assert loops == ({"array"} if scalar_runs == 0 else {"array", "polar"})
         assert len(starts) > unipark.simulate._SCALAR_RUNS
         assert assert_lockstep(s, starts, br, exact=False) == LOCKSTEP_KINDS[THINNING]
 

@@ -37,6 +37,12 @@ class TestCartesianToPolar:
         with pytest.raises(TransformError):
             cartesian_to_polar(CartesianState(0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("x, y", [(1e-200, 0.0), (0.0, -1e-200), (-5e-324, 5e-324)])
+    def test_underflowing_distance_accepted(self, x, y):
+        # x*x + y*y underflows to 0 here, yet the pose is off the target.
+        p = cartesian_to_polar(CartesianState(x, y, 0.0))
+        assert p.rho == math.hypot(x, y) > 0.0
+
     @given(POSE, POSE, POSE)
     @settings(max_examples=400)
     def test_roundtrip(self, x, y, th):
