@@ -29,7 +29,7 @@ from .controllers import ControllerId, Gains
 from .errors import ConfigError, DomainError, InfeasiblePolesError, TransformError, UniparkError
 from .linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 from .lyapunov import CompositeKind, CompositeOrder
-from .simulate import Scenario, Termination, Trajectory, integrate, sweep_point
+from .simulate import Scenario, Termination, Trajectory, _striped_map, integrate, sweep_point
 from .spaces import CartesianState, PolarState
 from .svg import SvgPath, palette_color, write_svg
 from .verify import eigenvalue_error, run_all
@@ -264,19 +264,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs at least one controller")
     fmts = _formats(args, allowed=("json", "svg", "txt"))
     out = _out_dir(args)
+    # Scenario's default start is a placeholder; the grid has the real ones.
+    bases = [_scenario_from(cfg, args, cid, Scenario.initial) for cid in controllers]
+
+    def point(job):  # a worker sends back the record and only the drawn poses
+        r, traj = sweep_point(*job)
+        return r, traj.cartesian if "svg" in fmts and traj is not None else None
+
+    results = _striped_map(point, [(base, i, initial) for base in bases for i, initial in enumerate(grid)])
     summary = {"schema_version": SCHEMA_VERSION, "controllers": {}}
     paths = []
     failures = 0
     for ci, cid in enumerate(controllers):
-        # Scenario's default start is a placeholder; the grid supplies the
-        # real ones.
-        base = _scenario_from(cfg, args, cid, Scenario.initial)
         recs = []
-        for i, initial in enumerate(grid):
-            r, traj = sweep_point(base, i, initial)
-            if "svg" in fmts and traj is not None:
-                paths.append(SvgPath(traj.cartesian, label=cid.value,
-                                     color=palette_color(ci)))
+        for r, cartesian in results[ci * len(grid):(ci + 1) * len(grid)]:
+            if cartesian is not None:
+                paths.append(SvgPath(cartesian, label=cid.value, color=palette_color(ci)))
             recs.append(dataclasses.asdict(r))
             failures += int(r.termination in _FAILED_TERMINATIONS or r.error is not None)
         summary["controllers"][cid.value] = recs

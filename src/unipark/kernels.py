@@ -170,24 +170,26 @@ class Tape:
         self.consts[name] = x
         return name
 
-    def emit(self, expr: str) -> "Sym":
-        return Sym(self, self.lines.setdefault(expr, f"v{len(self.lines)}"))
+    def emit(self, expr: str, whole: bool = False) -> "Sym":
+        return Sym(self, self.lines.setdefault(expr, f"v{len(self.lines)}"), whole)
 
 
 class Sym:
-    """A traced float.  Each arithmetic operation on it and each
-    :data:`TRACE` primitive of it is recorded on its tape, operands in the
-    order given, so constants fold by the float operations of untraced
-    code.  Branching on or comparing it raises ``TypeError``."""
+    """A traced float, or with ``whole`` one that may be an int (made by
+    ``round``, kept by int arithmetic).  Each arithmetic operation on it and
+    each :data:`TRACE` primitive of it is recorded on its tape, operands in
+    the order given, so constants fold by the float operations of untraced
+    code, and a float times 1.0 is that float.  Branching on or comparing
+    it raises ``TypeError``."""
 
-    __slots__ = ("tape", "name")
+    __slots__ = ("tape", "name", "whole")
     __array_ufunc__ = None  # numpy scalars defer to the reflected methods
 
-    def __init__(self, tape: Tape, name: str) -> None:
-        self.tape, self.name = tape, name
+    def __init__(self, tape: Tape, name: str, whole: bool = False) -> None:
+        self.tape, self.name, self.whole = tape, name, whole
 
     def __neg__(self) -> "Sym":
-        return self.tape.emit(f"-{self.name}")
+        return self.tape.emit(f"-{self.name}", self.whole)
 
     def _no_value(self, *_):
         raise TypeError("a traced value cannot be branched on or compared")
@@ -195,9 +197,20 @@ class Sym:
     __bool__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _no_value
 
 
+def _operator(op: str, reflected: bool):
+    def apply(a: Sym, b) -> Sym:
+        if op == "*" and type(b) is float and b == 1.0 and not a.whole:
+            return a  # exactly a; an int keeps the product, which makes it a float
+        x, y = (a.tape.text(b), a.name) if reflected else (a.name, a.tape.text(b))
+        whole = op != "/" and a.whole and getattr(b, "whole", type(b) is not float)
+        return a.tape.emit(f"{x} {op} {y}", whole)
+
+    return apply
+
+
 for _op, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv"), ("**", "pow")):
-    setattr(Sym, f"__{_name}__", lambda a, b, op=_op: a.tape.emit(f"{a.name} {op} {a.tape.text(b)}"))
-    setattr(Sym, f"__r{_name}__", lambda a, b, op=_op: a.tape.emit(f"{a.tape.text(b)} {op} {a.name}"))
+    setattr(Sym, f"__{_name}__", _operator(_op, False))
+    setattr(Sym, f"__r{_name}__", _operator(_op, True))
 
 
 def _recorder(name: str):
@@ -205,7 +218,8 @@ def _recorder(name: str):
         tape = next((a.tape for a in args if isinstance(a, Sym)), None)
         if tape is None:  # no traced argument: a constant
             return getattr(SCALAR, name)(*args)
-        return tape.emit(f"{name}({', '.join(map(tape.text, args))})")
+        whole = name == "round" or name == "abs" and args[0].whole
+        return tape.emit(f"{name}({', '.join(map(tape.text, args))})", whole)
 
     return record
 

@@ -42,6 +42,9 @@ Cartesian chart's fill: it steps the pose, with the closed loop computed at
 each stage's polar state, and rebuilds a continuous polar state by
 unwrapping the transformed angles against the previous step.
 
+The points of a sweep run in forked workers, one per usable CPU
+(:func:`_striped_map`), and their results are those of one process.
+
 After a Cartesian-chart run, every crossing of the x-axis is read off the
 logged poses with the linearly interpolated crossing time and abscissa,
 supporting the front-line (x > 0, y = 0) avoidance analysis.  No smoothing
@@ -59,9 +62,11 @@ from __future__ import annotations
 import itertools
 import linecache
 import math
+import multiprocessing
+import os
 import re
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -707,12 +712,6 @@ class SweepRecord:
     error: str | None = None
 
 
-def _initial_tuple(initial) -> tuple[float, float, float]:
-    if isinstance(initial, PolarState):
-        return (initial.rho, initial.delta, initial.gamma)
-    return (initial.x, initial.y, initial.theta)
-
-
 def sweep_point(base: Scenario, index: int, initial) -> tuple[SweepRecord, Trajectory | None]:
     """Integrate ``base`` from one grid point, once.
 
@@ -720,7 +719,7 @@ def sweep_point(base: Scenario, index: int, initial) -> tuple[SweepRecord, Traje
     run is recorded in the ``error`` field, with ``None`` for the
     trajectory, rather than raised.
     """
-    start = _initial_tuple(initial)
+    start = astuple(initial)
     try:
         traj = integrate(replace(base, initial=initial))
     except UniparkError as e:
@@ -750,9 +749,43 @@ def sweep_point(base: Scenario, index: int, initial) -> tuple[SweepRecord, Traje
     ), traj
 
 
+def _stripe(fn: Callable, items: Sequence, conn) -> None:
+    try:
+        conn.send([fn(x) for x in items])
+    except Exception as e:
+        conn.send(e)
+
+
+def _striped_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, item i computed by worker i mod n, for n
+    usable CPUs or fewer items.  Worker 0 is the caller; the others are
+    forked, so ``fn`` need not pickle, and send their results over a pipe.
+    A worker's exception is raised here; no worker outlives the call."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n = max(1, min(cpus, len(items)))
+    ctx, children = multiprocessing.get_context("fork"), []
+    try:
+        for w in range(1, n):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_stripe, args=(fn, items[w::n], send))
+            child.start()
+            children.append((child, recv))
+            send.close()
+        stripes = [[fn(x) for x in items[::n]]] + [recv.recv() for _, recv in children]
+        for out in stripes:
+            if isinstance(out, Exception):
+                raise out
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.kill()  # a no-op once it has exited
+            child.join()
+    return [stripes[i % n][i // n] for i in range(len(items))]
+
+
 def sweep(base: Scenario, grid: Sequence) -> list[SweepRecord]:
     """The :func:`sweep_point` records of every initial state in ``grid``,
-    in grid order; each trajectory is dropped as soon as it is summarised."""
+    in grid order, run by :func:`_striped_map`; workers return only records."""
     if len(grid) == 0:
         raise ConfigError("sweep grid is empty")
-    return [sweep_point(base, i, initial)[0] for i, initial in enumerate(grid)]
+    return _striped_map(lambda point: sweep_point(base, *point)[0], list(enumerate(grid)))

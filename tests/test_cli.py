@@ -3,8 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,7 +23,7 @@ from oracles import polyline_reference, trajectory_csv_reference, trajectory_jso
 from unipark.cli import main, write_trajectory
 from unipark.controllers import ControllerId, Gains
 from unipark.lyapunov import CompositeKind, CompositeOrder
-from unipark.simulate import Scenario, integrate
+from unipark.simulate import Scenario, integrate, sweep
 from unipark.spaces import CartesianState, PolarState
 from unipark.svg import SvgPath, render_paths, write_svg
 
@@ -333,11 +336,13 @@ class TestSweepCommand:
     def test_one_integration_per_point(self, tmp_path, monkeypatch):
         import unipark.simulate
 
-        calls = []
+        log = tmp_path / "calls.txt"
         real = unipark.simulate.integrate
 
         def counting(s):
-            calls.append(s.controller)
+            # A line per call in a file: the calls of forked workers count too.
+            with open(log, "a") as fh:
+                fh.write(f"{s.controller.value}\n")
             return real(s)
 
         # Both import sites are counted, so redrawing a point through the
@@ -355,6 +360,7 @@ class TestSweepCommand:
         summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
         ran = [r for recs in summary["controllers"].values() for r in recs if r["error"] is None]
         assert len(ran) == 5
+        calls = log.read_text().splitlines()
         assert len(calls) == len(ran)
         svg = (tmp_path / "out" / "sweep_overlay.svg").read_text()
         assert svg.count("<polyline") == len(ran)
@@ -437,6 +443,54 @@ class TestSweepCommand:
         assert (tmp_path / "s1" / "sweep_summary.json").read_bytes() == (
             tmp_path / "s2" / "sweep_summary.json"
         ).read_bytes()
+
+    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # 2 laws x 4 points: barfli errors on (1, 0, 0), on its delta
+        # barrier, and some runs end at t_max, others converge.
+        grid = [[2.0, 0.4, 0.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0], [8.0, 3.0, 1.0]]
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controllers": ["barfli", "globa"], "dt": 0.01, "t_max": 15.0,
+                                   "grid_cart": grid}))
+        base = Scenario(controller=ControllerId.BARFLI, dt=0.01, t_max=15.0)
+        outputs, records = [], []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"cpus{len(cpus)}"
+            assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep_summary.json", "sweep_summary.txt", "sweep_overlay.svg")])
+            records.append(repr(sweep(base, [CartesianState(*pose) for pose in grid])))
+            assert multiprocessing.active_children() == []
+        terminations = [r["termination"] for recs in json.loads(outputs[0][0])["controllers"].values()
+                        for r in recs]
+        assert {"converged", "t_max", "error"} <= set(terminations)
+        assert outputs[0] == outputs[1]
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_failing_point_propagates(self, tmp_path, monkeypatch, where):
+        parent = os.getpid()
+        real = unipark.cli.sweep_point
+
+        def failing(base, index, initial):
+            in_caller = os.getpid() == parent
+            if in_caller == (where == "caller"):
+                raise RuntimeError(f"failed in the {where}")
+            if not in_caller:
+                time.sleep(60)  # still busy when the caller fails, so it must be killed
+            return real(base, index, initial)
+
+        # Patched before the fork, so the worker inherits the patch.
+        monkeypatch.setattr(unipark.cli, "sweep_point", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controller": "globa", "dt": 0.01, "t_max": 1.0,
+                                   "grid_polar": [[1.0, 0.5, 0.2], [1.5, -0.5, 0.2]]}))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"failed in the {where}"):
+            run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
 
 
 class TestGainsCommand:

@@ -15,7 +15,7 @@ import unipark.simulate
 from oracles import integrate_reference
 from unipark.controllers import ControllerId, Gains, closed_loop_field, open_loop_field
 from unipark.errors import ConfigError, DomainError, SingularityError
-from unipark.kernels import ARRAY, SCALAR, Sym, Tape, wrap_angle
+from unipark.kernels import ARRAY, SCALAR, TRACE, Sym, Tape, wrap_angle
 from unipark.lyapunov import CompositeKind
 from unipark.simulate import (
     Scenario,
@@ -482,6 +482,20 @@ class TestRk4Kernel:
         kernel = unipark.simulate._rk4_kernel(ControllerId.BAGAL, UNIT, 0.2, loop)
         src = "".join(linecache.getlines(kernel.__code__.co_filename))
         assert len(re.findall(r"\btan\(", src)) == 8
+
+    def test_unit_gain_products_folded(self):
+        kernel = unipark.simulate._rk4_kernel(ControllerId.GENOVA, UNIT, 0.01)
+        src = linecache.getlines(kernel.__code__.co_filename)
+        assert src and not [line for line in src if re.search(r"\b1\.0 \*|\* 1\.0\b", line)]
+        # An int times 1.0 is a float, so what may be an int keeps the product.
+        tape = Tape()
+        x = Sym(tape, "x")
+        n = TRACE.round(x)
+        half, quotient = n + 0.5, n / 2
+        assert 1.0 * x is x and x * 1.0 is x and half * 1.0 is half and 1.0 * quotient is quotient
+        assert (1.0 * n).name == "v3" and (TRACE.abs(-n + 1) * 1.0).name == "v7"
+        assert list(tape.lines) == ["round(x)", "v0 + 0.5", "v0 / 2", "1.0 * v0", "-v0", "v4 + 1",
+                                    "abs(v5)", "v6 * 1.0"]
 
     def test_raising_primitive(self):
         # The compiled kernel raises where the interpreted step does: in
