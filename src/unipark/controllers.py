@@ -82,8 +82,6 @@ __all__ = [
     "steering_tilde_many",
     "heading_only",
     "reverse_parking_wrap",
-    "backstep_z",
-    "forward_zeta",
     "closed_loop_field",
     "closed_loop_input",
     "open_loop_field",
@@ -346,31 +344,6 @@ def steering_tilde_many(
     d = np.asarray(delta, dtype=float)
     c = np.asarray(gamma, dtype=float)
     return _tilde_fn(cid)(ARRAY, g, d, c)
-
-
-_BACKSTEP_Z = {
-    ControllerId.GLOBA: z_globa,
-    ControllerId.GLOBA_INTERP: z_globa,
-    ControllerId.GLOBA_CONS: z_globa,
-    ControllerId.BARFLI: z_barfli,
-    ControllerId.LIBAC: z_libac,
-}
-
-_FORWARD_ZETA = {ControllerId.GLOFO: zeta_glofo, ControllerId.BOFO: zeta_bofo}
-
-
-def backstep_z(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
-    """Backstepping residual z for the backstepping-family ids."""
-    if cid not in _BACKSTEP_Z:
-        raise DomainError(f"{cid.value} has no backstepping residual")
-    return _BACKSTEP_Z[cid](SCALAR, g, delta, gamma)
-
-
-def forward_zeta(cid: ControllerId, g: Gains, delta: float, gamma: float) -> float:
-    """Forwarding residual zeta for the forwarding-family ids."""
-    if cid not in _FORWARD_ZETA:
-        raise DomainError(f"{cid.value} has no forwarding residual")
-    return _FORWARD_ZETA[cid](SCALAR, g, delta, gamma)
 
 
 # ---------------------------------------------------------------------------

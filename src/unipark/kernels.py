@@ -5,24 +5,26 @@ state, so they are safe for unrestricted concurrent use.  They operate on
 plain Python floats.
 
 :data:`SCALAR` and :data:`ARRAY` are the two primitive namespaces (``sin``,
-``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``psi``, ``si``,
-``where``) that the laws, metrics, certificates and pole formulas are written
-over once: the scalar one is made of :mod:`math` and the kernels below, the
-array one of their numpy/scipy counterparts; the scalar one also has
-``atan2``, ``hypot`` and ``round`` for the Cartesian chart.  A third,
-:data:`TRACE`, run on :class:`Sym` values, records code written over any of
-them but ``where`` as straight-line Python on a :class:`Tape`, which
-``simulate._rk4_kernel`` compiles over the scalar or the array ones.
+``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``si``, ``where``)
+that the laws, metrics, certificates and pole formulas are written over once:
+the scalar one is made of :mod:`math` and the kernels below, the array one of
+their numpy/scipy counterparts with the same ``sinc`` rule; the scalar one
+also has ``atan2``, ``hypot`` and ``round`` for the Cartesian chart.  A
+third, :data:`TRACE`, run on :class:`Sym` values, records code written over
+any of them but ``where`` as straight-line Python on a :class:`Tape`, which
+``simulate._rk4_kernel`` compiles over the scalar or the array ones.  Each
+namespace's ``psi`` is composed of its own ``sinc`` and ``cos``, so a trace
+records it as those two calls.
 
 Conventions
 -----------
 * ``sinc(a) = sin(a)/a`` with ``sinc(0) = 1``; bounded in [-0.21724, 1].
 * ``Si(a)`` is the sine integral, the antiderivative of ``sinc`` from 0.
 * ``psi(z, gamma) = [sin(2z - 2*gamma) + sin(2*gamma)] / (2z)``, extended
-  continuously across ``z = 0`` where it equals ``cos(2*gamma)``.  The
-  sum-to-product identity gives the equivalent form
-  ``sinc(z) * cos(z - 2*gamma)``, which is what the small-``z`` branch uses;
-  it shows directly that ``|psi| <= 1``.
+  continuously across ``z = 0`` where it equals ``cos(2*gamma)``.  It is
+  computed in the product form ``sinc(z) * cos(z - 2*gamma)`` that the
+  sum-to-product identity gives: that form needs no branch at ``z = 0``,
+  does not cancel as ``z`` shrinks, and shows directly that ``|psi| <= 1``.
 """
 
 from __future__ import annotations
@@ -37,12 +39,10 @@ from .errors import BarrierDomainError, DomainError
 
 __all__ = ["sinc", "sine_integral", "psi", "half_tan", "wrap_angle", "SCALAR", "ARRAY"]
 
-# Below this magnitude sin(a)/a loses accuracy to cancellation; the 3-term
-# Taylor polynomial is exact to well under 1e-20 there.
+# Below this magnitude sin(a)/a loses accuracy to cancellation, and
+# 1 - a^2/6 is sinc's Taylor polynomial: the next term, a^4/120 < 1e-18, is
+# under half an ulp of it, so adding it would never change the result.
 _SINC_TAYLOR_THRESHOLD = 1e-4
-
-# Below this magnitude psi switches to its analytic limit branch.
-_PSI_LIMIT_THRESHOLD = 1e-6
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -54,14 +54,13 @@ def _require_finite(name: str, value: float) -> float:
 def sinc(a: float) -> float:
     """sin(a)/a with the removable singularity at a = 0 filled in.
 
-    Even in ``a``.  For |a| < 1e-4 the Taylor polynomial
-    ``1 - a^2/6 + a^4/120`` is used to avoid cancellation.
+    Even in ``a``.  For |a| < 1e-4 the Taylor polynomial ``1 - a^2/6`` is
+    used to avoid cancellation.
     """
     if not math.isfinite(a):
         _require_finite("a", a)
     if abs(a) < _SINC_TAYLOR_THRESHOLD:
-        a2 = a * a
-        return 1.0 - a2 / 6.0 + a2 * a2 / 120.0
+        return 1.0 - a * a / 6.0
     return math.sin(a) / a
 
 
@@ -81,16 +80,16 @@ def psi(z: float, gamma: float) -> float:
     """The bounded virtual-input coefficient of the backstepping designs.
 
     psi(z, gamma) = [sin(2z - 2*gamma) + sin(2*gamma)] / (2z), continuous at
-    z = 0 with psi(0, gamma) = cos(2*gamma).  Satisfies |psi| <= 1 and
-    psi(0, n*pi) = 1 for integer n.
+    z = 0 with psi(0, gamma) = cos(2*gamma).  Computed as :data:`SCALAR`'s
+    ``psi``, the product form ``sinc(z) * cos(z - 2*gamma)``: it needs no
+    branch at z = 0 and is within 1e-15 of the exact value at every z (the
+    sum form loses up to 2e-10 to cancellation near |z| = 1e-6).  Satisfies
+    |psi| <= 1 and psi(0, n*pi) = 1 for integer n.
     """
     if not (math.isfinite(z) and math.isfinite(gamma)):
         _require_finite("z", z)
         _require_finite("gamma", gamma)
-    if abs(z) < _PSI_LIMIT_THRESHOLD:
-        # Limit branch via the product identity sinc(z) * cos(z - 2*gamma).
-        return sinc(z) * math.cos(z - 2.0 * gamma)
-    return (math.sin(2.0 * z - 2.0 * gamma) + math.sin(2.0 * gamma)) / (2.0 * z)
+    return SCALAR.psi(z, gamma)
 
 
 def half_tan(a: float) -> float:
@@ -116,38 +115,42 @@ def wrap_angle(a: float) -> float:
 
 
 def _namespace(name: str, **primitives) -> ModuleType:
+    """A primitive namespace; its ``psi``, of its sinc and cos, is psi's one form."""
     # A module object rather than a SimpleNamespace: CPython specialises
     # attribute loads on modules, so ``xp.sin`` costs what ``math.sin`` does
     # in the scalar integration loops.
     ns = ModuleType(f"{__name__}.{name}")
     ns.__dict__.update(primitives)
+    ns.psi = lambda z, gamma: ns.sinc(z) * ns.cos(z - 2.0 * gamma)
     return ns
 
 
 def _sinc_array(a):
-    return np.sinc(a / np.pi)
-
+    """:func:`sinc`'s rule elementwise: the Taylor polynomial where
+    |a| < 1e-4, sin(a)/a elsewhere."""
+    # The masked divide skips 0/0; np.errstate would double a short call.
+    small = np.abs(a) < _SINC_TAYLOR_THRESHOLD
+    if not small.any():
+        return np.sin(a) / a
+    return np.divide(np.sin(a), a, out=np.asarray(1.0 - a * a / 6.0), where=~small)
 
 SCALAR = _namespace(
     "SCALAR",
     sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt, abs=abs,
-    sinc=sinc, psi=psi, si=sine_integral, where=lambda cond, a, b: a if cond else b,
+    sinc=sinc, si=sine_integral, where=lambda cond, a, b: a if cond else b,
     atan2=math.atan2, hypot=math.hypot, round=round,
 )
 
 ARRAY = _namespace(
     "ARRAY",
     sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt, abs=np.abs,
-    sinc=_sinc_array,
-    # The product form sinc(z)*cos(z - 2*gamma) needs no branch at z = 0.
-    psi=lambda z, gamma: _sinc_array(z) * np.cos(z - 2.0 * gamma),
-    si=lambda a: _sici(a)[0], where=np.where,
+    sinc=_sinc_array, si=lambda a: _sici(a)[0], where=np.where,
 )
 
 
 # The primitives a traced expression may call; compiled code calls SCALAR's
 # or ARRAY's.
-TRACED = ("sin", "cos", "tan", "atan", "sqrt", "abs", "sinc", "psi", "si", "atan2", "hypot", "round")
+TRACED = ("sin", "cos", "tan", "atan", "sqrt", "abs", "sinc", "si", "atan2", "hypot", "round")
 
 
 class Tape:

@@ -69,7 +69,6 @@ __all__ = [
     "genova_nonstrict",
     "directional_derivative",
     "storage_energy",
-    "appendix_bounds_check",
     "appendix_bounds_slack",
     "STRICT_FAMILIES",
 ]
@@ -541,8 +540,3 @@ def appendix_bounds_slack(k, x):
     s2 = 2.0 * (1.0 + k) * np.tan(0.5 * x) ** 2 - (1.0 - k * cx * (1.0 + cx))
     return s1, s2
 
-
-def appendix_bounds_check(k: float, x: float) -> tuple[bool, bool]:
-    """Truth of the two appendix inequalities at a single (k, x)."""
-    s1, s2 = appendix_bounds_slack(k, x)
-    return bool(s1 >= 0.0), bool(s2 >= 0.0)

@@ -34,10 +34,11 @@ the batch's while at most ``_SCALAR_RUNS`` runs are active, so such a batch
 is bitwise :func:`integrate` run by run.  The array loop steps more runs at
 once, because an array step costs about the same whatever its length.  A
 run that crosses from it differs only in the last bits (numpy's ``tan`` and
-``arctan`` round a few arguments differently from ``math``'s), so its last
-bits depend on when its batch thins below the constant; a chaotic run in a
-large batch, such as bopa or barfli at dt >= 0.2, may still take a
-different exit than in :func:`integrate`.  The Cartesian loop is the
+``arctan`` round a few arguments differently from ``math``'s; ``sinc`` and
+``psi`` are one rule in both namespaces), so its last bits depend on when
+its batch thins below the constant; a chaotic run in a large batch, such as
+bopa or barfli at dt >= 0.2, may still take a different exit than in
+:func:`integrate`.  The Cartesian loop is the
 Cartesian chart's fill: it steps the pose, with the closed loop computed at
 each stage's polar state, and rebuilds a continuous polar state by
 unwrapping the transformed angles against the previous step.

@@ -74,7 +74,6 @@ __all__ = [
     "check_in_space",
     "metric",
     "metric_values",
-    "metric_delta_gamma",
     "barrier_terms_cartesian",
 ]
 
@@ -261,12 +260,6 @@ def metric_values(xp, ss: StateSpaceId, rho, delta, gamma):
     integrators' termination tests have always used."""
     big_d, big_g = warp_delta_gamma(xp, ss, delta, gamma)
     return rho + xp.abs(big_d) + xp.abs(big_g)
-
-
-def metric_delta_gamma(ss: StateSpaceId, delta: float, gamma: float) -> float:
-    """|Delta| + |Gamma| for the angle pair in space ``ss``."""
-    check_in_space(ss, delta, gamma)
-    return metric_values(SCALAR, ss, 0.0, delta, gamma)
 
 
 def metric(p: PolarState, ss: StateSpaceId) -> float:

@@ -4,9 +4,9 @@
 It is made with ``kernels._namespace`` like ``SCALAR`` and ``ARRAY`` and has
 their names: ``sin``, ``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``
 (``Abs``) and ``si`` (``Si``); ``sinc`` as a ``Piecewise`` that fills in
-sinc(0) = 1; the product-form ``psi`` = sinc(z)*cos(z - 2*gamma); and
-``where`` as a ``Piecewise``.  Importing it needs sympy; a test that uses it
-skips without it.
+sinc(0) = 1; ``where`` as a ``Piecewise``; and, like every namespace,
+``psi`` = sinc(z)*cos(z - 2*gamma) composed of its ``sinc`` and ``cos``.
+Importing it needs sympy; a test that uses it skips without it.
 """
 
 import sympy as sp
@@ -21,7 +21,7 @@ def _sinc(a):
 SYMBOLIC = _namespace(
     "SYMBOLIC",
     sin=sp.sin, cos=sp.cos, tan=sp.tan, atan=sp.atan, sqrt=sp.sqrt, abs=sp.Abs,
-    sinc=_sinc, psi=lambda z, gamma: _sinc(z) * sp.cos(z - 2 * gamma), si=sp.Si,
+    sinc=_sinc, si=sp.Si,
     where=lambda cond, a, b: sp.Piecewise((a, cond), (b, True)),
 )
 

@@ -8,11 +8,9 @@ from unipark.controllers import (
     ControlInput,
     ControllerId,
     Gains,
-    backstep_z,
     closed_loop_field,
     closed_loop_input,
     controller_space,
-    forward_zeta,
     heading_only,
     open_loop_field,
     reverse_parking_wrap,
@@ -21,8 +19,11 @@ from unipark.controllers import (
     steering_total,
     velocity,
     velocity_cartesian,
+    z_globa,
+    zeta_glofo,
 )
 from unipark.errors import BarrierDomainError, DomainError, SingularityError
+from unipark.kernels import SCALAR
 from unipark.spaces import PolarState, StateSpaceId
 
 UNIT = Gains()
@@ -95,12 +96,12 @@ class TestSteeringExamples:
 
     def test_glofo(self):
         assert steering_tilde(ControllerId.GLOFO, UNIT, 1.0, 0.0) == pytest.approx(1.0)
-        assert forward_zeta(ControllerId.GLOFO, UNIT, 1.0, 0.0) == pytest.approx(1.0)
+        assert zeta_glofo(SCALAR, UNIT, 1.0, 0.0) == pytest.approx(1.0)
 
     def test_globa(self):
         got = steering_tilde(ControllerId.GLOBA, UNIT, 0.0, math.pi / 4)
         assert got == pytest.approx(math.pi / 4 + 0.5, rel=1e-15)
-        assert backstep_z(ControllerId.GLOBA, UNIT, 0.0, math.pi / 4) == pytest.approx(math.pi / 4)
+        assert z_globa(SCALAR, UNIT, 0.0, math.pi / 4) == pytest.approx(math.pi / 4)
 
     def test_all_zero_at_origin(self):
         for cid in ControllerId:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from unipark.errors import BarrierDomainError, DomainError
-from unipark.kernels import half_tan, psi, sinc, sine_integral, wrap_angle
+from unipark.kernels import ARRAY, SCALAR, half_tan, psi, sinc, sine_integral, wrap_angle
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -50,6 +50,14 @@ class TestSinc:
             taylor = 1.0 - a * a / 6.0 + a**4 / 120.0
             assert abs(direct - taylor) < 1e-15
             assert sinc(a) == pytest.approx(direct, abs=1e-15)
+
+    def test_quartic_term_never_rounds_in(self):
+        # Below 1e-4, a^4/120 is under half an ulp of 1 - a^2/6, so the
+        # two-term polynomial is the three-term one bit for bit.
+        rng = np.random.default_rng(3)
+        a = np.concatenate([rng.uniform(-1e-4, 1e-4, 200_000), np.geomspace(1e-300, 1e-4, 10_000)])
+        a2 = a[np.abs(a) < 1e-4] ** 2
+        assert np.array_equal(1.0 - a2 / 6.0, 1.0 - a2 / 6.0 + a2 * a2 / 120.0)
 
     def test_nonfinite_rejected(self):
         for bad in (math.inf, -math.inf, math.nan):
@@ -112,18 +120,18 @@ class TestPsi:
                 assert abs(psi(eps, g) - math.cos(2 * g)) <= 3.0 * eps
 
     def test_branch_agreement_at_threshold(self):
-        # Truth from 40-digit evaluation.  Below the 1e-6 switch the limit
-        # branch is good to machine precision; just above it the quotient
-        # form carries the inherent ~1e-10 cancellation floor of double
-        # precision, which is the seam mismatch budget.
+        # Truth from 50-digit evaluation of the sum form.  The product form
+        # neither branches nor cancels, so it holds machine precision at
+        # every |z|, the neighbourhood of 1e-6 included.
         import mpmath as mp
 
-        mp.mp.dps = 40
-        for z in (0.9999e-6, 1e-6, 1.0001e-6):
-            for g in (-1.3, 0.0, 0.4, 2.0):
-                truth = float((mp.sin(2 * mp.mpf(z) - 2 * g) + mp.sin(2 * mp.mpf(g))) / (2 * mp.mpf(z)))
-                budget = 1e-15 if z < 1e-6 else 2e-10
-                assert psi(z, g) == pytest.approx(truth, abs=budget)
+        with mp.workdps(50):
+            zs = [*np.geomspace(1e-8, 3.0, 61), 0.9999e-6, 1e-6, 1.0001e-6]
+            for z in (*zs, *(-x for x in zs)):
+                for g in (-2.9, -1.3, 0.0, 0.4, 2.0):
+                    mz, mg = mp.mpf(z), mp.mpf(g)
+                    truth = float((mp.sin(2 * mz - 2 * mg) + mp.sin(2 * mg)) / (2 * mz))
+                    assert psi(z, g) == pytest.approx(truth, rel=0, abs=1e-15), (z, g)
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     @settings(max_examples=300)
@@ -135,6 +143,33 @@ class TestPsi:
             psi(math.inf, 0.0)
         with pytest.raises(DomainError):
             psi(0.0, math.nan)
+
+
+class TestNamespaces:
+    """SCALAR and ARRAY apply the same rule for sinc and the one product
+    form for psi, so they agree bit for bit."""
+
+    def test_sinc_agrees_bitwise(self):
+        t = 1e-4
+        a = np.concatenate([
+            np.linspace(-2 * t, 2 * t, 4001),
+            [0.0, -0.0, t, -t, np.nextafter(t, 0.0), np.nextafter(-t, 0.0), np.nextafter(t, 1.0)],
+            np.geomspace(1e-12, 50.0, 2000),
+            -np.geomspace(1e-12, 50.0, 2000),
+        ])
+        scalar = np.array([SCALAR.sinc(x) for x in a.tolist()])
+        assert ARRAY.sinc(a).tobytes() == scalar.tobytes()
+        # The fast path (no |a| < 1e-4) and a 0-d argument follow the rule too.
+        big = a[np.abs(a) >= t]
+        assert ARRAY.sinc(big).tobytes() == scalar[np.abs(a) >= t].tobytes()
+        assert [float(ARRAY.sinc(x)) for x in (0.0, 5e-5, 0.3)] == [SCALAR.sinc(x) for x in (0.0, 5e-5, 0.3)]
+
+    def test_psi_agrees_bitwise(self):
+        z = np.concatenate([[0.0], np.geomspace(1e-8, 3.0, 4000), -np.geomspace(1e-8, 3.0, 4000)])
+        for g in np.linspace(-3.0, 3.0, 15).tolist():
+            scalar = np.array([SCALAR.psi(x, g) for x in z.tolist()])
+            assert ARRAY.psi(z, g).tobytes() == scalar.tobytes(), g
+            assert [psi(x, g) for x in z[:50].tolist()] == scalar[:50].tolist()
 
 
 class TestHalfTan:

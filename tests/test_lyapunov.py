@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import certificate_oracle
-from unipark.controllers import ControllerId, Gains, backstep_z, steering_tilde_many
+from unipark.controllers import ControllerId, Gains, steering_tilde_many, z_barfli, z_globa
 from unipark.errors import DomainError
 from unipark.kernels import SCALAR
 from unipark.lyapunov import (
@@ -13,7 +13,6 @@ from unipark.lyapunov import (
     CompositeOrder,
     LyapunovFn,
     RateKind,
-    appendix_bounds_check,
     appendix_bounds_slack,
     composite,
     directional_derivative,
@@ -22,7 +21,7 @@ from unipark.lyapunov import (
     steering_clf,
     storage_energy,
 )
-from unipark.spaces import StateSpaceId
+from unipark.spaces import PolarState, StateSpaceId, metric
 from unipark.verify import (
     gradient_check,
     positive_definiteness_check,
@@ -92,13 +91,11 @@ class TestValues:
 
     def test_lower_bounded_by_metric_squared_near_origin(self):
         # V >= c * (|Delta| + |Gamma|)^2 on a small neighbourhood.
-        from unipark.spaces import metric_delta_gamma
-
         for cid in STRICT_FAMILIES:
             clf = steering_clf(cid, UNIT)
             for _ in range(200):
                 d, c = RNG.uniform(-0.1, 0.1, 2)
-                m = metric_delta_gamma(clf.space, d, c)
+                m = metric(PolarState(0.0, d, c), clf.space)
                 if m == 0.0:
                     continue
                 assert float(clf.value(d, c)) >= 1e-3 * m * m
@@ -311,9 +308,9 @@ class TestPsiZIdentity:
         g = Gains(k1=1.0, k2=0.9, k3=1.3, k4=1.0)
         for _ in range(300):
             d, c = RNG.uniform(-2.5, 2.5, 2)
-            for cid in (ControllerId.GLOBA, ControllerId.BARFLI):
-                big_d = d if cid is ControllerId.GLOBA else 2.0 * math.tan(0.5 * d)
-                z = backstep_z(cid, g, d, c)
+            for z_of in (z_globa, z_barfli):
+                big_d = d if z_of is z_globa else 2.0 * math.tan(0.5 * d)
+                z = z_of(SCALAR, g, d, c)
                 if abs(z) < 1e-6:
                     continue
                 n = math.sqrt(1.0 + 4.0 * g.k2**2 * big_d**2)
@@ -329,9 +326,9 @@ class TestPsiZIdentity:
         g = Gains(k1=1.1, k2=0.7, k3=1.4, k4=1.0)
         for _ in range(300):
             d, c = RNG.uniform(-2.5, 2.5, 2)
-            for cid in (ControllerId.GLOBA, ControllerId.BARFLI):
-                big_d = d if cid is ControllerId.GLOBA else 2.0 * math.tan(0.5 * d)
-                z = backstep_z(cid, g, d, c)
+            for z_of in (z_globa, z_barfli):
+                big_d = d if z_of is z_globa else 2.0 * math.tan(0.5 * d)
+                z = z_of(SCALAR, g, d, c)
                 n = math.sqrt(1.0 + 4.0 * g.k2**2 * big_d**2)
                 lhs = math.sin(2.0 * c)
                 rhs = 2.0 * (psi(z, c) * z - g.k2 * big_d / n)
@@ -398,7 +395,7 @@ class TestAppendixBounds:
         s1, s2 = appendix_bounds_slack(1.0, 0.0)
         assert float(s1) == pytest.approx(0.0, abs=1e-15)  # exact equality here
         assert float(s2) == pytest.approx(1.0)
-        assert appendix_bounds_check(1.0, 0.0) == (True, True)
+        assert float(s1) >= 0.0 and float(s2) >= 0.0
 
     def test_k1_half_pi(self):
         # first inequality: 1 - sin(pi)/pi = 1 <= pi^2/4
@@ -407,7 +404,7 @@ class TestAppendixBounds:
 
     def test_requires_k_at_least_one(self):
         with pytest.raises(DomainError):
-            appendix_bounds_check(0.5, 1.0)
+            appendix_bounds_slack(0.5, 1.0)
 
     def test_grid_smoke(self):
         x = np.arange(-5.0, 5.0, 1e-2)

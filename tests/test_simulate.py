@@ -483,6 +483,19 @@ class TestRk4Kernel:
         src = "".join(linecache.getlines(kernel.__code__.co_filename))
         assert len(re.findall(r"\btan\(", src)) == 8
 
+    @pytest.mark.parametrize("loop", ["polar", "array", "cartesian"])
+    @pytest.mark.parametrize("cid", [ControllerId.GLOBA, ControllerId.GLOBA_INTERP, ControllerId.BARFLI,
+                                     ControllerId.LIBAC], ids=lambda c: c.value)
+    def test_psi_traced_as_sinc_and_cos(self, cid, loop):
+        # psi is composed of its namespace's sinc and cos, so a kernel calls
+        # those and no Python psi, and shares the law's 2.0 * gamma.
+        kernel = unipark.simulate._rk4_kernel(cid, UNIT, 0.01, loop)
+        src = "".join(linecache.getlines(kernel.__code__.co_filename))
+        assert src and "psi(" not in src
+        assert re.search(r"\bsinc\(", src) and re.search(r"\bcos\(", src)
+        if loop != "cartesian":  # the first stage's gamma is the argument c
+            assert len(re.findall(r"= 2\.0 \* c\n", src)) == 1
+
     def test_unit_gain_products_folded(self):
         kernel = unipark.simulate._rk4_kernel(ControllerId.GENOVA, UNIT, 0.01)
         src = linecache.getlines(kernel.__code__.co_filename)
