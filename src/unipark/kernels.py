@@ -115,7 +115,7 @@ def wrap_angle(a: float) -> float:
 
 
 def _namespace(name: str, **primitives) -> ModuleType:
-    """A primitive namespace; its ``psi``, of its sinc and cos, is psi's one form."""
+    """A primitive namespace, given psi composed of its own sinc and cos."""
     # A module object rather than a SimpleNamespace: CPython specialises
     # attribute loads on modules, so ``xp.sin`` costs what ``math.sin`` does
     # in the scalar integration loops.
@@ -133,6 +133,7 @@ def _sinc_array(a):
     if not small.any():
         return np.sin(a) / a
     return np.divide(np.sin(a), a, out=np.asarray(1.0 - a * a / 6.0), where=~small)
+
 
 SCALAR = _namespace(
     "SCALAR",
