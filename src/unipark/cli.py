@@ -206,9 +206,7 @@ def write_trajectory(traj: Trajectory, csv_path: Path | None, json_path: Path | 
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

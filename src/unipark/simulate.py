@@ -43,8 +43,9 @@ Cartesian chart's fill: it steps the pose, with the closed loop computed at
 each stage's polar state, and rebuilds a continuous polar state by
 unwrapping the transformed angles against the previous step.
 
-The points of a sweep run in forked workers, one per usable CPU
-(:func:`_striped_map`), and their results are those of one process.
+The points of a sweep and the jobs of ``unipark verify`` run in forked
+workers, one per usable CPU (:func:`_striped_map`, on ``os.fork`` and a
+pipe per worker), and their results equal one process's.
 
 After a Cartesian-chart run, every crossing of the x-axis is read off the
 logged poses with the linearly interpolated crossing time and abscissa,
@@ -63,9 +64,10 @@ from __future__ import annotations
 import itertools
 import linecache
 import math
-import multiprocessing
 import os
+import pickle
 import re
+import signal
 import weakref
 from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
@@ -750,37 +752,63 @@ def sweep_point(base: Scenario, index: int, initial) -> tuple[SweepRecord, Traje
     ), traj
 
 
-def _stripe(fn: Callable, items: Sequence, conn) -> None:
+def _stripe(fn: Callable, items: Sequence, fd: int) -> None:
+    """Pickle ``[fn(x) for x in items]``, or the exception it raised, to
+    ``fd`` and close it."""
     try:
-        conn.send([fn(x) for x in items])
+        out = [fn(x) for x in items]
     except Exception as e:
-        conn.send(e)
+        out = e
+    with open(fd, "wb") as fh:
+        fh.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
 
 
 def _striped_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, item i computed by worker i mod n, for n
     usable CPUs or fewer items.  Worker 0 is the caller; the others are
-    forked, so ``fn`` need not pickle, and send their results over a pipe.
-    A worker's exception is raised here; no worker outlives the call."""
+    forked, so ``fn`` need not pickle, and pickle their results to a pipe,
+    which is drained before the worker is reaped.  A worker's exception is
+    raised here; no worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n = max(1, min(cpus, len(items)))
-    ctx, children = multiprocessing.get_context("fork"), []
+    pids, fds = [], []
     try:
         for w in range(1, n):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_stripe, args=(fn, items[w::n], send))
-            child.start()
-            children.append((child, recv))
-            send.close()
-        stripes = [[fn(x) for x in items[::n]]] + [recv.recv() for _, recv in children]
+            fd, wfd = os.pipe()
+            fds.append(fd)
+            try:
+                pid = os.fork()
+                if pid == 0:  # a worker: it leaves only through os._exit
+                    status = 1
+                    try:
+                        for other in fds:
+                            os.close(other)
+                        _stripe(fn, items[w::n], wfd)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(wfd)
+            pids.append(pid)
+        stripes = [[fn(x) for x in items[::n]]]
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            if not data:
+                raise RuntimeError("a forked worker ended without a result")
+            stripes.append(pickle.loads(data))
         for out in stripes:
             if isinstance(out, Exception):
                 raise out
     finally:
-        for child, recv in children:
-            recv.close()
-            child.kill()  # a no-op once it has exited
-            child.join()
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)  # a no-op once it has exited
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
     return [stripes[i % n][i // n] for i in range(len(items))]
 
 

@@ -10,11 +10,14 @@ two scalar appendix inequalities on a dense grid.
 
 Every check returns a :class:`CheckResult` with its worst margin so reports
 stay machine-readable; :func:`run_all` aggregates them into the JSON report
-emitted by the CLI.
+emitted by the CLI.  It runs the checks as jobs in forked workers, one per
+usable CPU, each job replaying its stretch of the serial random draws, so
+the report equals one process's.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -43,6 +46,7 @@ from .lyapunov import (
     steering_clf,
     steering_directional_derivative,
 )
+from .simulate import _striped_map
 from .spaces import StateSpaceId
 
 __all__ = [
@@ -223,6 +227,10 @@ def jacobian_fd_check(cid: ControllerId, g: Gains) -> CheckResult:
     )
 
 
+# Doubles one pole request draws, per family.
+_POLE_DRAWS = {f: 5 if f is DesignFamily.BACKSTEPPING else 3 for f in DesignFamily}
+
+
 def _pole_block(family: DesignFamily, u: np.ndarray) -> tuple:
     """p1, re2, im2, re3, im3 and the backstepping epsilon (else None) of the
     requests -p1, -(re2 + i*im2), -(re3 + i*im3) drawn from the rows of u:
@@ -265,7 +273,7 @@ def pole_roundtrip_check(
     linearization formulas on arrays.  The first sample a check's mask flags
     is replayed through assign_gains, which raises as a sample-by-sample loop
     would; a gain set only not strictly passive fails the check there."""
-    u = rng.random((n, 5 if family is DesignFamily.BACKSTEPPING else 3))
+    u = rng.random((n, _POLE_DRAWS[family]))
     p1, re2, im2, re3, im3, eps = _pole_block(family, u)
     wanted = np.stack([-p1, -re2, -re3], -1) + 1j * np.stack([0.0 * p1, -im2, -im3], -1)
     err = np.zeros(n)
@@ -324,36 +332,68 @@ def certificate_samples(clf: SteeringClf, pts: np.ndarray) -> list[dict]:
     ]
 
 
+def _generator(state: dict) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+def _law_checks(cid: ControllerId, gain_sets: list[Gains], samples: int, state: dict) -> list[dict]:
+    """The records of one law, drawing its samples from ``state`` on: per
+    gain set, positive definiteness, gradient and rate at one
+    :func:`sample_interior` draw; then the barrier blow-up at unit gains and
+    the Jacobian check at the second gain set."""
+    rng = _generator(state)
+    checks: list[CheckResult] = []
+    for gi, g in enumerate(gain_sets):
+        clf = steering_clf(cid, g)
+        pts = sample_interior(clf.space, samples, rng)
+        for res in (
+            positive_definiteness_check(clf, pts),
+            gradient_check(clf, pts),
+            rate_check(clf, pts),
+        ):
+            res.details["gain_set"] = gi
+            if gi == 0 and res.name == "positive_definiteness":
+                res.details["sample_records"] = certificate_samples(clf, pts)
+            checks.append(res)
+    checks.append(barrier_blowup_check(steering_clf(cid, Gains())))
+    checks.append(jacobian_fd_check(cid, gain_sets[1]))
+    return [c.to_record() for c in checks]
+
+
+def _pole_checks(family: DesignFamily, n: int, state: dict) -> list[dict]:
+    return [pole_roundtrip_check(family, _generator(state), n).to_record()]
+
+
 def run_all(seed: int = 0, samples: int = 1000) -> dict:
     """Full verification sweep over unit gains and 3 random strict gain
-    sets; returns a JSON-ready report."""
+    sets; returns a JSON-ready report.
+
+    The checks run as one job per law, one per pole family and one for the
+    lemma grid, in forked workers (:func:`unipark.simulate._striped_map`),
+    and the report equals one process's.  Each job draws its stretch of the
+    one serial stream from a copy of the generator's state, which the caller
+    advances past it (a PCG64 double is one 64-bit output); the caller draws
+    only the gain sets."""
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     gain_sets = [Gains()] + strict_gain_sets(3, rng)
-    checks: list[CheckResult] = []
+    jobs: list[Callable[[], list[dict]]] = []
     for cid in JACOBIAN_CONTROLLERS:
-        for gi, g in enumerate(gain_sets):
-            clf = steering_clf(cid, g)
-            pts = sample_interior(clf.space, samples, rng)
-            for res in (
-                positive_definiteness_check(clf, pts),
-                gradient_check(clf, pts),
-                rate_check(clf, pts),
-            ):
-                res.details["gain_set"] = gi
-                if gi == 0 and res.name == "positive_definiteness":
-                    res.details["sample_records"] = certificate_samples(clf, pts)
-                checks.append(res)
-        checks.append(barrier_blowup_check(steering_clf(cid, Gains())))
-        checks.append(jacobian_fd_check(cid, gain_sets[1]))
+        jobs.append(functools.partial(_law_checks, cid, gain_sets, samples, rng.bit_generator.state))
+        rng.bit_generator.advance(len(gain_sets) * 2 * samples)  # sample_interior: 2 per sample
+    n = max(100, samples)
     for family in DesignFamily:
-        checks.append(pole_roundtrip_check(family, rng, n=max(100, samples)))
-    checks.append(lemma_grid_check())
+        jobs.append(functools.partial(_pole_checks, family, n, rng.bit_generator.state))
+        rng.bit_generator.advance(n * _POLE_DRAWS[family])
+    jobs.append(lambda: [lemma_grid_check().to_record()])
+    records = [r for recs in _striped_map(lambda job: job(), jobs) for r in recs]
     return {
         "schema_version": 1,
         "seed": seed,
         "samples": samples,
-        "checks": [c.to_record() for c in checks],
-        "all_passed": all(c.passed for c in checks),
+        "checks": records,
+        "all_passed": all(r["passed"] for r in records),
     }

@@ -20,6 +20,10 @@ pairs are exact, that is the sorted pairing.)
 which tests every stepped state before it takes the next step; the blocked
 :func:`~unipark.simulate.integrate` must log the same run bit for bit.
 
+:func:`verify_report_reference` is :func:`~unipark.verify.run_all` as one
+serial loop drawing from one generator, in one process; the forked jobs,
+each replaying its stretch of the draws, must report the same bytes.
+
 :func:`trajectory_csv_reference` and :func:`trajectory_json_reference` write
 a trajectory one value at a time, with ``repr`` and ``json.dump``, and
 :func:`polyline_reference` formats polyline vertices one at a time; the CLI
@@ -42,6 +46,7 @@ from unipark.kernels import ARRAY, SCALAR
 from unipark.linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 from unipark.simulate import Termination, _finish, _pose_field, _pose_to_polar
 from unipark.spaces import delta_gamma_in_space, metric_values, on_target
+from unipark import verify as vf
 
 mp.mp.dps = 40
 
@@ -435,3 +440,32 @@ def polyline_reference(paths, target=(0.0, 0.0, 0.0), size: int = 640) -> list[s
     sx = lambda x: 50.0 + (x - x_lo) * scale
     sy = lambda y: (h - 40.0) - (y - y_lo) * scale
     return [" ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(a[:, 0], a[:, 1])) for a in arrs]
+
+
+def verify_report_reference(seed: int, samples: int) -> dict:
+    """The verify report, every check run in turn in this process."""
+    rng = np.random.default_rng(seed)
+    gain_sets = [vf.Gains()] + vf.strict_gain_sets(3, rng)
+    checks = []
+    for cid in vf.JACOBIAN_CONTROLLERS:
+        for gi, g in enumerate(gain_sets):
+            clf = vf.steering_clf(cid, g)
+            pts = vf.sample_interior(clf.space, samples, rng)
+            for res in (vf.positive_definiteness_check(clf, pts), vf.gradient_check(clf, pts),
+                        vf.rate_check(clf, pts)):
+                res.details["gain_set"] = gi
+                if gi == 0 and res.name == "positive_definiteness":
+                    res.details["sample_records"] = vf.certificate_samples(clf, pts)
+                checks.append(res)
+        checks.append(vf.barrier_blowup_check(vf.steering_clf(cid, vf.Gains())))
+        checks.append(vf.jacobian_fd_check(cid, gain_sets[1]))
+    for family in DesignFamily:
+        checks.append(vf.pole_roundtrip_check(family, rng, n=max(100, samples)))
+    checks.append(vf.lemma_grid_check())
+    return {
+        "schema_version": 1,
+        "seed": seed,
+        "samples": samples,
+        "checks": [c.to_record() for c in checks],
+        "all_passed": all(c.passed for c in checks),
+    }

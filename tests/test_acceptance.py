@@ -31,6 +31,7 @@ from unipark.lyapunov import (
 from unipark.simulate import (
     Scenario,
     Termination,
+    _striped_map,
     front_line_crossings,
     integrate,
     integrate_batch,
@@ -159,10 +160,13 @@ def test_criterion_2_certificates():
 
 @pytest.fixture(scope="module")
 def convergence_batches():
+    # The grids are drawn in law order, then each batch runs whole in one
+    # forked worker, so the results are those of one process.
     rng = np.random.default_rng(300)
-    results = {}
-    for cid in ControllerId:
-        grid = sample_metric_ball(controller_space(cid), 100, rng)
+    grids = [(cid, sample_metric_ball(controller_space(cid), 100, rng)) for cid in ControllerId]
+
+    def batch(job):
+        cid, grid = job
         s = Scenario(controller=cid, gains=UNIT, initial=PolarState(1.0, 0.0, 0.0),
                      dt=1e-3, t_max=100.0, stop_tol=1e-4)
         extras = []
@@ -172,8 +176,9 @@ def convergence_batches():
                 for kind in CompositeKind
                 for order in CompositeOrder
             ]
-        results[cid] = integrate_batch(s, grid, extra_lyapunov=extras)
-    return results
+        return integrate_batch(s, grid, extra_lyapunov=extras)
+
+    return dict(zip(ControllerId, _striped_map(batch, grids)))
 
 
 def test_criterion_3_convergence(convergence_batches):

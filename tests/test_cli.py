@@ -3,7 +3,6 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import tempfile
@@ -19,7 +18,13 @@ from hypothesis import strategies as st
 
 import unipark.cli
 import unipark.svg
-from oracles import polyline_reference, trajectory_csv_reference, trajectory_json_reference
+import unipark.verify
+from oracles import (
+    polyline_reference,
+    trajectory_csv_reference,
+    trajectory_json_reference,
+    verify_report_reference,
+)
 from unipark.cli import main, write_trajectory
 from unipark.controllers import ControllerId, Gains
 from unipark.lyapunov import CompositeKind, CompositeOrder
@@ -30,6 +35,12 @@ from unipark.svg import SvgPath, render_paths, write_svg
 
 def run(argv):
     return main(argv)
+
+
+def assert_no_children():
+    # Every forked worker has been reaped: none is running or a zombie.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_rows(path: Path):
@@ -460,7 +471,7 @@ class TestSweepCommand:
             outputs.append([(out / name).read_bytes()
                             for name in ("sweep_summary.json", "sweep_summary.txt", "sweep_overlay.svg")])
             records.append(repr(sweep(base, [CartesianState(*pose) for pose in grid])))
-            assert multiprocessing.active_children() == []
+            assert_no_children()
         terminations = [r["termination"] for recs in json.loads(outputs[0][0])["controllers"].values()
                         for r in recs]
         assert {"converged", "t_max", "error"} <= set(terminations)
@@ -490,7 +501,7 @@ class TestSweepCommand:
         with pytest.raises(RuntimeError, match=f"failed in the {where}"):
             run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert time.monotonic() - start < 30
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 class TestGainsCommand:
@@ -594,6 +605,39 @@ class TestVerifyCommand:
         assert {"positive_definiteness", "gradient_fd", "rate_equality",
                 "rate_domination", "barrier_blowup", "jacobian_fd",
                 "pole_roundtrip", "lemma_grid"} <= names
+
+    @pytest.mark.parametrize("seed", [0, 12345, 935547811])
+    def test_report_independent_of_worker_count(self, monkeypatch, seed):
+        # One job per law, per pole family and for the lemma, each replaying
+        # its stretch of the serial draws; one process draws them in turn.
+        expected = json.dumps(verify_report_reference(seed, 2000), sort_keys=True)
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert json.dumps(unipark.verify.run_all(seed, 2000), sort_keys=True) == expected
+            assert_no_children()
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_failing_check_propagates(self, monkeypatch, where):
+        # With 2 workers the caller runs the even laws, the worker the odd.
+        parent = os.getpid()
+        real = unipark.verify.barrier_blowup_check
+
+        def failing(clf):
+            in_caller = os.getpid() == parent
+            if in_caller == (where == "caller"):
+                raise RuntimeError(f"failed in the {where}")
+            if not in_caller:
+                time.sleep(60)  # still busy when the caller fails, so it must be killed
+            return real(clf)
+
+        # Patched before the fork, so the worker inherits the patch.
+        monkeypatch.setattr(unipark.verify, "barrier_blowup_check", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"failed in the {where}"):
+            unipark.verify.run_all(0, 100)
+        assert time.monotonic() - start < 30
+        assert_no_children()
 
 
 # Junk for any config field: wrong types, non-finite and out-of-range
