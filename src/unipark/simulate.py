@@ -43,9 +43,9 @@ Cartesian chart's fill: it steps the pose, with the closed loop computed at
 each stage's polar state, and rebuilds a continuous polar state by
 unwrapping the transformed angles against the previous step.
 
-The points of a sweep and the jobs of ``unipark verify`` run in forked
-workers, one per usable CPU (:func:`_striped_map`, on ``os.fork`` and a
-pipe per worker), and their results equal one process's.
+The points of a sweep and the jobs of ``unipark verify`` (from 5000 samples
+on) run in forked workers, one per usable CPU (:func:`_striped_map`, on
+``os.fork`` and a pipe per worker), and their results equal one process's.
 
 After a Cartesian-chart run, every crossing of the x-axis is read off the
 logged poses with the linearly interpolated crossing time and abscissa,
@@ -763,14 +763,14 @@ def _stripe(fn: Callable, items: Sequence, fd: int) -> None:
         fh.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
 
 
-def _striped_map(fn: Callable, items: Sequence) -> list:
+def _striped_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
     """``[fn(x) for x in items]``, item i computed by worker i mod n, for n
-    usable CPUs or fewer items.  Worker 0 is the caller; the others are
-    forked, so ``fn`` need not pickle, and pickle their results to a pipe,
-    which is drained before the worker is reaped.  A worker's exception is
-    raised here; no worker outlives the call."""
+    usable CPUs, ``workers`` or items, whichever is fewest.  Worker 0 is the
+    caller; the others are forked, so ``fn`` need not pickle, and pickle
+    their results to a pipe, which is drained before the worker is reaped.
+    A worker's exception is raised here; no worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = max(1, min(cpus, len(items)))
+    n = max(1, min(cpus, len(items), cpus if workers is None else workers))
     pids, fds = [], []
     try:
         for w in range(1, n):

@@ -10,9 +10,9 @@ two scalar appendix inequalities on a dense grid.
 
 Every check returns a :class:`CheckResult` with its worst margin so reports
 stay machine-readable; :func:`run_all` aggregates them into the JSON report
-emitted by the CLI.  It runs the checks as jobs in forked workers, one per
-usable CPU, each job replaying its stretch of the serial random draws, so
-the report equals one process's.
+emitted by the CLI.  From 5000 samples on it runs the checks as jobs in
+forked workers, one per usable CPU, each job replaying its stretch of the
+serial random draws, so the report equals one process's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,6 +71,15 @@ RATE_DOM_SLACK = -1e-12
 JACOBIAN_ATOL = 1e-6
 POLE_ROUNDTRIP_TOL = 1e-10
 LEMMA_SLACK = -1e-12
+LEMMA_GAINS = range(1, 11)
+
+# Runs of fewer samples keep their jobs in the calling process.  On one core
+# they take well under 0.1 s (about 60 ms at 2000 samples on a 2-vCPU VM), so
+# a fork saves tens of milliseconds at most, and it makes the run's time hang
+# on a second core's load, which the caller cannot see: perfbench's
+# calibrated timing of the 2000-sample verify probe spread about five times
+# as widely across runs forked as in one process.
+_FORK_MIN_SAMPLES = 5000
 
 
 @dataclass
@@ -87,7 +96,11 @@ class CheckResult:
         self.worst = float(self.worst)
 
     def to_record(self) -> dict:
-        return asdict(self)
+        # Field by field: asdict deep-copies the sample records leaf by leaf,
+        # about 5 of the 65 ms of a serial 2000-sample run_all.  Nested
+        # details are shared with the result.
+        return {"name": self.name, "subject": self.subject, "passed": self.passed,
+                "worst": self.worst, "details": dict(self.details)}
 
 
 def sample_interior(space: StateSpaceId, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -300,15 +313,25 @@ def pole_roundtrip_check(
     return CheckResult("pole_roundtrip", family.value, worst < POLE_ROUNDTRIP_TOL, worst)
 
 
+def _lemma_slacks(k: int) -> tuple[float, float]:
+    """The least slack of each appendix inequality at gain k on the grid
+    x in [-20, 20] at step 1e-3."""
+    x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
+    s1, s2 = appendix_bounds_slack(float(k), x)
+    return float(np.min(s1)), float(np.min(s2))
+
+
+def _lemma_result(slacks: list[tuple[float, float]]) -> CheckResult:
+    worst = math.inf
+    for s1, s2 in slacks:
+        worst = min(worst, s1, s2)
+    return CheckResult("lemma_grid", "appendix", worst >= LEMMA_SLACK, worst)
+
+
 def lemma_grid_check() -> CheckResult:
     """Both appendix inequalities on the grid k in {1..10}, x in [-20, 20]
     at step 1e-3."""
-    x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
-    worst = math.inf
-    for k in range(1, 11):
-        s1, s2 = appendix_bounds_slack(float(k), x)
-        worst = min(worst, float(np.min(s1)), float(np.min(s2)))
-    return CheckResult("lemma_grid", "appendix", worst >= LEMMA_SLACK, worst)
+    return _lemma_result([_lemma_slacks(k) for k in LEMMA_GAINS])
 
 
 def certificate_samples(clf: SteeringClf, pts: np.ndarray) -> list[dict]:
@@ -370,17 +393,18 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     """Full verification sweep over unit gains and 3 random strict gain
     sets; returns a JSON-ready report.
 
-    The checks run as one job per law, one per pole family and one for the
-    lemma grid, in forked workers (:func:`unipark.simulate._striped_map`),
-    and the report equals one process's.  Each job draws its stretch of the
-    one serial stream from a copy of the generator's state, which the caller
-    advances past it (a PCG64 double is one 64-bit output); the caller draws
-    only the gain sets."""
+    The checks run as one job per law, one per pole family and one per gain
+    of the lemma grid, in forked workers (:func:`unipark.simulate._striped_map`)
+    from ``_FORK_MIN_SAMPLES`` samples on, and the report equals one
+    process's.  Each job draws its stretch of the one serial stream from a
+    copy of the generator's state, which the caller advances past it (a
+    PCG64 double is one 64-bit output); the caller draws only the gain
+    sets."""
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     gain_sets = [Gains()] + strict_gain_sets(3, rng)
-    jobs: list[Callable[[], list[dict]]] = []
+    jobs: list[Callable] = []
     for cid in JACOBIAN_CONTROLLERS:
         jobs.append(functools.partial(_law_checks, cid, gain_sets, samples, rng.bit_generator.state))
         rng.bit_generator.advance(len(gain_sets) * 2 * samples)  # sample_interior: 2 per sample
@@ -388,8 +412,13 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     for family in DesignFamily:
         jobs.append(functools.partial(_pole_checks, family, n, rng.bit_generator.state))
         rng.bit_generator.advance(n * _POLE_DRAWS[family])
-    jobs.append(lambda: [lemma_grid_check().to_record()])
-    records = [r for recs in _striped_map(lambda job: job(), jobs) for r in recs]
+    # Whole, the lemma grid (about 20 ms) would outweigh any law's job below
+    # about 10000 samples; one job per gain keeps the workers' stripes even.
+    jobs.extend(functools.partial(_lemma_slacks, k) for k in LEMMA_GAINS)
+    results = _striped_map(lambda job: job(), jobs, None if samples >= _FORK_MIN_SAMPLES else 1)
+    cut = len(jobs) - len(LEMMA_GAINS)
+    records = [r for recs in results[:cut] for r in recs]
+    records.append(_lemma_result(results[cut:]).to_record())
     return {
         "schema_version": 1,
         "seed": seed,

@@ -608,8 +608,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("seed", [0, 12345, 935547811])
     def test_report_independent_of_worker_count(self, monkeypatch, seed):
-        # One job per law, per pole family and for the lemma, each replaying
+        # One job per law, per pole family and per lemma gain, each replaying
         # its stretch of the serial draws; one process draws them in turn.
+        # 2000 samples would not fork, so the threshold is lowered.
+        monkeypatch.setattr(unipark.verify, "_FORK_MIN_SAMPLES", 100)
         expected = json.dumps(verify_report_reference(seed, 2000), sort_keys=True)
         for cpus in ({0}, {0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -632,11 +634,29 @@ class TestVerifyCommand:
 
         # Patched before the fork, so the worker inherits the patch.
         monkeypatch.setattr(unipark.verify, "barrier_blowup_check", failing)
+        monkeypatch.setattr(unipark.verify, "_FORK_MIN_SAMPLES", 100)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         start = time.monotonic()
         with pytest.raises(RuntimeError, match=f"failed in the {where}"):
             unipark.verify.run_all(0, 100)
         assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_forks_from_threshold_on(self, monkeypatch):
+        forks = []
+        real = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        threshold = unipark.verify._FORK_MIN_SAMPLES
+        unipark.verify.run_all(0, threshold - 1)
+        assert forks == []
+        unipark.verify.run_all(0, threshold)
+        assert forks == [1]
         assert_no_children()
 
 
