@@ -19,17 +19,18 @@ Both integrators step speculatively in blocks and test each block once.
 :func:`integrate` has its chart's fill take up to K steps of one run with
 no check in between, returned as float arrays; :func:`integrate_batch`
 compacts many runs under one setup to those still active and fills K steps
-of them.  One termination test, :func:`_block_stops`, then finds each run's
-first terminating step in the (K, runs) block.  The steps taken past it are
-discarded, so every result is bitwise that of testing after every step.
-Certificate values, controls and metrics of a scalar run are evaluated
-vectorised over its stored states once it has ended; the batch checks its
-monitors once per block.
+of them.  One decision, :func:`_block_stops`, then says for each run of the
+(K, runs) block how many rows it keeps and how it ends, as a code indexing
+``_ENDINGS``; both integrators read only that.  The steps past the kept
+rows are discarded, so every result is bitwise that of testing after every
+step.  Certificate values, controls and metrics of a scalar run are
+evaluated vectorised over its stored states once it has ended; the batch
+checks its monitors on the kept rows once per block.
 
 Every fill runs a kernel compiled by :func:`_rk4_kernel` from
 :func:`_rk4_step` over a field written once over a primitive namespace,
 bitwise the interpreted step, in one of three loops.  The polar loop steps
-one run's floats (:func:`_scalar_block`): it is the polar chart's fill, and
+one run's floats (:func:`_kernel_rows`): it is the polar chart's fill, and
 the batch's while at most ``_SCALAR_RUNS`` runs are active, so such a batch
 is bitwise :func:`integrate` run by run.  The array loop steps more runs at
 once, because an array step costs about the same whatever its length.  A
@@ -38,10 +39,10 @@ run that crosses from it differs only in the last bits (numpy's ``tan`` and
 ``psi`` are one rule in both namespaces), so its last bits depend on when
 its batch thins below the constant; a chaotic run in a large batch, such as
 bopa or barfli at dt >= 0.2, may still take a different exit than in
-:func:`integrate`.  The Cartesian loop is the
-Cartesian chart's fill: it steps the pose, with the closed loop computed at
-each stage's polar state, and rebuilds a continuous polar state by
-unwrapping the transformed angles against the previous step.
+:func:`integrate`.  The Cartesian loop is the Cartesian chart's fill: it
+steps the pose, with the closed loop computed at each stage's polar state,
+and rebuilds a continuous polar state by unwrapping the transformed angles
+against the previous step.
 
 The points of a sweep and the jobs of ``unipark verify`` (from 5000 samples
 on) run in forked workers, one per usable CPU (:func:`_striped_map`, on
@@ -53,10 +54,11 @@ supporting the front-line (x > 0, y = 0) avoidance analysis.  No smoothing
 is applied: the curvature discontinuity of the underlying feedback is
 preserved in the log.
 
-One policy holds for a step that raises: a stage (or the Cartesian map)
-that raises ``ArithmeticError`` or ``ValueError``, a :class:`UniparkError`
-included, leaves NaN rows from that step on, so the block test ends the run
-there as numeric; any other error propagates.
+One policy holds for a step that raises, written once in
+:func:`_kernel_rows`: a stage (or the Cartesian map) that raises
+``ArithmeticError`` or ``ValueError``, a :class:`UniparkError` included,
+leaves NaN rows from that step on, so the block test ends the run there as
+numeric; any other error propagates.
 """
 
 from __future__ import annotations
@@ -393,31 +395,41 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> C
     return kernel
 
 
+def _kernel_rows(kernel: Callable, args: list, steps: int, width: int) -> tuple[np.ndarray, bool]:
+    """The rows of ``width`` floats that a polar or Cartesian ``kernel`` of
+    :func:`_rk4_kernel` passes on in ``steps`` steps from ``args``, as a
+    (steps, width) block, and whether the run landed exactly on the target
+    (the block then ends before the landing step), under the module's one
+    stage-error policy: NaN rows from a raising step on."""
+    rows: list[float] = []
+    try:
+        landed = bool(kernel(*args, steps, rows.extend))
+    except (ArithmeticError, ValueError):
+        landed = False
+    n = len(rows) // width
+    block = np.full((n if landed else steps, width), np.nan)
+    block[:n] = np.fromiter(rows, float, len(rows)).reshape(n, width)
+    return block, landed
+
+
 def _scalar_block(kernel: Callable, y: np.ndarray, steps: int) -> np.ndarray:
     """``steps`` steps of the polar ``kernel`` of :func:`_rk4_kernel` from
-    each run of ``y`` (3, m), one run at a time, as a (steps, 3, m) block,
-    the array kernel's layout: the batch's scalar fill, and at m = 1 the
-    polar chart's fill of :func:`integrate`.  A run whose stage raises
-    ``ArithmeticError`` or ``ValueError`` has NaN rows from that step on, so
-    the block test ends it as numeric; any other error propagates."""
-    block = np.full((steps, 3, y.shape[1]), np.nan)
-    for j, (r, d, c) in enumerate(y.T.tolist()):
-        rows: list[float] = []
-        try:
-            kernel(r, d, c, steps, rows.extend)
-        except (ArithmeticError, ValueError):
-            pass
-        block[: len(rows) // 3, :, j] = np.fromiter(rows, float, len(rows)).reshape(-1, 3)
+    each run of ``y`` (3, m), one run at a time by :func:`_kernel_rows`, as
+    a (steps, 3, m) block, the array kernel's layout: the batch's scalar
+    fill, run by run the polar chart's fill of :func:`integrate`."""
+    block = np.empty((steps, 3, y.shape[1]))
+    for j, run in enumerate(y.T.tolist()):
+        block[:, :, j] = _kernel_rows(kernel, run, steps, 3)[0]
     return block
 
 
 def _polar_fill(s: Scenario):
     """The polar chart's fill ``fill(y, p, steps) -> (states, polar rows,
-    landed)``: the scalar fill of one run, whose states are its polar rows."""
+    landed)``: the polar kernel's rows of one run (3, 1), which are both."""
     kernel = _rk4_kernel(s.controller, s.gains, s.dt)
 
     def fill(y, p, steps):
-        block = _scalar_block(kernel, y, steps)
+        block = _kernel_rows(kernel, y[:, 0].tolist(), steps, 3)[0][:, :, None]
         return block, block, False
 
     return fill
@@ -425,23 +437,16 @@ def _polar_fill(s: Scenario):
 
 def _cartesian_fill(s: Scenario):
     """The initial pose (3, 1) and the Cartesian chart's fill: the Cartesian
-    kernel's steps of the pose ``y`` from the polar row ``p``, with NaN rows
-    from a raising step on, as in :func:`_scalar_block`.  The blocks end
-    before a step that lands exactly on the target, and ``landed`` is set."""
+    kernel's steps of the pose ``y`` from the polar row ``p``, each with its
+    polar row, by :func:`_kernel_rows`."""
     c0 = s.initial_cartesian()
     if on_target(c0.x, c0.y):
         raise ConfigError("cartesian integration requires a nonzero initial position")
     kernel = _rk4_kernel(s.controller, s.gains, s.dt, "cartesian")
 
     def fill(y, p, steps):
-        rows: list[float] = []
-        landed = False
-        try:
-            landed = kernel(*y[:, 0].tolist(), *p[1:, 0].tolist(), steps, rows.extend)
-        except (ArithmeticError, ValueError):
-            pass
-        block = np.full((len(rows) // 6 if landed else steps, 2, 3, 1), np.nan)
-        block[: len(rows) // 6, :, :, 0] = np.fromiter(rows, float, len(rows)).reshape(-1, 2, 3)
+        block, landed = _kernel_rows(kernel, y[:, 0].tolist() + p[1:, 0].tolist(), steps, 6)
+        block = block.reshape(-1, 2, 3, 1)
         # Copies: a kept pose must not hold its block's polar rows alive.
         return block[:, 0].copy(), block[:, 1].copy(), landed
 
@@ -464,48 +469,55 @@ _BLOCK_LANE_STEPS = 16384
 _SCALAR_RUNS = 16
 
 
-def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, limit: float, stop_tol: float):
-    """The termination test of both integrators on a block of K steps of m
-    runs: the stepped chart states (K, 3, m) and the polar rows they map to
-    (the same array in the polar chart).
+# How a run ends, by the code of _block_stops; 0, going on, ends it at t_max.
+_ENDINGS = (Termination.T_MAX, Termination.CONVERGED, Termination.BARRIER_GUARD, Termination.NUMERIC)
+_CONVERGED, _GUARD, _NUMERIC = 1, 2, 3
+
+
+def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, barrier_margin: float,
+                 stop_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """How each of m runs ends in a block of K steps, the one decision of
+    both integrators, from the stepped chart states (K, 3, m) and the polar
+    rows they map to (the same array in the polar chart).
 
     A row ends its run when its chart state is not finite (numeric), else
-    when a constrained angle has magnitude ``limit`` or more (barrier
-    guard), else when its array metric, the value the log and the batch
-    report, is below ``stop_tol`` (converged).  Returns ``bad`` and
-    ``tripped`` (K, m) and ``stop`` (m,): the first row that ends each run,
-    K where none does.  Call it under ``np.errstate(all="ignore")``.
+    when a constrained angle has magnitude ``pi - barrier_margin`` or more
+    (barrier guard), else when its array metric, the value the log and the
+    batch report, is below ``stop_tol`` (converged).  Returns ``kept`` and
+    ``code`` (m,): the rows each run keeps (all K while it goes on, up to
+    and including a converging row, up to a numeric or guard row) and the
+    index of its ending in :data:`_ENDINGS`, 0 while it goes on.  Call it
+    under ``np.errstate(all="ignore")``.
 
     Most blocks end no run, and are answered from a few whole-block
-    reductions: every state finite, every constrained angle below
-    ``limit`` and every rho at least ``stop_tol`` (the metric adds
-    non-negative terms to rho, so it is at least rho).  A block of no rows
-    ends no run.
+    reductions: every state finite, every constrained angle below the limit
+    and every rho at least ``stop_tol`` (the metric adds non-negative terms
+    to rho, so it is at least rho).  A block of no rows ends no run.
     """
     steps, _, m = states.shape
+    limit = math.pi - barrier_margin
     rho, delta, gamma = polar[:, 0], polar[:, 1], polar[:, 2]
     angles = constrained_angles(space, delta, gamma)
     if (np.isfinite(states).all() and rho.min(initial=np.inf) >= stop_tol
             and all(np.abs(a).max(initial=0.0) < limit for a in angles)):
-        return np.zeros((steps, m), dtype=bool), np.zeros((steps, m), dtype=bool), np.full(m, steps)
-    bad = ~np.isfinite(states).all(axis=1)
-    tripped = np.zeros_like(bad)
+        return np.full(m, steps), np.zeros(m, dtype=int)
+    # Each row's code, a later rule overriding an earlier one.
+    codes = (metric_values(ARRAY, space, rho, delta, gamma) < stop_tol) * _CONVERGED
     for a in angles:
-        tripped |= np.abs(a) >= limit
-    tripped &= ~bad
-    ends = bad | tripped | (metric_values(ARRAY, space, rho, delta, gamma) < stop_tol)
-    return bad, tripped, np.where(ends.any(axis=0), ends.argmax(axis=0), steps)
+        codes[np.abs(a) >= limit] = _GUARD
+    codes[~np.isfinite(states).all(axis=1)] = _NUMERIC
+    first = (codes > 0).argmax(axis=0)
+    code = codes[first, np.arange(m)]
+    return np.where(code > 0, first + (code == _CONVERGED), steps), code
 
 
 def integrate(s: Scenario) -> Trajectory:
     """Run the scenario in the chart selected by ``s.frame``.
 
     The chart's fill takes a speculative block of up to ``_BLOCK_STEPS``
-    steps; :func:`_block_stops` then finds the first step that ends the
-    run, and the steps past it are discarded.  A step whose stage raises
-    ends the run under the module's one policy, as in
-    :func:`integrate_batch`.  A Cartesian step that lands exactly on the
-    target ends the run as converged, unlogged.
+    steps; the run keeps the rows :func:`_block_stops` gives it and ends as
+    it says, the steps past them discarded.  A Cartesian step that lands
+    exactly on the target ends the run as converged, unlogged.
     """
     p0 = s.initial_polar()
     p = np.array([[p0.rho], [p0.delta], [p0.gamma]])
@@ -513,25 +525,19 @@ def integrate(s: Scenario) -> Trajectory:
     states, polar = [y[None]], [p[None]]
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
     space = s.space
-    limit = math.pi - s.barrier_margin
     k = 0
-    reason = Termination.CONVERGED if metric_values(ARRAY, space, p0.rho, p0.delta, p0.gamma) < s.stop_tol else None
+    end = _CONVERGED if metric_values(ARRAY, space, p0.rho, p0.delta, p0.gamma) < s.stop_tol else 0
     with np.errstate(all="ignore"):
-        while reason is None and k < n_max:
+        while not end and k < n_max:
             sb, pb, landed = fill(states[-1][-1], polar[-1][-1], min(_BLOCK_STEPS, n_max - k))
-            bad, tripped, stop = _block_stops(space, sb, pb, limit, s.stop_tol)
-            keep = int(stop[0])
-            if keep < len(sb):
-                reason = (Termination.NUMERIC if bad[keep, 0] else
-                          Termination.BARRIER_GUARD if tripped[keep, 0] else Termination.CONVERGED)
-                keep += reason is Termination.CONVERGED  # a converging row is logged
-            elif landed:
-                reason = Termination.CONVERGED
+            kept, code = _block_stops(space, sb, pb, s.barrier_margin, s.stop_tol)
+            keep = int(kept[0])
+            end = int(code[0]) or (_CONVERGED if landed else 0)
             states.append(sb[:keep])
             polar.append(pb[:keep])
             k += keep
     polar = np.concatenate(polar)
-    return _finish(s, np.arange(len(polar)) * s.dt, polar, reason or Termination.T_MAX,
+    return _finish(s, np.arange(len(polar)) * s.dt, polar, _ENDINGS[end],
                    cartesian=np.concatenate(states) if s.frame == "cartesian" else None)
 
 
@@ -597,15 +603,14 @@ def integrate_batch(
     ``extra_lyapunov`` adds further certificates whose per-step monotonicity
     violations are counted alongside the scenario's own.
 
-    The runs still active are stepped in blocks of K steps and checked once
-    per block, as the module docstring describes: with the array kernel
-    while more than ``_SCALAR_RUNS`` are active, one at a time with the
-    polar kernel of :func:`integrate` once the batch has thinned to that
-    many.  The choice depends only on the active-run count, so results are
-    deterministic, and a batch of at most ``_SCALAR_RUNS`` runs equals
-    :func:`integrate` run by run, bit for bit.  A stage that raises ends its run as :func:`integrate`
-    does: as numeric at that step for ``ArithmeticError`` or ``ValueError``
-    (a :class:`UniparkError` too), and any other error propagates.
+    The runs still going on are stepped in blocks and checked once per
+    block, as the module docstring describes; the fill depends only on how
+    many go on, so results are deterministic, and a batch of at most
+    ``_SCALAR_RUNS`` runs equals :func:`integrate` run by run, bit for bit,
+    a raising stage included.  Each run holds its ending code of :func:`_block_stops` and the step of
+    its last kept row.  Its counters and extrema take in the rows it keeps,
+    and its state becomes the last of them.  The flags and convergence
+    times are read off the codes at the end, the margins off the extrema.
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
@@ -615,9 +620,6 @@ def integrate_batch(
     clfs = list(dict.fromkeys(fn.clf for fn in monitors))
     clf_of = [clfs.index(fn.clf) for fn in monitors]
 
-    barrier_trips = np.zeros(n, dtype=bool)
-    numeric_failures = np.zeros(n, dtype=bool)
-    conv_time = np.full(n, np.nan)
     viol = np.zeros((len(monitors), n), dtype=int)
     max_ad = np.abs(ys[1])
     max_ag = np.abs(ys[2])
@@ -626,18 +628,15 @@ def integrate_batch(
     # honest "very large" for the monotonicity counters, so warnings are off.
     with np.errstate(all="ignore"):
         prev = [np.asarray(fn.value(ys[0], ys[1], ys[2]), dtype=float) for fn in monitors]
-        converged = metric_values(ARRAY, space, ys[0], ys[1], ys[2]) < s.stop_tol
-    min_margin = np.minimum(np.full(n, np.inf), barrier_margin_values(space, ys[1], ys[2]))
-    conv_time[converged] = 0.0
-    active = ~converged
+        end = np.where(metric_values(ARRAY, space, ys[0], ys[1], ys[2]) < s.stop_tol, _CONVERGED, 0)
+    end_step = np.zeros(n, dtype=int)
 
     n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
     h = s.dt
-    limit = math.pi - s.barrier_margin
-    k = 0  # steps taken by the runs still active
+    lanes = np.flatnonzero(end == 0)  # the runs still going on
+    k = 0  # steps taken by them
     with np.errstate(all="ignore"):
-        while k < n_max and active.any():
-            lanes = np.flatnonzero(active)
+        while k < n_max and lanes.size:
             m = lanes.size
             steps = min(_BLOCK_STEPS, max(1, _BLOCK_LANE_STEPS // m), n_max - k)
             if m <= _SCALAR_RUNS:
@@ -647,15 +646,11 @@ def integrate_batch(
                 _rk4_kernel(s.controller, s.gains, h, "array")(*ys[:, lanes], block)
             rho, delta, gamma = block[:, 0], block[:, 1], block[:, 2]
 
-            bad, tripped, stop = _block_stops(space, block, block, limit, s.stop_tol)
-            ok = ~(bad | tripped)
-            ended = stop < steps
-            counted = (np.arange(steps)[:, None] <= stop) & ok
+            kept, code = _block_stops(space, block, block, s.barrier_margin, s.stop_tol)
+            counted = np.arange(steps)[:, None] < kept
 
             max_ad[lanes] = np.maximum(max_ad[lanes], np.where(counted, np.abs(delta), -np.inf).max(axis=0))
             max_ag[lanes] = np.maximum(max_ag[lanes], np.where(counted, np.abs(gamma), -np.inf).max(axis=0))
-            margin = np.where(counted, barrier_margin_values(space, delta, gamma), np.inf)
-            min_margin[lanes] = np.minimum(min_margin[lanes], margin.min(axis=0))
             rho_sq = rho**2
             v_dg = [clf.value(delta, gamma) for clf in clfs]
             for i, fn in enumerate(monitors):
@@ -664,30 +659,28 @@ def integrate_batch(
                 viol[i, lanes] += (counted & _rises(before, v)).sum(axis=0)
                 prev[i][lanes] = v[-1]
 
-            # Keep the state before a guard trip or a numeric stop, as integrate logs.
-            row = np.minimum(stop, steps - 1)
-            row -= ended & ~ok[row, np.arange(m)]
-            ys[:, lanes[row >= 0]] = block[row[row >= 0], :, np.flatnonzero(row >= 0)].T
-            at = np.flatnonzero(ended)
-            end, run = stop[at], lanes[at]
-            numeric_failures[run] = bad[end, at]
-            barrier_trips[run] = tripped[end, at]
-            conv = ok[end, at]
-            converged[run] = conv
-            conv_time[run[conv]] = (k + 1 + end[conv]) * h
-            active[run] = False
+            # A run's state is its last kept row, the one integrate logs last.
+            some = np.flatnonzero(kept)
+            ys[:, lanes[some]] = block[kept[some] - 1, :, some].T
+            ended = code > 0
+            end[lanes[ended]] = code[ended]
+            end_step[lanes[ended]] = k + kept[ended]
+            lanes = lanes[~ended]
             k += steps
         final_metric = metric_values(ARRAY, space, ys[0], ys[1], ys[2])
 
+    converged = end == _CONVERGED
     return BatchResult(
         converged=converged,
-        convergence_time=conv_time,
+        convergence_time=np.where(converged, end_step * h, np.nan),
         v_violations=viol[0],
-        min_barrier_margin=min_margin,
+        # Exact: pi - x rounds to a value that never grows with x, so the
+        # least margin over the counted rows is pi minus their largest |angle|.
+        min_barrier_margin=barrier_margin_values(space, max_ad, max_ag),
         max_abs_delta=max_ad,
         max_abs_gamma=max_ag,
-        barrier_trips=barrier_trips,
-        numeric_failures=numeric_failures,
+        barrier_trips=end == _GUARD,
+        numeric_failures=end == _NUMERIC,
         final_states=ys.T.copy(),
         final_metric=final_metric,
         extra_v_violations=viol[1:] if len(monitors) > 1 else None,
@@ -763,14 +756,14 @@ def _stripe(fn: Callable, items: Sequence, fd: int) -> None:
         fh.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
 
 
-def _striped_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
+def _striped_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, item i computed by worker i mod n, for n
-    usable CPUs, ``workers`` or items, whichever is fewest.  Worker 0 is the
+    usable CPUs or items, whichever is fewer.  Worker 0 is the
     caller; the others are forked, so ``fn`` need not pickle, and pickle
     their results to a pipe, which is drained before the worker is reaped.
     A worker's exception is raised here; no worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n = max(1, min(cpus, len(items), cpus if workers is None else workers))
+    n = max(1, min(cpus, len(items)))
     pids, fds = [], []
     try:
         for w in range(1, n):

@@ -226,23 +226,17 @@ def warp_delta_gamma(xp, ss: StateSpaceId, delta, gamma):
 
 def barrier_margin_values(ss: StateSpaceId, delta, gamma):
     """pi - |angle|, minimised elementwise over the angles ``ss``
-    constrains; inf when it constrains none."""
-    margin = math.inf
+    constrains; inf when it constrains none, in the shape of ``delta``."""
+    margin = np.full(np.shape(delta), math.inf)
     for a in constrained_angles(ss, delta, gamma):
         margin = np.minimum(margin, math.pi - np.abs(a))
     return margin
 
 
-def delta_gamma_in_space(
-    ss: StateSpaceId, delta: float, gamma: float, limit: float = BARRIER_ANGLE_LIMIT
-) -> bool:
+def delta_gamma_in_space(ss: StateSpaceId, delta: float, gamma: float) -> bool:
     """True when every angle that ``ss`` constrains has magnitude below
-    ``limit``.  The default keeps tan(angle/2) finite; the integrators pass
-    pi minus their barrier-guard margin."""
-    for a in constrained_angles(ss, delta, gamma):
-        if abs(a) >= limit:
-            return False
-    return True
+    ``BARRIER_ANGLE_LIMIT``, which keeps tan(angle/2) finite."""
+    return not any(abs(a) >= BARRIER_ANGLE_LIMIT for a in constrained_angles(ss, delta, gamma))
 
 
 def check_in_space(ss: StateSpaceId, delta: float, gamma: float) -> None:

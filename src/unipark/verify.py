@@ -152,15 +152,11 @@ def positive_definiteness_check(clf: SteeringClf, samples: np.ndarray) -> CheckR
     )
 
 
-def gradient_check(
-    clf: SteeringClf, samples: np.ndarray, grad_fn: Callable | None = None
-) -> CheckResult:
+def gradient_check(clf: SteeringClf, samples: np.ndarray) -> CheckResult:
     """Analytic gradient vs central finite differences, relative error below
-    GRAD_RTOL.  ``grad_fn`` can substitute a (deliberately wrong) gradient,
-    which the suite uses as a negative control."""
-    grad_fn = grad_fn or clf.grad
+    GRAD_RTOL."""
     d, c = samples[:, 0], samples[:, 1]
-    gd, gc = grad_fn(d, c)
+    gd, gc = clf.grad(d, c)
     hd = 1e-6 * np.maximum(1.0, np.abs(d))
     hc = 1e-6 * np.maximum(1.0, np.abs(c))
     fd_d = (clf.value(d + hd, c) - clf.value(d - hd, c)) / (2.0 * hd)
@@ -415,7 +411,10 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     # Whole, the lemma grid (about 20 ms) would outweigh any law's job below
     # about 10000 samples; one job per gain keeps the workers' stripes even.
     jobs.extend(functools.partial(_lemma_slacks, k) for k in LEMMA_GAINS)
-    results = _striped_map(lambda job: job(), jobs, None if samples >= _FORK_MIN_SAMPLES else 1)
+    if samples >= _FORK_MIN_SAMPLES:
+        results = _striped_map(lambda job: job(), jobs)
+    else:
+        results = [job() for job in jobs]
     cut = len(jobs) - len(LEMMA_GAINS)
     records = [r for recs in results[:cut] for r in recs]
     records.append(_lemma_result(results[cut:]).to_record())

@@ -45,7 +45,7 @@ from unipark.controllers import closed_loop_field
 from unipark.kernels import ARRAY, SCALAR
 from unipark.linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
 from unipark.simulate import Termination, _finish, _pose_field, _pose_to_polar
-from unipark.spaces import delta_gamma_in_space, metric_values, on_target
+from unipark.spaces import constrained_angles, metric_values, on_target
 from unipark import verify as vf
 
 mp.mp.dps = 40
@@ -370,7 +370,7 @@ def integrate_reference(s):
         if p_next is None:
             reason = Termination.CONVERGED
             break
-        if not delta_gamma_in_space(space, p_next[1], p_next[2], limit):
+        if any(abs(a) >= limit for a in constrained_angles(space, p_next[1], p_next[2])):
             reason = Termination.BARRIER_GUARD
             break
         y, p = y_next, p_next

@@ -274,6 +274,74 @@ def block_steps(request, monkeypatch):
 FRAMES = ["polar", "cartesian"]
 
 
+class TestBlockStops:
+    """_block_stops decides how every run of a block ends: the rows it keeps
+    and the index of its ending in _ENDINGS (T_MAX, the run going on, at 0)."""
+
+    @staticmethod
+    def stops(space, *runs, barrier_margin=1e-9, stop_tol=1e-4):
+        # runs: one list of (rho, delta, gamma) rows per run, all of one length.
+        block = np.array(runs, dtype=float).reshape(len(runs), -1, 3).transpose(1, 2, 0)
+        with np.errstate(all="ignore"):
+            kept, code = unipark.simulate._block_stops(space, block, block, barrier_margin, stop_tol)
+        return kept.tolist(), [unipark.simulate._ENDINGS[c] for c in code]
+
+    @pytest.fixture
+    def metric_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return metric_values(*args)
+
+        monkeypatch.setattr(unipark.simulate, "metric_values", counted)
+        return calls
+
+    def test_nothing_ends_on_the_fast_path(self, metric_calls):
+        runs = [[(1.0, 0.5, -0.5), (0.9, 3.0, -3.0), (0.8, 0.1, 0.1)],
+                [(2.0, -1.0, 1.0), (1.9, -1.1, 1.1), (1.8, -1.2, 1.2)]]
+        assert self.stops(StateSpaceId.S3, *runs) == ([3, 3], [Termination.T_MAX] * 2)
+        assert metric_calls == []
+
+    def test_nothing_ends_on_the_slow_path(self, metric_calls):
+        # rho below stop_tol takes the block to the metric, which is above it.
+        runs = [[(1e-3, 0.5, -0.5), (1e-5, 0.4, -0.4)], [(1.0, 0.5, 0.5), (0.9, 0.4, 0.4)]]
+        assert self.stops(StateSpaceId.S3, *runs) == ([2, 2], [Termination.T_MAX] * 2)
+        assert metric_calls == [1]
+
+    @pytest.mark.parametrize("space, axis", [(StateSpaceId.S2, 1), (StateSpaceId.S1, 2)])
+    def test_guard_row_not_kept(self, space, axis):
+        # A constrained angle at pi - barrier_margin trips the guard; one an
+        # ulp inside it does not, nor does the limit on the free axis.
+        ok = (1.0, 0.1, 0.1)
+        rows = [list(ok) for _ in range(3)]
+        rows[0][axis] = -(math.pi - 0.5)
+        rows[1][axis] = float(np.nextafter(math.pi - 0.5, 0.0))
+        rows[2][3 - axis] = math.pi - 0.5
+        runs = [[ok, ok, tuple(row), ok] for row in rows]
+        assert self.stops(space, *runs, barrier_margin=0.5) == (
+            [2, 4, 4], [Termination.BARRIER_GUARD, Termination.T_MAX, Termination.T_MAX])
+
+    def test_converging_row_kept(self):
+        runs = [[(1.0, 0.1, 0.1), (5e-5, 0.0, 0.0), (1.0, 0.1, 0.1)],
+                [(1.0, 0.1, 0.1), (0.5, 0.05, 0.05), (4e-5, 1e-5, -1e-5)]]
+        assert self.stops(StateSpaceId.S3, *runs) == ([2, 3], [Termination.CONVERGED] * 2)
+
+    @pytest.mark.parametrize("row", [(math.nan, 3.5, 0.1), (math.inf, -3.5, 0.1), (1.0, math.inf, 0.1),
+                                     (1.0, 0.1, -math.inf)], ids=["nan_rho", "inf_rho", "inf_delta", "inf_gamma"])
+    def test_non_finite_past_the_guard_is_numeric(self, row):
+        runs = [[(1.0, 0.1, 0.1), (1.0, 3.5, 3.5), row], [(1.0, 0.1, 0.1), row, (1.0, 0.1, 0.1)]]
+        assert self.stops(StateSpaceId.S3, *runs, barrier_margin=1.0) == (
+            [1, 1], [Termination.BARRIER_GUARD, Termination.NUMERIC])
+        assert self.stops(StateSpaceId.S3, [row], [(1.0, 0.1, 0.1)]) == (
+            [0, 1], [Termination.NUMERIC, Termination.T_MAX])
+
+    def test_zero_rows(self):
+        block = np.empty((0, 3, 2))
+        kept, code = unipark.simulate._block_stops(StateSpaceId.S3, block, block, 1e-9, 1e-4)
+        assert kept.tolist() == [0, 0] and code.tolist() == [0, 0]
+
+
 class TestBlockedIntegrate:
     """integrate steps in speculative blocks and tests each block once; its
     runs must be those of the per-step reference loop bit for bit."""
