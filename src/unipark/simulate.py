@@ -607,10 +607,11 @@ def integrate_batch(
     block, as the module docstring describes; the fill depends only on how
     many go on, so results are deterministic, and a batch of at most
     ``_SCALAR_RUNS`` runs equals :func:`integrate` run by run, bit for bit,
-    a raising stage included.  Each run holds its ending code of :func:`_block_stops` and the step of
-    its last kept row.  Its counters and extrema take in the rows it keeps,
-    and its state becomes the last of them.  The flags and convergence
-    times are read off the codes at the end, the margins off the extrema.
+    a raising stage included.  Each run holds its ending code of
+    :func:`_block_stops` and the step of its last kept row.  Its counters
+    and extrema take in the rows it keeps, and its state becomes the last
+    of them.  The flags and convergence times are read off the codes at
+    the end, the margins off the extrema.
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
@@ -660,8 +661,8 @@ def integrate_batch(
                 prev[i][lanes] = v[-1]
 
             # A run's state is its last kept row, the one integrate logs last.
-            some = np.flatnonzero(kept)
-            ys[:, lanes[some]] = block[kept[some] - 1, :, some].T
+            moved = np.flatnonzero(kept)
+            ys[:, lanes[moved]] = block[kept[moved] - 1, :, moved].T
             ended = code > 0
             end[lanes[ended]] = code[ended]
             end_step[lanes[ended]] = k + kept[ended]
@@ -758,10 +759,10 @@ def _stripe(fn: Callable, items: Sequence, fd: int) -> None:
 
 def _striped_map(fn: Callable, items: Sequence) -> list:
     """``[fn(x) for x in items]``, item i computed by worker i mod n, for n
-    usable CPUs or items, whichever is fewer.  Worker 0 is the
-    caller; the others are forked, so ``fn`` need not pickle, and pickle
-    their results to a pipe, which is drained before the worker is reaped.
-    A worker's exception is raised here; no worker outlives the call."""
+    usable CPUs or items, whichever is fewer.  Worker 0 is the caller; the
+    others are forked, so ``fn`` need not pickle, and pickle their results
+    to a pipe, which is drained before the worker is reaped.  A worker's
+    exception is raised here; no worker outlives the call."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n = max(1, min(cpus, len(items)))
     pids, fds = [], []

@@ -328,7 +328,8 @@ class TestBlockStops:
         assert self.stops(StateSpaceId.S3, *runs) == ([2, 3], [Termination.CONVERGED] * 2)
 
     @pytest.mark.parametrize("row", [(math.nan, 3.5, 0.1), (math.inf, -3.5, 0.1), (1.0, math.inf, 0.1),
-                                     (1.0, 0.1, -math.inf)], ids=["nan_rho", "inf_rho", "inf_delta", "inf_gamma"])
+                                     (1.0, 0.1, -math.inf)],
+                             ids=["nan_rho", "inf_rho", "inf_delta", "inf_gamma"])
     def test_non_finite_past_the_guard_is_numeric(self, row):
         runs = [[(1.0, 0.1, 0.1), (1.0, 3.5, 3.5), row], [(1.0, 0.1, 0.1), row, (1.0, 0.1, 0.1)]]
         assert self.stops(StateSpaceId.S3, *runs, barrier_margin=1.0) == (
