@@ -13,7 +13,11 @@ The set is:
   globa-cons from (1, 3, 2) at dt 900 in both charts (numeric in polar,
   t_max in Cartesian) and globa, glofo and globa-interp from there in
   polar (t_max with overflowing logs); genova in both charts stopped at
-  t_max after 100 steps, not a multiple of the 64-step block; bagal from
+  t_max after 100 steps, not a multiple of the 64-step block, and after
+  3500 steps at dt 1e-3, inside a block grown past 64 steps; bagal with
+  gains (1, 1, 0.1, 1) from (x, y, theta) = (-1.5, 1.5, 0) at dt 5e-4 in
+  both charts, with a config's ``barrier_margin`` of 1.904, which trips
+  the guard at step 3193, also inside a grown block; bagal from
   (1, 2, -1.5) at dt 0.01 with ``--tol 4.843772453419518`` (JSON only),
   whose converging step has a logged metric below the tolerance by the
   last bit of ``tan`` (it converges at t = 1.01); libac from
@@ -45,6 +49,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -83,6 +88,16 @@ ENDINGS = {
             "--format", "json"],
     "stage_error": ["--controller", "libac", "--init-polar=1,2.891592653589793,0.7853981633974483", "--dt", "1",
                     "--t-max", "10"],
+    **{f"t_max/long-{chart}": ["--controller", "genova", "--init-polar=1.2,0.7,-0.4", "--t-max", "3.5",
+                               "--frame", chart]
+       for chart in ("polar", "cartesian")},
+}
+# Runs set up by a config, for a field no flag sets: bagal at the front line
+# figure's gains trips a guard 1.904 from pi at step 3193.
+CONFIG_ENDINGS = {
+    f"guard/long-{chart}": {"controller": "bagal", "gains": "1,1,0.1,1", "init_cart": "-1.5,1.5,0", "dt": 5e-4,
+                            "t_max": 50.0, "barrier_margin": 1.904, "frame": chart}
+    for chart in ("polar", "cartesian")
 }
 GAINS = {
     "passivity": ["--poles=-1,-0.5+0.9i,-0.5-0.9i"],
@@ -102,6 +117,10 @@ def produce(out: Path) -> None:
               "--frame", "cartesian", "--t-max", "120", "--out", str(out / "crossing")])
     for name, flags in ENDINGS.items():
         cli_main(["simulate", *flags, "--out", str(out / name)])
+    for name, cfg in CONFIG_ENDINGS.items():
+        (out / name).mkdir(parents=True)
+        (out / name / "config.json").write_text(json.dumps(cfg))
+        cli_main(["simulate", "--config", str(out / name / "config.json"), "--out", str(out / name)])
     reproduce_figures.run(out / "figures")
     for family, flags in GAINS.items():
         cli_main(["gains", "--family", family, *flags, "--out", str(out / "gains" / family)])

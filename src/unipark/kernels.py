@@ -183,8 +183,9 @@ class Sym:
     ``round``, kept by int arithmetic).  Each arithmetic operation on it and
     each :data:`TRACE` primitive of it is recorded on its tape, operands in
     the order given, so constants fold by the float operations of untraced
-    code, and a float times 1.0 is that float.  Branching on or comparing
-    it raises ``TypeError``."""
+    code; a value times 1 or a float times 1.0 is that value, and an int
+    times -1 its negation.  Branching on or comparing it raises
+    ``TypeError``."""
 
     __slots__ = ("tape", "name", "whole")
     __array_ufunc__ = None  # numpy scalars defer to the reflected methods
@@ -203,8 +204,12 @@ class Sym:
 
 def _operator(op: str, reflected: bool):
     def apply(a: Sym, b) -> Sym:
-        if op == "*" and type(b) is float and b == 1.0 and not a.whole:
-            return a  # exactly a; an int keeps the product, which makes it a float
+        # Exact folds only: x * 1 is x, but times 1.0 an int becomes a float;
+        # x * -1 is -x for an int x alone, since negating a NaN flips its
+        # sign bit where multiplying keeps it.
+        unit = type(b) is int or type(b) is float and not a.whole
+        if op == "*" and unit and (b == 1 or b == -1 and a.whole):
+            return a if b == 1 else -a
         x, y = (a.tape.text(b), a.name) if reflected else (a.name, a.tape.text(b))
         whole = op != "/" and a.whole and getattr(b, "whole", type(b) is not float)
         return a.tape.emit(f"{x} {op} {y}", whole)

@@ -17,9 +17,10 @@ failure; otherwise it is just a clean termination.
 
 Both integrators step speculatively in blocks and test each block once.
 :func:`integrate` has its chart's fill take up to K steps of one run with
-no check in between, returned as float arrays; :func:`integrate_batch`
-compacts many runs under one setup to those still active and fills K steps
-of them.  One decision, :func:`_block_stops`, then says for each run of the
+no check in between, returned as float arrays, K growing with the steps
+the run has kept, so a long run spends little on its blocks;
+:func:`integrate_batch` compacts many runs under one setup to those still
+active and fills K steps of them.  One decision, :func:`_block_stops`, then says for each run of the
 (K, runs) block how many rows it keeps and how it ends, as a code indexing
 ``_ENDINGS``; both integrators read only that.  The steps past the kept
 rows are discarded, so every result is bitwise that of testing after every
@@ -29,20 +30,21 @@ checks its monitors on the kept rows once per block.
 
 Every fill runs a kernel compiled by :func:`_rk4_kernel` from
 :func:`_rk4_step` over a field written once over a primitive namespace,
-bitwise the interpreted step, in one of three loops.  The polar loop steps
-one run's floats (:func:`_kernel_rows`): it is the polar chart's fill, and
-the batch's while at most ``_SCALAR_RUNS`` runs are active, so such a batch
-is bitwise :func:`integrate` run by run.  The array loop steps more runs at
-once, because an array step costs about the same whatever its length.  A
-run that crosses from it differs only in the last bits (numpy's ``tan`` and
-``arctan`` round a few arguments differently from ``math``'s; ``sinc`` and
-``psi`` are one rule in both namespaces), so its last bits depend on when
-its batch thins below the constant; a chaotic run in a large batch, such as
-bopa or barfli at dt >= 0.2, may still take a different exit than in
-:func:`integrate`.  The Cartesian loop is the Cartesian chart's fill: it
-steps the pose, with the closed loop computed at each stage's polar state,
-and rebuilds a continuous polar state by unwrapping the transformed angles
-against the previous step.
+bitwise the interpreted step, in one of three loops, as straight-line code
+that writes each value read only once into its reader.  The polar loop
+steps one run's floats (:func:`_kernel_rows`): it is the polar chart's
+fill, and the batch's while at most ``_SCALAR_RUNS`` runs are active, so
+such a batch is bitwise :func:`integrate` run by run.  The array loop steps
+more runs at once, because an array step costs about the same whatever its
+length.  A run that crosses from it differs only in the last bits (numpy's
+``tan`` and ``arctan`` round a few arguments differently from ``math``'s;
+``sinc`` and ``psi`` are one rule in both namespaces), so its last bits
+depend on when its batch thins below the constant; a chaotic run in a
+large batch, such as bopa or barfli at dt >= 0.2, may still take a
+different exit than in :func:`integrate`.  The Cartesian loop is the
+Cartesian chart's fill: it steps the pose, with the closed loop computed at
+each stage's polar state, and rebuilds a continuous polar state by
+unwrapping the transformed angles against the previous step.
 
 The points of a sweep and the jobs of ``unipark verify`` (from 5000 samples
 on) run in forked workers, one per usable CPU (:func:`_striped_map`, on
@@ -63,6 +65,7 @@ numeric; any other error propagates.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import linecache
 import math
@@ -348,13 +351,27 @@ _LOOPS = {
 }
 
 
-def _loop_body(lines, keep=None) -> str:
-    """The traced ``lines`` (expression, local) as a loop body.  With
-    ``keep``, each local not in it is deleted after its last use, so an
-    array kernel holds a few of its arrays at a time, not all of them."""
-    body, seen = [], set(keep or ())
-    for expr, name in reversed(lines):
-        dead = [] if keep is None else [v for v in (name, *re.findall(r"\bv\d+\b", expr)) if v not in seen]
+_LOCAL = re.compile(r"\bv\d+\b")
+
+
+def _loop_body(lines, live, delete=False) -> str:
+    """The traced ``lines`` (expression, local) as a loop body.  A local
+    read by exactly one later line, and not in ``live``, is written into
+    that line in parentheses: the same operations on the same operands,
+    without the store and load.  With ``delete``, each other local not in
+    ``live`` is deleted after its last use, so an array kernel holds a few
+    of its arrays at a time, not all of them."""
+    reads = collections.Counter(_LOCAL.findall(" ".join(expr for expr, _ in lines)))
+    one, stored = {}, []
+    for expr, name in lines:
+        expr = _LOCAL.sub(lambda v: f"({one.pop(v[0])})" if v[0] in one else v[0], expr)
+        if reads[name] == 1 and name not in live:
+            one[name] = expr
+        else:
+            stored.append((expr, name))
+    body, seen = [], set(live)
+    for expr, name in reversed(stored):
+        dead = [v for v in (name, *_LOCAL.findall(expr)) if v not in seen] if delete else []
         seen.update(dead)
         body += [f"\n        del {', '.join(dict.fromkeys(dead))}"] if dead else []
         body.append(f"\n        {name} = {expr}")
@@ -368,10 +385,11 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> C
     over the closed-loop field (Cartesian: :func:`_pose_field`, then
     :func:`_pose_to_polar`) traced through :data:`~unipark.kernels.TRACE`,
     the same float operations in the same order calling the same primitives
-    (ARRAY's in the array loop), with ``g`` and ``h`` folded and repeated
-    expressions computed once, so a step is bitwise the interpreted one and
-    raises where it does.  Its source is in :mod:`linecache`, as
-    ``<rk4 law #n>``, while the kernel lives."""
+    (ARRAY's in the array loop), with ``g`` and ``h`` folded, repeated
+    expressions computed once and every local read once written into its
+    reader (:func:`_loop_body`), so a step is bitwise the interpreted one
+    and raises in the step where it does.  Its source is in
+    :mod:`linecache`, as ``<rk4 law #n>``, while the kernel lives."""
     tape = Tape()
     if loop == "cartesian":
         ref = (None, Sym(tape, "d"), Sym(tape, "c"))
@@ -379,11 +397,13 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> C
     else:
         out = _rk4_step(ctl.closed_loop_field(cid, g, TRACE), tuple(Sym(tape, v) for v in "rdc"), h)
     n = len(tape.lines)
-    polar = _pose_to_polar(TRACE, out, ref) if loop == "cartesian" else ()
+    polar = ", ".join(map(tape.text, _pose_to_polar(TRACE, out, ref))) if loop == "cartesian" else ""
+    out = ", ".join(map(tape.text, out))
     lines = list(tape.lines.items())
-    keep = {v.name for v in out} if loop == "array" else None
-    src = _LOOPS[loop].format(step=_loop_body(lines[:n], keep), out=", ".join(map(tape.text, out)),
-                              map=_loop_body(lines[n:]), polar=", ".join(map(tape.text, polar)))
+    # The outputs stay live, and so do the step's locals that the map reads.
+    live = set(_LOCAL.findall(" ".join([out, polar, *(expr for expr, _ in lines[n:])])))
+    src = _LOOPS[loop].format(step=_loop_body(lines[:n], live, loop == "array"), out=out,
+                              map=_loop_body(lines[n:], set(_LOCAL.findall(polar))), polar=polar)
     filename = f"<rk4 {cid.value} #{next(_KERNEL_IDS)}>"
     xp = ARRAY if loop == "array" else SCALAR
     scope = {name: getattr(xp, name) for name in re.findall(r"(\w+)\(", " ".join(tape.lines))}
@@ -453,9 +473,10 @@ def _cartesian_fill(s: Scenario):
     return np.array([[c0.x], [c0.y], [c0.theta]]), fill
 
 
-# A block takes at most this many steps, and at most this many lane-steps
-# (steps times active runs): the block buffer and the monitors' (K, m)
-# temporaries then stay within a few MiB.
+# A batch's block takes at most this many steps, and at most this many
+# lane-steps (steps times active runs): the block buffer and the monitors'
+# (K, m) temporaries then stay within a few MiB.  A scalar run's block takes
+# this many steps, or a sixteenth of the steps it has kept from 1024 on.
 _BLOCK_STEPS = 64
 _BLOCK_LANE_STEPS = 16384
 
@@ -514,10 +535,13 @@ def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, bar
 def integrate(s: Scenario) -> Trajectory:
     """Run the scenario in the chart selected by ``s.frame``.
 
-    The chart's fill takes a speculative block of up to ``_BLOCK_STEPS``
-    steps; the run keeps the rows :func:`_block_stops` gives it and ends as
-    it says, the steps past them discarded.  A Cartesian step that lands
-    exactly on the target ends the run as converged, unlogged.
+    The chart's fill takes a speculative block of ``_BLOCK_STEPS`` steps,
+    or a sixteenth of the k steps kept so far once that is more, to at most
+    t_max; the run keeps the rows :func:`_block_stops` gives it and ends as
+    it says, the steps past them discarded.  The per-block cost is then
+    spread over a long run, which steps at most k/16 + ``_BLOCK_STEPS``
+    steps past its end.  A Cartesian step that lands exactly on the target
+    ends the run as converged, unlogged.
     """
     p0 = s.initial_polar()
     p = np.array([[p0.rho], [p0.delta], [p0.gamma]])
@@ -529,7 +553,7 @@ def integrate(s: Scenario) -> Trajectory:
     end = _CONVERGED if metric_values(ARRAY, space, p0.rho, p0.delta, p0.gamma) < s.stop_tol else 0
     with np.errstate(all="ignore"):
         while not end and k < n_max:
-            sb, pb, landed = fill(states[-1][-1], polar[-1][-1], min(_BLOCK_STEPS, n_max - k))
+            sb, pb, landed = fill(states[-1][-1], polar[-1][-1], min(max(_BLOCK_STEPS, k // 16), n_max - k))
             kept, code = _block_stops(space, sb, pb, s.barrier_margin, s.stop_tol)
             keep = int(kept[0])
             end = int(code[0]) or (_CONVERGED if landed else 0)

@@ -433,6 +433,65 @@ class TestBlockedIntegrate:
         assert_same_run(got, want)
 
 
+# Runs of over 3000 steps, by their ending: genova converges at step 3412 at
+# dt 0.005 and stops at t_max after 3500 steps at dt 1e-3; bagal at the front
+# line figure's gains trips a guard at |delta| 1.238 at step 3222.  Each ends
+# inside a block grown past _BLOCK_STEPS at the default block length.
+LONG_RUNS = {
+    Termination.CONVERGED: dict(dt=0.005),
+    Termination.T_MAX: dict(t_max=3.5),
+    Termination.BARRIER_GUARD: dict(cid=ControllerId.BAGAL, gains=Gains(1.0, 1.0, 0.1, 1.0),
+                                    initial=CartesianState(-1.5, 1.5, 0.0), dt=5e-4,
+                                    barrier_margin=math.pi - 1.238),
+}
+
+
+@pytest.fixture
+def fill_steps(monkeypatch):
+    """The ``steps`` argument of every fill that integrate calls."""
+    calls = []
+
+    def spying(fill):
+        def spy(y, p, steps):
+            calls.append(steps)
+            return fill(y, p, steps)
+
+        return spy
+
+    polar_fill, cartesian_fill = unipark.simulate._polar_fill, unipark.simulate._cartesian_fill
+    monkeypatch.setattr(unipark.simulate, "_polar_fill", lambda s: spying(polar_fill(s)))
+    monkeypatch.setattr(unipark.simulate, "_cartesian_fill",
+                        lambda s: (lambda y0, fill: (y0, spying(fill)))(*cartesian_fill(s)))
+    return calls
+
+
+class TestGrownBlocks:
+    """Past 16 * _BLOCK_STEPS kept steps, integrate's blocks take a sixteenth
+    of the steps kept; a run ending inside one is still the reference's."""
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("ending", list(LONG_RUNS), ids=lambda e: e.value)
+    def test_ends_inside_a_grown_block(self, ending, frame, fill_steps):
+        s = scenario(frame=frame, **LONG_RUNS[ending])
+        tr = integrate(s)
+        assert tr.termination is ending and len(tr.t) > 3000
+        *_, grown, last = fill_steps
+        assert grown > unipark.simulate._BLOCK_STEPS
+        if ending is Termination.T_MAX:  # t_max cut the last block short
+            assert sum(fill_steps) == len(tr.t) - 1 and last < grown
+        else:  # the ending row is not the last block's last
+            assert last >= grown and len(tr.t) < sum(fill_steps)
+        assert_same_run(tr, integrate_reference(s))
+
+    @pytest.mark.parametrize("frame", FRAMES)
+    @pytest.mark.parametrize("ending", list(LONG_RUNS), ids=lambda e: e.value)
+    def test_steps_past_the_end(self, ending, frame, fill_steps, block_steps):
+        tr = integrate(scenario(frame=frame, **LONG_RUNS[ending]))
+        kept = len(tr.t) - 1
+        assert sum(fill_steps) <= kept + kept // 16 + unipark.simulate._BLOCK_STEPS
+        assert max(fill_steps) > unipark.simulate._BLOCK_STEPS
+
+
 # libac from here at dt 1: stage 2 of the first RK4 step lands on delta = pi
 # exactly, where 1 + cos(delta) == 0 and the law divides by zero.
 LIBAC_DIVIDES = (1.0, 2.891592653589793, 0.7853981633974483)
@@ -565,6 +624,21 @@ class TestRk4Kernel:
         if loop != "cartesian":  # the first stage's gamma is the argument c
             assert len(re.findall(r"= 2\.0 \* c\n", src)) == 1
 
+    @pytest.mark.parametrize("loop", ["polar", "array", "cartesian"])
+    def test_one_use_locals_inlined(self, loop):
+        # Every stored local is read twice or more, or only by the loop's
+        # line that takes a step's output.
+        kernel = unipark.simulate._rk4_kernel(ControllerId.BAGAL, UNIT, 0.01, loop)
+        code = [line.strip() for line in linecache.getlines(kernel.__code__.co_filename)]
+        code = [line for line in code if not line.startswith("del ")]
+        defs = [line.split(" = ", 1)[0] for line in code if re.match(r"v\d+ = ", line)]
+        assert len(defs) > 10
+        for name in defs:
+            readers = [line for line in code if not line.startswith(f"{name} = ")
+                       and re.search(rf"\b{name}\b", line)]
+            reads = sum(len(re.findall(rf"\b{name}\b", line)) for line in readers)
+            assert reads != 1 or re.match(r"(block\[k\] = )?(r, d, c|x, y, th) = ", readers[0]), name
+
     def test_unit_gain_products_folded(self):
         kernel = unipark.simulate._rk4_kernel(ControllerId.GENOVA, UNIT, 0.01)
         src = linecache.getlines(kernel.__code__.co_filename)
@@ -578,6 +652,13 @@ class TestRk4Kernel:
         assert (1.0 * n).name == "v3" and (TRACE.abs(-n + 1) * 1.0).name == "v7"
         assert list(tape.lines) == ["round(x)", "v0 + 0.5", "v0 / 2", "1.0 * v0", "-v0", "v4 + 1",
                                     "abs(v5)", "v6 * 1.0"]
+        # An int 1 leaves any value as it is, and an int -1 negates an int;
+        # -1 keeps its product with a float, whose NaN it leaves unflipped.
+        assert 1 * x is x and half * 1 is half and 1 * n is n and n * 1 is n
+        assert (-1) * n is not n and ((-1) * n).name == (n * (-1)).name == "v4"
+        assert ((-1.0) * x).name == "v8" and (x * (-1.0)).name == "v9" and ((-1) * x).name == "v10"
+        assert ((-1.0) * n).name == "v11"
+        assert list(tape.lines)[8:] == ["(-1.0) * x", "x * (-1.0)", "(-1) * x", "(-1.0) * v0"]
 
     def test_raising_primitive(self):
         # The compiled kernel raises where the interpreted step does: in
@@ -630,7 +711,9 @@ class TestRk4Kernel:
             integrate(s)
         frame = traceback.extract_tb(e.value.__traceback__)[-2]
         assert frame.filename.startswith("<rk4 bagal #")
-        assert re.fullmatch(r"v\d+ = tan\(v\d+\)", frame.line)
+        # One-use locals are written into their reader, so the line may hold
+        # the tan call's argument too.
+        assert re.match(r"v\d+ = .*\btan\(", frame.line)
         assert "= tan(" in "".join(traceback.format_exception(e.value))
 
     def test_source_released_with_kernel(self):
