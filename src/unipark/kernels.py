@@ -207,9 +207,9 @@ def _operator(op: str, reflected: bool):
         # Exact folds only: x * 1 is x, but times 1.0 an int becomes a float;
         # x * -1 is -x for an int x alone, since negating a NaN flips its
         # sign bit where multiplying keeps it.
-        unit = type(b) is int or type(b) is float and not a.whole
-        if op == "*" and unit and (b == 1 or b == -1 and a.whole):
-            return a if b == 1 else -a
+        if op == "*" and (type(b) is int or type(b) is float and not a.whole):
+            if b == 1 or b == -1 and a.whole:
+                return a if b == 1 else -a
         x, y = (a.tape.text(b), a.name) if reflected else (a.name, a.tape.text(b))
         whole = op != "/" and a.whole and getattr(b, "whole", type(b) is not float)
         return a.tape.emit(f"{x} {op} {y}", whole)

@@ -17,34 +17,34 @@ failure; otherwise it is just a clean termination.
 
 Both integrators step speculatively in blocks and test each block once.
 :func:`integrate` has its chart's fill take up to K steps of one run with
-no check in between, returned as float arrays, K growing with the steps
-the run has kept, so a long run spends little on its blocks;
-:func:`integrate_batch` compacts many runs under one setup to those still
-active and fills K steps of them.  One decision, :func:`_block_stops`, then says for each run of the
+no check in between, returned as float arrays; :func:`integrate_batch`
+compacts many runs under one setup to those still active and fills K steps
+of them.  One decision, :func:`_block_stops`, then says for each run of the
 (K, runs) block how many rows it keeps and how it ends, as a code indexing
 ``_ENDINGS``; both integrators read only that.  The steps past the kept
 rows are discarded, so every result is bitwise that of testing after every
 step.  Certificate values, controls and metrics of a scalar run are
 evaluated vectorised over its stored states once it has ended; the batch
-checks its monitors on the kept rows once per block.
+checks its monitors on the kept rows once per block.  :func:`integrate`'s K
+grows with the steps its run has kept, so a long run pays for few blocks.
 
 Every fill runs a kernel compiled by :func:`_rk4_kernel` from
 :func:`_rk4_step` over a field written once over a primitive namespace,
-bitwise the interpreted step, in one of three loops, as straight-line code
-that writes each value read only once into its reader.  The polar loop
-steps one run's floats (:func:`_kernel_rows`): it is the polar chart's
-fill, and the batch's while at most ``_SCALAR_RUNS`` runs are active, so
-such a batch is bitwise :func:`integrate` run by run.  The array loop steps
-more runs at once, because an array step costs about the same whatever its
-length.  A run that crosses from it differs only in the last bits (numpy's
-``tan`` and ``arctan`` round a few arguments differently from ``math``'s;
-``sinc`` and ``psi`` are one rule in both namespaces), so its last bits
-depend on when its batch thins below the constant; a chaotic run in a
-large batch, such as bopa or barfli at dt >= 0.2, may still take a
-different exit than in :func:`integrate`.  The Cartesian loop is the
-Cartesian chart's fill: it steps the pose, with the closed loop computed at
-each stage's polar state, and rebuilds a continuous polar state by
-unwrapping the transformed angles against the previous step.
+bitwise the interpreted step, in one of three loops.  The polar loop steps
+one run's floats (:func:`_kernel_rows`): it is the polar chart's fill, and
+the batch's while at most ``_SCALAR_RUNS`` runs are active, so such a batch
+is bitwise :func:`integrate` run by run.  The array loop steps more runs at
+once, because an array step costs about the same whatever its length.  A
+run that crosses from it differs only in the last bits (numpy's ``tan`` and
+``arctan`` round a few arguments differently from ``math``'s; ``sinc`` and
+``psi`` are one rule in both namespaces), so its last bits depend on when
+its batch thins below the constant; a chaotic run in a large batch, such as
+bopa or barfli at dt >= 0.2, may still take a different exit than in
+:func:`integrate`.  The Cartesian loop is the Cartesian chart's fill: it
+steps the pose, with the closed loop computed at each stage's polar state,
+and rebuilds a continuous polar state by unwrapping the transformed angles
+against the previous step.  A loop's step is straight-line code, with each
+value read only once written into its reader.
 
 The points of a sweep and the jobs of ``unipark verify`` (from 5000 samples
 on) run in forked workers, one per usable CPU (:func:`_striped_map`, on

@@ -435,8 +435,8 @@ class TestBlockedIntegrate:
 
 # Runs of over 3000 steps, by their ending: genova converges at step 3412 at
 # dt 0.005 and stops at t_max after 3500 steps at dt 1e-3; bagal at the front
-# line figure's gains trips a guard at |delta| 1.238 at step 3222.  Each ends
-# inside a block grown past _BLOCK_STEPS at the default block length.
+# line figure's gains trips the guard as an angle reaches 1.238, at step 3222.
+# Each ends inside a block grown past _BLOCK_STEPS at the default length.
 LONG_RUNS = {
     Termination.CONVERGED: dict(dt=0.005),
     Termination.T_MAX: dict(t_max=3.5),
@@ -459,9 +459,13 @@ def fill_steps(monkeypatch):
         return spy
 
     polar_fill, cartesian_fill = unipark.simulate._polar_fill, unipark.simulate._cartesian_fill
+
+    def cartesian(s):
+        y0, fill = cartesian_fill(s)
+        return y0, spying(fill)
+
     monkeypatch.setattr(unipark.simulate, "_polar_fill", lambda s: spying(polar_fill(s)))
-    monkeypatch.setattr(unipark.simulate, "_cartesian_fill",
-                        lambda s: (lambda y0, fill: (y0, spying(fill)))(*cartesian_fill(s)))
+    monkeypatch.setattr(unipark.simulate, "_cartesian_fill", cartesian)
     return calls
 
 
