@@ -11,8 +11,9 @@ The set is:
 - runs that end other than by converging, in the step of the integrator's
   block where it ends: bagal from (1, 3, 2) at dt 0.2 (barrier guard);
   globa-cons from (1, 3, 2) at dt 900 in both charts (numeric in polar,
-  t_max in Cartesian) and globa, glofo and globa-interp from there in
-  polar (t_max with overflowing logs); genova in both charts stopped at
+  t_max in Cartesian), and in Cartesian to t_max 90000 (numeric at
+  t = 29700), and globa, glofo and globa-interp from there in polar (t_max
+  with overflowing logs); genova in both charts stopped at
   t_max after 100 steps, not a multiple of the 64-step block, and after
   3500 steps at dt 1e-3, inside a block grown past 64 steps; bagal with
   gains (1, 1, 0.1, 1) from (x, y, theta) = (-1.5, 1.5, 0) at dt 5e-4 in
@@ -91,6 +92,8 @@ ENDINGS = {
     **{f"t_max/long-{chart}": ["--controller", "genova", "--init-polar=1.2,0.7,-0.4", "--t-max", "3.5",
                                "--frame", chart]
        for chart in ("polar", "cartesian")},
+    "numeric/cartesian": ["--controller", "globa-cons", "--init-polar=1,3,2", "--dt", "900", "--t-max", "90000",
+                          "--frame", "cartesian"],
 }
 # Runs set up by a config, for a field no flag sets: bagal at the front line
 # figure's gains trips a guard 1.904 from pi at step 3193.

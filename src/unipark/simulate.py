@@ -16,33 +16,33 @@ contradicts the invariance certificate, so the test suite treats it as a
 failure; otherwise it is just a clean termination.
 
 Both integrators step speculatively in blocks and test each block once.
-:func:`integrate` has its chart's fill take up to K steps of one run with
-no check in between, returned as float arrays; :func:`integrate_batch`
-compacts many runs under one setup to those still active and fills K steps
-of them.  One decision, :func:`_block_stops`, then says for each run of the
-(K, runs) block how many rows it keeps and how it ends, as a code indexing
-``_ENDINGS``; both integrators read only that.  The steps past the kept
-rows are discarded, so every result is bitwise that of testing after every
-step.  Certificate values, controls and metrics of a scalar run are
-evaluated vectorised over its stored states once it has ended; the batch
-checks its monitors on the kept rows once per block.  :func:`integrate`'s K
-grows with the steps its run has kept, so a long run pays for few blocks.
+:func:`integrate` takes up to K steps of one run with no check in between,
+each a row of its log; :func:`integrate_batch` compacts many runs under one
+setup to those still active and steps them K times.  One decision,
+:func:`_block_stops`, then says for each run of the (K, runs) block how
+many rows it keeps and how it ends, as a code indexing ``_ENDINGS``; both
+integrators read only that.  The steps past the kept rows are discarded,
+so every result is bitwise that of testing after every step.  Certificate
+values, controls and metrics of a scalar run are evaluated vectorised over
+its stored states once it has ended; the batch checks its monitors on the
+kept rows once per block.  :func:`integrate`'s K grows with the steps its
+run has kept, so a long run pays for few blocks.
 
-Every fill runs a kernel compiled by :func:`_rk4_kernel` from
+Every step is taken by a kernel compiled by :func:`_rk4_kernel` from
 :func:`_rk4_step` over a field written once over a primitive namespace,
 bitwise the interpreted step, in one of three loops.  The polar loop steps
-one run's floats (:func:`_kernel_rows`): it is the polar chart's fill, and
-the batch's while at most ``_SCALAR_RUNS`` runs are active, so such a batch
-is bitwise :func:`integrate` run by run.  The array loop steps more runs at
-once, because an array step costs about the same whatever its length.  A
-run that crosses from it differs only in the last bits (numpy's ``tan`` and
-``arctan`` round a few arguments differently from ``math``'s; ``sinc`` and
-``psi`` are one rule in both namespaces), so its last bits depend on when
-its batch thins below the constant; a chaotic run in a large batch, such as
-bopa or barfli at dt >= 0.2, may still take a different exit than in
-:func:`integrate`.  The Cartesian loop is the Cartesian chart's fill: it
-steps the pose, with the closed loop computed at each stage's polar state,
-and rebuilds a continuous polar state by unwrapping the transformed angles
+one run's floats, in the polar chart and in a batch of at most
+``_SCALAR_RUNS`` active runs, so such a batch is bitwise :func:`integrate`
+run by run; :func:`_kernel_rows` runs it, and the Cartesian loop.  The
+array loop steps more runs at once, because an array step costs about the
+same whatever its length.  A run that crosses from it differs only in the
+last bits (numpy's ``tan`` and ``arctan`` round a few arguments differently
+from ``math``'s; ``sinc`` and ``psi`` are one rule in both namespaces), so
+its last bits depend on when its batch thins below the constant; a chaotic
+run in a large batch, such as bopa or barfli at dt >= 0.2, may still take
+a different exit than in :func:`integrate`.  The Cartesian loop steps the
+pose, with the closed loop computed at each stage's polar state, and
+rebuilds a continuous polar state by unwrapping the transformed angles
 against the previous step.  A loop's step is straight-line code, with each
 value read only once written into its reader.
 
@@ -154,6 +154,8 @@ class Scenario:
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
         if not (self.t_max >= self.dt and math.isfinite(self.t_max)):
             raise ConfigError(f"t_max must be finite and at least dt, got {self.t_max!r}")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ConfigError(f"t_max / dt must be finite, got {self.t_max!r} / {self.dt!r}")
         if not (self.stop_tol > 0.0 and math.isfinite(self.stop_tol)):
             raise ConfigError(f"stop_tol must be positive and finite, got {self.stop_tol!r}")
         if not 0.0 <= self.barrier_margin < math.pi:
@@ -171,6 +173,11 @@ class Scenario:
     @property
     def space(self) -> StateSpaceId:
         return ctl.controller_space(self.controller)
+
+    @property
+    def max_steps(self) -> int:
+        """The steps from t = 0 to t_max, the integrators' one step count."""
+        return int(math.ceil(self.t_max / self.dt - 1e-9))
 
     def initial_polar(self) -> PolarState:
         """Initial design-frame state.
@@ -337,15 +344,15 @@ _KERNEL_IDS = itertools.count()
 
 # Each kind of kernel's loop around its traced ``{step}`` to ``{out}``: polar
 # steps floats (r, d, c), passing each step to ``extend``; array steps arrays
-# (m,) into ``block[k]`` (3, m); cartesian steps the pose from the polar row
-# (., d, c) and passes it with its polar row ``{polar}`` (from ``{map}``),
-# or returns True on a step that lands exactly on the target.
+# (m,) into ``block[k]`` (3, m); cartesian steps the pose of a row (x, y, th,
+# r, d, c) and passes it with its polar row ``{polar}`` (from ``{map}``), or
+# returns True on a step that lands exactly on the target.
 _LOOPS = {
     "polar": ("def kernel(r, d, c, steps, extend):\n    for _ in range(steps):{step}\n"
               "        r, d, c = {out}\n        extend((r, d, c))\n"),
     "array": ("def kernel(r, d, c, block):\n    for k in range(len(block)):{step}\n"
               "        block[k] = r, d, c = {out}\n"),
-    "cartesian": ("def kernel(x, y, th, d, c, steps, extend):\n    for _ in range(steps):{step}\n"
+    "cartesian": ("def kernel(x, y, th, r, d, c, steps, extend):\n    for _ in range(steps):{step}\n"
                   "        x, y, th = {out}\n        if on_target(x, y):\n            return True{map}\n"
                   "        r, d, c = {polar}\n        extend((x, y, th, r, d, c))\n    return False\n"),
 }
@@ -381,7 +388,7 @@ def _loop_body(lines, live, delete=False) -> str:
 @lru_cache(maxsize=64)
 def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> Callable:
     """The RK4 of ``cid``'s closed loop at step ``h`` compiled into the
-    ``loop`` of :data:`_LOOPS`, the one stepper of every fill: :func:`_rk4_step`
+    ``loop`` of :data:`_LOOPS`, the one stepper of both integrators: :func:`_rk4_step`
     over the closed-loop field (Cartesian: :func:`_pose_field`, then
     :func:`_pose_to_polar`) traced through :data:`~unipark.kernels.TRACE`,
     the same float operations in the same order calling the same primitives
@@ -417,10 +424,11 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> C
 
 def _kernel_rows(kernel: Callable, args: list, steps: int, width: int) -> tuple[np.ndarray, bool]:
     """The rows of ``width`` floats that a polar or Cartesian ``kernel`` of
-    :func:`_rk4_kernel` passes on in ``steps`` steps from ``args``, as a
-    (steps, width) block, and whether the run landed exactly on the target
-    (the block then ends before the landing step), under the module's one
-    stage-error policy: NaN rows from a raising step on."""
+    :func:`_rk4_kernel` passes on in ``steps`` steps from the row ``args``,
+    as a (steps, width) block, and whether the run landed exactly on the
+    target (the block then ends before the landing step), under the
+    module's one stage-error policy: NaN rows from a raising step on.  Every
+    scalar step of both integrators is taken here."""
     rows: list[float] = []
     try:
         landed = bool(kernel(*args, steps, rows.extend))
@@ -430,47 +438,6 @@ def _kernel_rows(kernel: Callable, args: list, steps: int, width: int) -> tuple[
     block = np.full((n if landed else steps, width), np.nan)
     block[:n] = np.fromiter(rows, float, len(rows)).reshape(n, width)
     return block, landed
-
-
-def _scalar_block(kernel: Callable, y: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` steps of the polar ``kernel`` of :func:`_rk4_kernel` from
-    each run of ``y`` (3, m), one run at a time by :func:`_kernel_rows`, as
-    a (steps, 3, m) block, the array kernel's layout: the batch's scalar
-    fill, run by run the polar chart's fill of :func:`integrate`."""
-    block = np.empty((steps, 3, y.shape[1]))
-    for j, run in enumerate(y.T.tolist()):
-        block[:, :, j] = _kernel_rows(kernel, run, steps, 3)[0]
-    return block
-
-
-def _polar_fill(s: Scenario):
-    """The polar chart's fill ``fill(y, p, steps) -> (states, polar rows,
-    landed)``: the polar kernel's rows of one run (3, 1), which are both."""
-    kernel = _rk4_kernel(s.controller, s.gains, s.dt)
-
-    def fill(y, p, steps):
-        block = _kernel_rows(kernel, y[:, 0].tolist(), steps, 3)[0][:, :, None]
-        return block, block, False
-
-    return fill
-
-
-def _cartesian_fill(s: Scenario):
-    """The initial pose (3, 1) and the Cartesian chart's fill: the Cartesian
-    kernel's steps of the pose ``y`` from the polar row ``p``, each with its
-    polar row, by :func:`_kernel_rows`."""
-    c0 = s.initial_cartesian()
-    if on_target(c0.x, c0.y):
-        raise ConfigError("cartesian integration requires a nonzero initial position")
-    kernel = _rk4_kernel(s.controller, s.gains, s.dt, "cartesian")
-
-    def fill(y, p, steps):
-        block, landed = _kernel_rows(kernel, y[:, 0].tolist() + p[1:, 0].tolist(), steps, 6)
-        block = block.reshape(-1, 2, 3, 1)
-        # Copies: a kept pose must not hold its block's polar rows alive.
-        return block[:, 0].copy(), block[:, 1].copy(), landed
-
-    return np.array([[c0.x], [c0.y], [c0.theta]]), fill
 
 
 # A batch's block takes at most this many steps, and at most this many
@@ -483,9 +450,9 @@ _BLOCK_LANE_STEPS = 16384
 # The batch steps at most this many active runs one at a time with the polar
 # kernel, and more with the array kernel.  An array step costs 55-210 us
 # whatever its length (to 48 runs), a scalar run-step 2.3-6 us (glofo, whose
-# Si is slow, 13 us).  At 16 runs the scalar fill takes 0.37-0.61 of the
-# array fill's time (glofo 1.6); they break even at 24-48 runs, but moving
-# the constant moves the last bits of runs that cross from the array fill.
+# Si is slow, 13 us).  At 16 runs the scalar steps take 0.37-0.61 of the
+# array steps' time (glofo 1.6); they break even at 24-48 runs, but moving
+# the constant moves the last bits of runs that cross from the array kernel.
 # Per 64-step block, metric-ball starts, unit gains, dt 0.01, 2-vCPU VM.
 _SCALAR_RUNS = 16
 
@@ -535,34 +502,41 @@ def _block_stops(space: StateSpaceId, states: np.ndarray, polar: np.ndarray, bar
 def integrate(s: Scenario) -> Trajectory:
     """Run the scenario in the chart selected by ``s.frame``.
 
-    The chart's fill takes a speculative block of ``_BLOCK_STEPS`` steps,
-    or a sixteenth of the k steps kept so far once that is more, to at most
-    t_max; the run keeps the rows :func:`_block_stops` gives it and ends as
-    it says, the steps past them discarded.  The per-block cost is then
-    spread over a long run, which steps at most k/16 + ``_BLOCK_STEPS``
-    steps past its end.  A Cartesian step that lands exactly on the target
-    ends the run as converged, unlogged.
+    The run's log holds one row per step: its polar row, or in the
+    Cartesian chart its pose followed by its polar row.  Each block is
+    :func:`_kernel_rows` of the chart's kernel from the last row, over
+    ``_BLOCK_STEPS`` steps, or a sixteenth of the k steps kept so far once
+    that is more, to at most t_max; the run keeps the rows
+    :func:`_block_stops` gives it and ends as it says, the steps past them
+    discarded.  The per-block cost is then spread over a long run, which
+    steps at most k/16 + ``_BLOCK_STEPS`` steps past its end.  A Cartesian
+    step that lands exactly on the target ends the run as converged,
+    unlogged.
     """
     p0 = s.initial_polar()
-    p = np.array([[p0.rho], [p0.delta], [p0.gamma]])
-    y, fill = _cartesian_fill(s) if s.frame == "cartesian" else (p, _polar_fill(s))
-    states, polar = [y[None]], [p[None]]
-    n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
-    space = s.space
-    k = 0
+    row = [p0.rho, p0.delta, p0.gamma]
+    if s.frame == "cartesian":
+        c0 = s.initial_cartesian()
+        if on_target(c0.x, c0.y):
+            raise ConfigError("cartesian integration requires a nonzero initial position")
+        row = [c0.x, c0.y, c0.theta, *row]
+    kernel = _rk4_kernel(s.controller, s.gains, s.dt, s.frame)
+    log = [np.array([row])]
+    n_max, space, k = s.max_steps, s.space, 0
     end = _CONVERGED if metric_values(ARRAY, space, p0.rho, p0.delta, p0.gamma) < s.stop_tol else 0
     with np.errstate(all="ignore"):
         while not end and k < n_max:
-            sb, pb, landed = fill(states[-1][-1], polar[-1][-1], min(max(_BLOCK_STEPS, k // 16), n_max - k))
-            kept, code = _block_stops(space, sb, pb, s.barrier_margin, s.stop_tol)
+            steps = min(max(_BLOCK_STEPS, k // 16), n_max - k)
+            block, landed = _kernel_rows(kernel, log[-1][-1].tolist(), steps, len(row))
+            kept, code = _block_stops(space, block[:, :3, None], block[:, -3:, None], s.barrier_margin,
+                                      s.stop_tol)
             keep = int(kept[0])
             end = int(code[0]) or (_CONVERGED if landed else 0)
-            states.append(sb[:keep])
-            polar.append(pb[:keep])
+            log.append(block[:keep])
             k += keep
-    polar = np.concatenate(polar)
-    return _finish(s, np.arange(len(polar)) * s.dt, polar, _ENDINGS[end],
-                   cartesian=np.concatenate(states) if s.frame == "cartesian" else None)
+    log = np.concatenate(log)
+    return _finish(s, np.arange(len(log)) * s.dt, log[:, -3:], _ENDINGS[end],
+                   cartesian=log[:, :3] if s.frame == "cartesian" else None)
 
 
 def axis_crossings(cartesian: np.ndarray, dt: float) -> list[AxisCrossing]:
@@ -628,8 +602,8 @@ def integrate_batch(
     violations are counted alongside the scenario's own.
 
     The runs still going on are stepped in blocks and checked once per
-    block, as the module docstring describes; the fill depends only on how
-    many go on, so results are deterministic, and a batch of at most
+    block, as the module docstring describes; the kernel depends only on
+    how many go on, so results are deterministic, and a batch of at most
     ``_SCALAR_RUNS`` runs equals :func:`integrate` run by run, bit for bit,
     a raising stage included.  Each run holds its ending code of
     :func:`_block_stops` and the step of its last kept row.  Its counters
@@ -656,7 +630,7 @@ def integrate_batch(
         end = np.where(metric_values(ARRAY, space, ys[0], ys[1], ys[2]) < s.stop_tol, _CONVERGED, 0)
     end_step = np.zeros(n, dtype=int)
 
-    n_max = int(math.ceil(s.t_max / s.dt - 1e-9))
+    n_max = s.max_steps
     h = s.dt
     lanes = np.flatnonzero(end == 0)  # the runs still going on
     k = 0  # steps taken by them
@@ -664,10 +638,12 @@ def integrate_batch(
         while k < n_max and lanes.size:
             m = lanes.size
             steps = min(_BLOCK_STEPS, max(1, _BLOCK_LANE_STEPS // m), n_max - k)
-            if m <= _SCALAR_RUNS:
-                block = _scalar_block(_rk4_kernel(s.controller, s.gains, h), ys[:, lanes], steps)
+            block = np.empty((steps, 3, m))
+            if m <= _SCALAR_RUNS:  # run by run, as integrate steps the polar chart
+                kernel = _rk4_kernel(s.controller, s.gains, h, "polar")
+                for j, run in enumerate(ys[:, lanes].T.tolist()):
+                    block[:, :, j] = _kernel_rows(kernel, run, steps, 3)[0]
             else:
-                block = np.empty((steps, 3, m))
                 _rk4_kernel(s.controller, s.gains, h, "array")(*ys[:, lanes], block)
             rho, delta, gamma = block[:, 0], block[:, 1], block[:, 2]
 

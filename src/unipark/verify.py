@@ -398,6 +398,8 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     sets."""
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     gain_sets = [Gains()] + strict_gain_sets(3, rng)
     jobs: list[Callable] = []

@@ -150,6 +150,13 @@ class TestSimulateCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [["--t-max", "1e300", "--dt", "1e-300"], ["--dt", "1e-320"]])
+    def test_step_count_overflow_is_usage_error(self, tmp_path, capsys, flags):
+        assert run(["simulate", "--controller", "globa", "--init-polar", "1,0,0", *flags,
+                    "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_max / dt must be finite") and err.count("\n") == 1
+
     @pytest.mark.parametrize("frame, t_max", [("polar", "18000"), ("cartesian", "72000")])
     def test_overflowing_step_is_numeric(self, tmp_path, capsys, frame, t_max):
         # At dt 900 the state overflows; in the polar chart an RK4 stage
@@ -343,6 +350,14 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_step_count_overflow_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controller": "globa", "dt": 1e-320, "grid_polar": [[1.0, 0.5, 0.2]] * 2}))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_max / dt must be finite") and err.count("\n") == 1
+        assert_no_children()
 
     def test_one_integration_per_point(self, tmp_path, monkeypatch):
         import unipark.simulate
@@ -582,6 +597,11 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert run(["verify", "--seed", "-1", "--samples", "1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--controller", "globa", "--init-polar=1,0.5,-0.5"],

@@ -5,7 +5,7 @@ import linecache
 import math
 import re
 import traceback
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,14 @@ from unipark.simulate import (
     integrate_batch,
     sweep,
 )
-from unipark.spaces import CartesianState, PolarState, StateSpaceId, barrier_margin_values, metric_values
+from unipark.spaces import (
+    CartesianState,
+    PolarState,
+    StateSpaceId,
+    barrier_margin_values,
+    metric_values,
+    polar_to_cartesian,
+)
 from unipark.verify import strict_gain_sets
 
 UNIT = Gains()
@@ -72,6 +79,11 @@ class TestScenarioValidation:
     def test_bad_numerics(self, numerics):
         with pytest.raises(ConfigError):
             scenario(**numerics)
+
+    @pytest.mark.parametrize("t_max, dt", [(1e300, 1e-300), (100.0, 1e-320)])
+    def test_step_count_overflows(self, t_max, dt):
+        with pytest.raises(ConfigError, match="t_max / dt"):
+            scenario(t_max=t_max, dt=dt)
 
     def test_initial_outside_space(self):
         with pytest.raises(ConfigError):
@@ -386,6 +398,29 @@ class TestBlockedIntegrate:
         assert tr.termination is want
         assert_same_run(tr, integrate_reference(s))
 
+    @pytest.mark.parametrize("before", [0, 5])
+    def test_cartesian_landing(self, monkeypatch, before):
+        # A kernel that passes `before` rows, then lands exactly on the
+        # target: the run ends converged, the landing step unlogged.
+        rows = [(*astuple(polar_to_cartesian(p)), *astuple(p))
+                for p in (PolarState(1.0 - 0.1 * i, 0.5, -0.5) for i in range(1, before + 1))]
+
+        def fake(cid, g, h, loop="polar"):
+            assert loop == "cartesian"
+
+            def kernel(*args):
+                for row in rows:
+                    args[-1](row)
+                return True
+
+            return kernel
+
+        monkeypatch.setattr(unipark.simulate, "_rk4_kernel", fake)
+        tr = integrate(scenario(frame="cartesian"))
+        assert tr.termination is Termination.CONVERGED and len(tr.t) == before + 1
+        assert tr.cartesian[1:].tolist() == [list(row[:3]) for row in rows]
+        assert tr.polar[1:].tolist() == [list(row[3:]) for row in rows]
+
     def test_converges_on_the_logged_metric(self, block_steps):
         # On bagal's warped axes numpy's tan rounds some metrics one bit
         # below math.tan's.  With stop_tol at such a row's math.tan metric,
@@ -448,24 +483,16 @@ LONG_RUNS = {
 
 @pytest.fixture
 def fill_steps(monkeypatch):
-    """The ``steps`` argument of every fill that integrate calls."""
+    """The ``steps`` argument of every block of _kernel_rows that integrate
+    steps."""
     calls = []
+    kernel_rows = unipark.simulate._kernel_rows
 
-    def spying(fill):
-        def spy(y, p, steps):
-            calls.append(steps)
-            return fill(y, p, steps)
+    def spy(kernel, args, steps, width):
+        calls.append(steps)
+        return kernel_rows(kernel, args, steps, width)
 
-        return spy
-
-    polar_fill, cartesian_fill = unipark.simulate._polar_fill, unipark.simulate._cartesian_fill
-
-    def cartesian(s):
-        y0, fill = cartesian_fill(s)
-        return y0, spying(fill)
-
-    monkeypatch.setattr(unipark.simulate, "_polar_fill", lambda s: spying(polar_fill(s)))
-    monkeypatch.setattr(unipark.simulate, "_cartesian_fill", cartesian)
+    monkeypatch.setattr(unipark.simulate, "_kernel_rows", spy)
     return calls
 
 
