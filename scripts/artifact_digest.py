@@ -23,7 +23,9 @@ The set is:
   whose converging step has a logged metric below the tolerance by the
   last bit of ``tan`` (it converges at t = 1.01); libac from
   (1, 2.891592653589793, 0.7853981633974483) at dt 1, whose law divides
-  by zero in the first step's second RK4 stage (numeric at t = 0);
+  by zero in the first step's second RK4 stage (numeric at t = 0); globa
+  from (1, 3, 2) at dt 109.1 in Cartesian, numeric at t = 6000.5 with
+  coordinates near 1.7e308, whose drawing's padded extent overflows;
 - both figures of ``scripts/reproduce_figures.py``;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
@@ -94,6 +96,8 @@ ENDINGS = {
        for chart in ("polar", "cartesian")},
     "numeric/cartesian": ["--controller", "globa-cons", "--init-polar=1,3,2", "--dt", "900", "--t-max", "90000",
                           "--frame", "cartesian"],
+    "numeric/overflowing-drawing": ["--controller", "globa", "--init-polar=1,3,2", "--dt", "109.1",
+                                    "--t-max", "21820", "--frame", "cartesian"],
 }
 # Runs set up by a config, for a field no flag sets: bagal at the front line
 # figure's gains trips a guard 1.904 from pi at step 3193.

@@ -8,6 +8,13 @@ The document is produced as a stream of text pieces, each polyline a chunk
 of ``_CHUNK_VERTICES`` vertices at a time.  :func:`write_svg` writes the
 pieces straight to a file, so memory is bounded by the kept paths, not by
 the document; :func:`render_paths` joins the same pieces into a string.
+
+A chunk's ``"%.2f"`` text is written from digit tables (:func:`_points_text`),
+with no Python object per coordinate: on [0, 999) the conversion is the
+count of hundredths ``rint(100 v)`` in decimal, except within an ulp of a
+tie, where ``"%.2f"`` itself decides.  A drawing whose padded extent would
+overflow is laid out in halved coordinates, its axes still labelled in
+world units.
 """
 
 from __future__ import annotations
@@ -26,6 +33,15 @@ _SIZE = 640
 # Polyline vertices formatted per piece, so a piece stays small however long
 # the path.
 _CHUNK_VERTICES = 1024
+# One "%.2f" value is one little-endian word: bytes 0-3 hold the integer part
+# 0-999 as "ddd.", bytes 4-5 the hundredths as "ff", byte 6 the separator.  A
+# 1 in _KEEP_BYTES marks a byte written, so leading zeros and byte 7 drop.
+_WHOLE = np.arange(1000, dtype="<u8")
+_WHOLE_WORDS = ((_WHOLE // 100 + 48) | (_WHOLE // 10 % 10 + 48) << 8 | (_WHOLE % 10 + 48) << 16
+                | ord(".") << 24)
+_HUNDREDTHS_WORDS = (_WHOLE[:100] // 10 + 48) << 32 | (_WHOLE[:100] % 10 + 48) << 40
+_KEEP_BYTES = (_WHOLE >= 100).astype("<u8") | (_WHOLE >= 10).astype("<u8") << 8 | 0x0001010101010000
+_SEPARATORS = np.array([ord(","), ord(" ")], dtype="<u8") << 48
 _COLORS = ("#d62728", "#1f77b4", "#17becf", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -70,28 +86,55 @@ def render_paths(paths: list[SvgPath]) -> str:
 def write_svg(path: Path, paths: list[SvgPath]) -> None:
     """Write the drawing of :func:`render_paths` to ``path``, piece by piece.
 
-    Each polyline is formatted ``_CHUNK_VERTICES`` vertices at a time, so
-    memory beyond the kept paths stays bounded however long they are; the
-    bytes equal ``render_paths(paths)``."""
+    Each polyline is formatted ``_CHUNK_VERTICES`` vertices at a time, from
+    digit tables with no Python object per coordinate, so memory beyond the
+    kept paths stays bounded however long they are; the bytes equal
+    ``render_paths(paths)``."""
     with open(path, "w") as fh:
         fh.writelines(_pieces(paths))
 
 
+def _points_text(screen: np.ndarray) -> str:
+    """``"%.2f,%.2f"`` of each row of the (n, 2) ``screen``, joined by spaces."""
+    v = screen.ravel()
+    if not (v < 999.0).all() or np.signbit(v).any():  # NaN, -0.0 and negatives too
+        return " ".join(["%.2f,%.2f"] * len(screen)) % tuple(v.tolist())
+    t = v * 100.0
+    n = np.rint(t)
+    # fl(100 v) is within half an ulp of 100 v, so rint rounds 100 v itself
+    # unless t lies within an ulp of a tie.
+    near = np.abs(t - n) >= 0.5 - np.spacing(t)
+    n = n.astype(np.int64)
+    n[near] = [int(("%.2f" % x).replace(".", "")) for x in v[near].tolist()]
+    whole, hundredths = np.divmod(n, 100)
+    words = (_WHOLE_WORDS[whole] | _HUNDREDTHS_WORDS[hundredths]).reshape(-1, 2) | _SEPARATORS
+    # Byte-swapped operands give native words; the bytes are read little-endian.
+    text = words.astype("<u8", copy=False).view(np.uint8).ravel()[_KEEP_BYTES[whole].view(np.bool_)]
+    return text.tobytes()[:-1].decode("ascii")
+
+
 def _pieces(paths: list[SvgPath]) -> Iterator[str]:
     """The SVG document of ``paths`` as consecutive text pieces."""
+    arrs = [np.asarray(p.cartesian, dtype=float).reshape(-1, 3) for p in paths]
     xs = [0.0]
     ys = [0.0]
-    for p in paths:
-        arr = np.asarray(p.cartesian, dtype=float).reshape(-1, 3)
+    for arr in arrs:
         xs.extend((float(arr[:, 0].min()), float(arr[:, 0].max())))
         ys.extend((float(arr[:, 1].min()), float(arr[:, 1].max())))
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
-    pad = 0.08 * span
-    x_lo, x_hi = x_lo - pad, x_hi + pad
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-    span_x, span_y = x_hi - x_lo, y_hi - y_lo
+    # The drawing is laid out in world units times ``unit``, halved while the
+    # padded extent overflows; at a quarter any finite coordinates fit.
+    for unit in (1.0, 0.5, 0.25):
+        x_lo, x_hi = min(xs) * unit, max(xs) * unit
+        y_lo, y_hi = min(ys) * unit, max(ys) * unit
+        span = max(x_hi - x_lo, y_hi - y_lo, 1e-6)
+        pad = 0.08 * span
+        x_lo, x_hi = x_lo - pad, x_hi + pad
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+        span_x, span_y = x_hi - x_lo, y_hi - y_lo
+        if math.isfinite(span_x) and math.isfinite(span_y):
+            break
+    if unit != 1.0:
+        arrs = [arr * (unit, unit, 1.0) for arr in arrs]
     scale = (_SIZE - 70) / max(span_x, span_y)
     w = int(span_x * scale) + 70
     h = int(span_y * scale) + 70
@@ -121,23 +164,24 @@ def _pieces(paths: list[SvgPath]) -> Iterator[str]:
         f'<line x1="{ax_x:.1f}" y1="{sy(y_lo):.1f}" x2="{ax_x:.1f}" y2="{sy(y_hi):.1f}" '
         'stroke="#444" stroke-width="1"/>\n'
     )
-    for t in _ticks(x_lo, x_hi):
+    # Axis labels read world units; a tick past the largest float has none.
+    for t in (t for t in _ticks(x_lo, x_hi) if math.isfinite(t / unit)):
         yield (
             f'<line x1="{sx(t):.1f}" y1="{ax_y:.1f}" x2="{sx(t):.1f}" y2="{ax_y + 4:.1f}" '
             'stroke="#444" stroke-width="1"/>\n'
         )
         yield (
             f'<text x="{sx(t):.1f}" y="{ax_y + 16:.1f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle" fill="#444">{t:g}</text>\n'
+            f'font-size="11" text-anchor="middle" fill="#444">{t / unit:g}</text>\n'
         )
-    for t in _ticks(y_lo, y_hi):
+    for t in (t for t in _ticks(y_lo, y_hi) if math.isfinite(t / unit)):
         yield (
             f'<line x1="{ax_x - 4:.1f}" y1="{sy(t):.1f}" x2="{ax_x:.1f}" y2="{sy(t):.1f}" '
             'stroke="#444" stroke-width="1"/>\n'
         )
         yield (
             f'<text x="{ax_x - 7:.1f}" y="{sy(t) + 4:.1f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end" fill="#444">{t:g}</text>\n'
+            f'font-size="11" text-anchor="end" fill="#444">{t / unit:g}</text>\n'
         )
     yield (
         f'<text x="{sx(x_hi):.1f}" y="{ax_y + 32:.1f}" font-family="sans-serif" '
@@ -149,15 +193,13 @@ def _pieces(paths: list[SvgPath]) -> Iterator[str]:
     )
 
     # Trajectories.
-    for i, p in enumerate(paths):
-        arr = np.asarray(p.cartesian, dtype=float).reshape(-1, 3)
+    for i, (p, arr) in enumerate(zip(paths, arrs)):
         color = p.color or palette_color(i)
         yield '<polyline points="'
         for start in range(0, len(arr), _CHUNK_VERTICES):
             chunk = arr[start:start + _CHUNK_VERTICES]
             screen = np.column_stack((sx(chunk[:, 0]), sy(chunk[:, 1])))
-            yield ((" " if start else "") + " ".join(["%.2f,%.2f"] * len(chunk))
-                   % tuple(screen.ravel().tolist()))
+            yield (" " if start else "") + _points_text(screen)
         yield f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'
         stride = max(1, len(arr) // 25)
         tick_len = 0.025 * span

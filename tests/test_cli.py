@@ -179,6 +179,20 @@ class TestSimulateCommand:
         ]) == 1
         assert capsys.readouterr().err == "run failed: termination numeric\n"
 
+    @pytest.mark.parametrize("law, dt", [("globa", "109.1"), ("globa", "519.9"), ("globa-interp", "79.87")])
+    def test_overflowing_drawing(self, tmp_path, capsys, law, dt):
+        # The run ends numeric with coordinates near 1.7e308, whose padded
+        # extent overflows: the drawing is laid out in halved coordinates.
+        assert run([
+            "simulate", "--controller", law, "--init-polar", "1,3,2", "--dt", dt, "--t-max", "21820",
+            "--frame", "cartesian", "--out", str(tmp_path),
+        ]) == 1
+        assert capsys.readouterr().err == "run failed: termination numeric\n"
+        cart = np.loadtxt(tmp_path / f"traj_{law}.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+        assert np.abs(cart).max() > 1e308
+        svg = (tmp_path / f"traj_{law}.svg").read_text()
+        assert svg.endswith("</svg>") and not re.search("nan|inf", svg)
+
     @pytest.mark.parametrize("law, frame, code", [
         ("globa-cons", "cartesian", 0), ("globa-cons", "polar", 1), ("globa", "polar", 0),
         ("glofo", "polar", 0), ("globa-interp", "polar", 0),
@@ -295,6 +309,58 @@ class TestTrajectoryWriters:
         finally:
             tracemalloc.stop()
         assert peak < out.stat().st_size
+
+
+def points_text_reference(screen):
+    """The polyline text of one chunk, one Python string per coordinate."""
+    return " ".join(["%.2f,%.2f"] * len(screen)) % tuple(screen.ravel().tolist())
+
+
+class TestPolylineText:
+    """The digit-table polyline text is byte for byte the ``%`` formatting."""
+
+    @staticmethod
+    def _assert_matches_reference(values):
+        screen = np.asarray(values, dtype=float).reshape(-1, 2)
+        assert unipark.svg._points_text(screen) == points_text_reference(screen)
+
+    def test_every_tie_and_its_neighbours(self):
+        # The ties k/200 are where rint(100 v) and "%.2f" can part.
+        ties = np.arange(199_800) / 200.0
+        # With the largest float below 999, which "%.2f" writes as 999.00.
+        values = np.concatenate((ties, np.nextafter(ties[1:], 0.0), np.nextafter(ties, 999.0),
+                                 [np.nextafter(999.0, 0.0)]))
+        start = time.perf_counter()
+        self._assert_matches_reference(values)
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(0.0, 999.0, exclude_max=True)] * 2), min_size=1, max_size=150))
+    def test_values_in_range(self, values):
+        self._assert_matches_reference(values)
+
+    @pytest.mark.parametrize("odd", [-0.0, math.nan, math.inf, -math.inf, -0.004, -3.0, 999.0, 999.5, 1e300])
+    def test_fallback(self, odd):
+        self._assert_matches_reference([12.345, 6.0, odd, 0.005, 998.995, 0.0])
+
+    def test_document_across_a_chunk(self, monkeypatch):
+        s = np.linspace(0.0, 8.0, unipark.svg._CHUNK_VERTICES + 1)
+        paths = [SvgPath(np.column_stack((np.cos(s) - 0.3, np.sin(s), s)), label="ring")]
+        drawn = render_paths(paths)
+        monkeypatch.setattr(unipark.svg, "_points_text", points_text_reference)
+        assert drawn == render_paths(paths)
+
+    @pytest.mark.parametrize("x, y", [(1.7e308, -1.7e308), (-1.7e308, 1.7e308), (1.7e308, 1.7e308)])
+    def test_overflowing_extent(self, x, y):
+        # Extents of 3.4e308, beyond the largest float, even after halving.
+        far = np.array([[x, 0.0, 0.0], [0.0, y, 1.0], [-x, -y, 2.0]])
+        svg = render_paths([SvgPath(far, label="far")])
+        assert not re.search("nan|inf", svg)
+        w, h = map(int, re.match(r'<svg [^>]*width="(\d+)" height="(\d+)"', svg).groups())
+        [points] = re.findall(r'<polyline points="([^"]*)"', svg)
+        screen = np.array([p.split(",") for p in points.split()], dtype=float)
+        assert screen.shape == (3, 2)
+        assert (screen >= 0).all() and (screen[:, 0] <= w).all() and (screen[:, 1] <= h).all()
 
 
 class TestSweepCommand:
