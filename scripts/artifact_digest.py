@@ -27,6 +27,9 @@ The set is:
   from (1, 3, 2) at dt 109.1 in Cartesian, numeric at t = 6000.5 with
   coordinates near 1.7e308, whose drawing's padded extent overflows;
 - both figures of ``scripts/reproduce_figures.py``;
+- a sweep of libac, bagal and globa at gains (1, 1, 0.1, 1) over three polar
+  starts, where bagal errors on gamma = 3.5, outside its domain: its points
+  are dealt libac first and globa last, and put back in controller order;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
 - ``unipark verify --seed 0 --samples 1000``, and ``--samples 10000`` at
@@ -106,6 +109,9 @@ CONFIG_ENDINGS = {
                             "t_max": 50.0, "barrier_margin": 1.904, "frame": chart}
     for chart in ("polar", "cartesian")
 }
+# Given in neither controller nor dealing order (libac, bagal, globa).
+MIXED_SWEEP = {"controllers": ["globa", "bagal", "libac"], "gains": [1, 1, 0.1, 1], "dt": 0.01, "t_max": 15.0,
+               "grid_polar": [[2.0, 0.4, 0.2], [1.0, 0.5, 3.5], [1.5, -1.0, -0.5]]}
 GAINS = {
     "passivity": ["--poles=-1,-0.5+0.9i,-0.5-0.9i"],
     "forwarding": ["--poles=-1,-2,-3"],
@@ -129,6 +135,10 @@ def produce(out: Path) -> None:
         (out / name / "config.json").write_text(json.dumps(cfg))
         cli_main(["simulate", "--config", str(out / name / "config.json"), "--out", str(out / name)])
     reproduce_figures.run(out / "figures")
+    mixed = out / "sweep" / "mixed"
+    mixed.mkdir(parents=True)
+    (mixed / "config.json").write_text(json.dumps(MIXED_SWEEP))
+    cli_main(["sweep", "--config", str(mixed / "config.json"), "--out", str(mixed)])
     for family, flags in GAINS.items():
         cli_main(["gains", "--family", family, *flags, "--out", str(out / "gains" / family)])
     cli_main(["verify", "--seed", "0", "--samples", "1000", "--out", str(out / "verify")])

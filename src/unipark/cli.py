@@ -27,9 +27,9 @@ import numpy as np
 
 from .controllers import ControllerId, Gains
 from .errors import ConfigError, DomainError, InfeasiblePolesError, TransformError, UniparkError
-from .linearization import DesignFamily, PoleSpec, assign_gains, jacobian_eigenvalues
+from .linearization import DesignFamily, PoleSpec, assign_gains, family_of_controller, jacobian_eigenvalues
 from .lyapunov import CompositeKind, CompositeOrder
-from .simulate import Scenario, Termination, Trajectory, _striped_map, integrate, sweep_point
+from .simulate import Scenario, Termination, Trajectory, _forked_map, integrate, sweep_point
 from .spaces import CartesianState, PolarState
 from .svg import SvgPath, palette_color, write_svg
 from .verify import eigenvalue_error, run_all
@@ -244,6 +244,17 @@ def _sweep_grid(cfg: dict) -> list:
     raise ConfigError("sweep config needs grid_cart or grid_polar")
 
 
+def _decay_rate(s: Scenario) -> float:
+    """min(-Re lambda) over the closed-loop poles of ``s``'s law at its gains,
+    which sets how long its runs take; -inf for a law outside the pole
+    formulas."""
+    try:
+        family = family_of_controller(s.controller)
+    except DomainError:
+        return -math.inf
+    return min(-z.real for z in jacobian_eigenvalues(family, s.gains))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if not cfg:
@@ -269,13 +280,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         r, traj = sweep_point(*job)
         return r, traj.cartesian if "svg" in fmts and traj is not None else None
 
-    results = _striped_map(point, [(base, i, initial) for base in bases for i, initial in enumerate(grid)])
+    # The points are dealt slowest law first, by its linearisation's slowest
+    # decay rate, so no worker is left alone with long runs at the end; the
+    # laws outside the pole formulas, of unknown rate, go first.
+    order = sorted(range(len(bases)), key=lambda ci: _decay_rate(bases[ci]))
+    dealt = _forked_map(point, [(bases[ci], i, initial) for ci in order for i, initial in enumerate(grid)])
+    results = {ci: dealt[k * len(grid):(k + 1) * len(grid)] for k, ci in enumerate(order)}
     summary = {"schema_version": SCHEMA_VERSION, "controllers": {}}
     paths = []
     failures = 0
     for ci, cid in enumerate(controllers):
         recs = []
-        for r, cartesian in results[ci * len(grid):(ci + 1) * len(grid)]:
+        for r, cartesian in results[ci]:
             if cartesian is not None:
                 paths.append(SvgPath(cartesian, label=cid.value, color=palette_color(ci)))
             recs.append(dataclasses.asdict(r))

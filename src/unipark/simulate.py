@@ -47,8 +47,11 @@ against the previous step.  A loop's step is straight-line code, with each
 value read only once written into its reader.
 
 The points of a sweep and the jobs of ``unipark verify`` (from 5000 samples
-on) run in forked workers, one per usable CPU (:func:`_striped_map`, on
-``os.fork`` and a pipe per worker), and their results equal one process's.
+on) run in forked workers, one per usable CPU (:func:`_forked_map`, on
+``os.fork``, a pipe per worker and one shared pipe holding the next item's
+index).  Each item goes, in the order given, to whichever worker is free
+first, so callers hand over their longest items first; the results equal
+one process's.
 
 After a Cartesian-chart run, every crossing of the x-axis is read off the
 logged poses with the linearly interpolated crossing time and abscissa,
@@ -746,25 +749,26 @@ def sweep_point(base: Scenario, index: int, initial) -> tuple[SweepRecord, Traje
     ), traj
 
 
-def _stripe(fn: Callable, items: Sequence, fd: int) -> None:
-    """Pickle ``[fn(x) for x in items]``, or the exception it raised, to
-    ``fd`` and close it."""
-    try:
-        out = [fn(x) for x in items]
-    except Exception as e:
-        out = e
-    with open(fd, "wb") as fh:
-        fh.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+def _deal(fn: Callable, items: Sequence, i: int, token: tuple) -> list:
+    """``(i, fn(items[i]))`` for item ``i``, then each next index read from ``token``."""
+    out = []
+    while i < len(items):
+        out.append((i, fn(items[i])))
+        i = int.from_bytes(os.read(token[0], 8), "little")
+        os.write(token[1], (i + 1).to_bytes(8, "little"))
+    return out
 
 
-def _striped_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, item i computed by worker i mod n, for n
-    usable CPUs or items, whichever is fewer.  Worker 0 is the caller; the
-    others are forked, so ``fn`` need not pickle, and pickle their results
-    to a pipe, which is drained before the worker is reaped.  A worker's
-    exception is raised here; no worker outlives the call."""
+def _forked_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]`` over n workers, n = min(usable CPUs, items).  Worker
+    w takes item w, then whichever is free first takes the next, whose index is the
+    one 8-byte record of the ``token`` pipe.  Worker 0 is the caller; the others are
+    forked (``fn`` need not pickle) and pickle their ``(index, result)`` pairs, or
+    exception, raised here, to a pipe drained before they are killed and reaped."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n = max(1, min(cpus, len(items)))
+    token = os.pipe()
+    os.write(token[1], n.to_bytes(8, "little"))
     pids, fds = [], []
     try:
         for w in range(1, n):
@@ -773,42 +777,42 @@ def _striped_map(fn: Callable, items: Sequence) -> list:
             try:
                 pid = os.fork()
                 if pid == 0:  # a worker: it leaves only through os._exit
-                    status = 1
                     try:
                         for other in fds:
                             os.close(other)
-                        _stripe(fn, items[w::n], wfd)
-                        status = 0
+                        try:
+                            out = _deal(fn, items, w, token)
+                        except Exception as e:
+                            out = e
+                        with open(wfd, "wb") as fh:
+                            fh.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+                        os._exit(0)
                     finally:
-                        os._exit(status)
+                        os._exit(1)
             finally:
                 os.close(wfd)
             pids.append(pid)
-        stripes = [[fn(x) for x in items[::n]]]
+        done = _deal(fn, items, 0, token)
         for fd in fds:
             with open(fd, "rb", closefd=False) as fh:
                 data = fh.read()
-            if not data:
-                raise RuntimeError("a forked worker ended without a result")
-            stripes.append(pickle.loads(data))
-        for out in stripes:
+            out = pickle.loads(data) if data else RuntimeError("a forked worker ended without a result")
             if isinstance(out, Exception):
                 raise out
+            done += out
     finally:
-        for fd in fds:
+        for fd in (*fds, *token):
             os.close(fd)
         for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)  # a no-op once it has exited
-            except ProcessLookupError:
-                pass
+            os.kill(pid, signal.SIGKILL)  # a no-op on an exited worker, unreaped until here
             os.waitpid(pid, 0)
-    return [stripes[i % n][i // n] for i in range(len(items))]
+    return [r for _, r in sorted(done, key=lambda pair: pair[0])]
 
 
 def sweep(base: Scenario, grid: Sequence) -> list[SweepRecord]:
     """The :func:`sweep_point` records of every initial state in ``grid``,
-    in grid order, run by :func:`_striped_map`; workers return only records."""
+    in grid order; :func:`_forked_map` deals each point to the first free
+    worker, and workers return only records."""
     if len(grid) == 0:
         raise ConfigError("sweep grid is empty")
-    return _striped_map(lambda point: sweep_point(base, *point)[0], list(enumerate(grid)))
+    return _forked_map(lambda point: sweep_point(base, *point)[0], list(enumerate(grid)))

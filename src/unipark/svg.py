@@ -69,7 +69,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     out = []
     t = first
     while t <= hi + 1e-12:
-        out.append(round(t, 12))
+        # The steps' rounding can leave the origin's tick far from 0 when they
+        # are huge; the only tick within half a step of 0 is 0, signed as t.
+        out.append(round(t, 12) if abs(t) >= step / 2 else math.copysign(0.0, t))
         t += step
     return out
 

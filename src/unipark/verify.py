@@ -46,7 +46,7 @@ from .lyapunov import (
     steering_clf,
     steering_directional_derivative,
 )
-from .simulate import _striped_map
+from .simulate import _forked_map
 from .spaces import StateSpaceId
 
 __all__ = [
@@ -390,12 +390,12 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     sets; returns a JSON-ready report.
 
     The checks run as one job per law, one per pole family and one per gain
-    of the lemma grid, in forked workers (:func:`unipark.simulate._striped_map`)
-    from ``_FORK_MIN_SAMPLES`` samples on, and the report equals one
-    process's.  Each job draws its stretch of the one serial stream from a
-    copy of the generator's state, which the caller advances past it (a
-    PCG64 double is one 64-bit output); the caller draws only the gain
-    sets."""
+    of the lemma grid, longest first, in forked workers that each take the
+    next job when free (:func:`unipark.simulate._forked_map`) from
+    ``_FORK_MIN_SAMPLES`` samples on, and the report equals one process's.
+    Each job draws its stretch of the one serial stream from a copy of the
+    generator's state, which the caller advances past it (a PCG64 double is
+    one 64-bit output); the caller draws only the gain sets."""
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
     if seed < 0:
@@ -411,10 +411,11 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
         jobs.append(functools.partial(_pole_checks, family, n, rng.bit_generator.state))
         rng.bit_generator.advance(n * _POLE_DRAWS[family])
     # Whole, the lemma grid (about 20 ms) would outweigh any law's job below
-    # about 10000 samples; one job per gain keeps the workers' stripes even.
+    # about 10000 samples; as one short job per gain, dealt last, it fills
+    # in whichever worker finishes its laws first.
     jobs.extend(functools.partial(_lemma_slacks, k) for k in LEMMA_GAINS)
     if samples >= _FORK_MIN_SAMPLES:
-        results = _striped_map(lambda job: job(), jobs)
+        results = _forked_map(lambda job: job(), jobs)
     else:
         results = [job() for job in jobs]
     cut = len(jobs) - len(LEMMA_GAINS)

@@ -31,7 +31,7 @@ from unipark.lyapunov import (
 from unipark.simulate import (
     Scenario,
     Termination,
-    _striped_map,
+    _forked_map,
     front_line_crossings,
     integrate,
     integrate_batch,
@@ -178,7 +178,7 @@ def convergence_batches():
             ]
         return integrate_batch(s, grid, extra_lyapunov=extras)
 
-    return dict(zip(ControllerId, _striped_map(batch, grids)))
+    return dict(zip(ControllerId, _forked_map(batch, grids)))
 
 
 def test_criterion_3_convergence(convergence_batches):

@@ -28,7 +28,7 @@ from oracles import (
 from unipark.cli import main, write_trajectory
 from unipark.controllers import ControllerId, Gains
 from unipark.lyapunov import CompositeKind, CompositeOrder
-from unipark.simulate import Scenario, integrate, sweep
+from unipark.simulate import Scenario, _forked_map, integrate, sweep
 from unipark.spaces import CartesianState, PolarState
 from unipark.svg import SvgPath, render_paths, write_svg
 
@@ -192,6 +192,17 @@ class TestSimulateCommand:
         assert np.abs(cart).max() > 1e308
         svg = (tmp_path / f"traj_{law}.svg").read_text()
         assert svg.endswith("</svg>") and not re.search("nan|inf", svg)
+
+    def test_origin_tick_reads_zero(self, tmp_path):
+        # The x ticks are 4e307 apart, and stepping to the origin from
+        # -1.6e308 leaves about 1e292 of rounding there; its label is still 0.
+        assert run([
+            "simulate", "--controller", "globa", "--init-polar", "1,3,2", "--dt", "109.1", "--t-max", "21820",
+            "--frame", "cartesian", "--out", str(tmp_path),
+        ]) == 1
+        svg = (tmp_path / "traj_globa.svg").read_text()
+        x_labels = re.findall(r'text-anchor="middle" fill="#444">([^<]*)<', svg)
+        assert x_labels == ["-1.6e+308", "-1.2e+308", "-8e+307", "-4e+307", "0"]
 
     @pytest.mark.parametrize("law, frame, code", [
         ("globa-cons", "cartesian", 0), ("globa-cons", "polar", 1), ("globa", "polar", 0),
@@ -361,6 +372,48 @@ class TestPolylineText:
         screen = np.array([p.split(",") for p in points.split()], dtype=float)
         assert screen.shape == (3, 2)
         assert (screen >= 0).all() and (screen[:, 0] <= w).all() and (screen[:, 1] <= h).all()
+
+
+class TestForkedMap:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_free_worker_takes_the_next_item(self, monkeypatch, cpus):
+        # One slow item, then fast ones: those run in the workers left free.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+        def pid_of(x):
+            if x == 0:
+                time.sleep(1.0)
+            return os.getpid()
+
+        pids = _forked_map(pid_of, list(range(40)))
+        assert_no_children()
+        assert len(pids) == 40
+        if cpus == 1:
+            assert set(pids) == {os.getpid()}
+        else:
+            assert pids[0] not in pids[1:]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_each_item_once_in_order(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        log = tmp_path / "calls.txt"
+
+        def square(x):
+            # A line per call in a file: the calls of forked workers count too.
+            with open(log, "a") as fh:
+                fh.write(f"{x}\n")
+            return x * x
+
+        items = list(range(57))
+        assert _forked_map(square, items) == [x * x for x in items]
+        assert_no_children()
+        assert sorted(int(line) for line in log.read_text().split()) == items
+
+    def test_many_trivial_items(self, monkeypatch):
+        # Far more indices than a pipe holds at once (64 KiB) are dealt.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert _forked_map(lambda x: -x, range(20_000)) == [-x for x in range(20_000)]
+        assert_no_children()
 
 
 class TestSweepCommand:
@@ -559,6 +612,48 @@ class TestSweepCommand:
         assert outputs[0] == outputs[1]
         assert records[0] == records[1]
 
+    def test_deals_slowest_law_first(self, tmp_path, monkeypatch):
+        # At gains (1, 1, 0.1, 1) bagal's slowest pole is -0.113, globa's
+        # and barfli's -1; libac and globa-cons have no pole formula.
+        dealt = []
+
+        def spy(fn, items):
+            dealt.extend((base.controller.value, i) for base, i, _ in items)
+            return _forked_map(fn, items)
+
+        monkeypatch.setattr(unipark.cli, "_forked_map", spy)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controllers": ["globa", "bagal", "libac", "barfli", "globa-cons"],
+                                   "gains": [1, 1, 0.1, 1], "dt": 0.01, "t_max": 0.5,
+                                   "grid_polar": [[1.0, 0.5, 0.2], [1.5, -0.5, 0.2]]}))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        laws = ["libac", "globa-cons", "bagal", "globa", "barfli"]
+        assert dealt == [(law, i) for law in laws for i in range(2)]
+        # The results are put back in controller and grid order.
+        rows = (tmp_path / "out" / "sweep_summary.txt").read_text().splitlines()[1:]
+        assert [row.split()[:2] for row in rows] == [
+            [law, str(i)] for law in ("globa", "bagal", "libac", "barfli", "globa-cons") for i in range(2)
+        ]
+
+    def test_mixed_sweep_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # Dealt libac, bagal, globa; bagal errors on gamma = 3.5, outside S3.
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controllers": ["globa", "bagal", "libac"], "gains": [1, 1, 0.1, 1],
+                                   "dt": 0.01, "t_max": 15.0,
+                                   "grid_polar": [[2.0, 0.4, 0.2], [1.0, 0.5, 3.5], [1.5, -1.0, -0.5]]}))
+        outputs = []
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / f"cpus{len(cpus)}"
+            assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            outputs.append([(out / name).read_bytes()
+                            for name in ("sweep_summary.json", "sweep_summary.txt", "sweep_overlay.svg")])
+            assert_no_children()
+        errors = [(law, r["index"]) for law, recs in json.loads(outputs[0][0])["controllers"].items()
+                  for r in recs if r["error"] is not None]
+        assert errors == [("bagal", 1)]
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_failing_point_propagates(self, tmp_path, monkeypatch, where):
         parent = os.getpid()
@@ -706,7 +801,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_failing_check_propagates(self, monkeypatch, where):
-        # With 2 workers the caller runs the even laws, the worker the odd.
+        # With 2 workers the caller takes the first law, the worker the second.
         parent = os.getpid()
         real = unipark.verify.barrier_blowup_check
 
