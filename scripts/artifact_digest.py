@@ -37,8 +37,10 @@ The set is:
 - the :class:`~unipark.simulate.BatchResult` of ``integrate_batch`` over 64
   seeded metric-ball starts (metric <= 4) for each of the eleven laws at
   dt 0.01, with the 7 x 2 composite monitors on genova, glofo and globa
-  (``batch/metric_ball/<law>``), and of the six batches of the suite's
-  lockstep tests (``batch/lockstep/<case>``).
+  (``batch/metric_ball/<law>``), over 1000 such starts for bagal, glofo
+  (whose law calls ``si``), globa and libac at dt 0.01, whose array blocks
+  are far wider (``batch/large/<law>``), and of the six batches of the
+  suite's lockstep tests (``batch/lockstep/<case>``).
 
 Artifacts are written into a temporary directory that is removed afterwards;
 a batch is digested from the dtype, shape and bytes of every field.  Each
@@ -120,6 +122,8 @@ GAINS = {
 VERIFY_10K_SEEDS = (935547811, 12345)
 BATCH_STARTS = 64
 COMPOSITE_LAWS = (ControllerId.GENOVA, ControllerId.GLOFO, ControllerId.GLOBA)
+LARGE_STARTS = 1000
+LARGE_LAWS = (ControllerId.BAGAL, ControllerId.GLOFO, ControllerId.GLOBA, ControllerId.LIBAC)
 
 
 def produce(out: Path) -> None:
@@ -157,6 +161,10 @@ def batches():
             clf = logging_clf(cid, s.gains)
             extras = [LyapunovFn(clf, kind, order) for kind in CompositeKind for order in CompositeOrder]
         yield f"batch/metric_ball/{cid.value}", integrate_batch(s, grid, extra_lyapunov=extras)
+    rng = np.random.default_rng(1000)
+    for cid in LARGE_LAWS:
+        grid = sample_metric_ball(controller_space(cid), LARGE_STARTS, rng, max_metric=4.0)
+        yield f"batch/large/{cid.value}", integrate_batch(Scenario(controller=cid, dt=0.01, t_max=100.0), grid)
     for case in LOCKSTEP_CASES:
         yield f"batch/lockstep/{case}", lockstep_batch(case)[2]
 

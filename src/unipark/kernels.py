@@ -8,7 +8,8 @@ plain Python floats.
 ``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``si``, ``where``)
 that the laws, metrics, certificates and pole formulas are written over once:
 the scalar one is made of :mod:`math` and the kernels below, the array one of
-their numpy/scipy counterparts with the same ``sinc`` rule; the scalar one
+their numpy/scipy counterparts with the same ``sinc`` rule, whose ``sinc``
+and ``si`` also write into an ``out`` array as its ufuncs do; the scalar one
 also has ``atan2``, ``hypot`` and ``round`` for the Cartesian chart.  A
 third, :data:`TRACE`, run on :class:`Sym` values, records code written over
 any of them but ``where`` as straight-line Python on a :class:`Tape`, which
@@ -125,14 +126,16 @@ def _namespace(name: str, **primitives) -> ModuleType:
     return ns
 
 
-def _sinc_array(a):
-    """:func:`sinc`'s rule elementwise: the Taylor polynomial where
-    |a| < 1e-4, sin(a)/a elsewhere."""
-    # The masked divide skips 0/0; np.errstate would double a short call.
+def _sinc_array(a, out=None):
+    """:func:`sinc`'s rule elementwise, into ``out`` if given (an array
+    apart from ``a``): the Taylor polynomial where |a| < 1e-4, sin(a)/a
+    elsewhere."""
     small = np.abs(a) < _SINC_TAYLOR_THRESHOLD
     if not small.any():
-        return np.sin(a) / a
-    return np.divide(np.sin(a), a, out=np.asarray(1.0 - a * a / 6.0), where=~small)
+        return np.divide(np.sin(a, out=out), a, out=out)
+    # The masked divide skips 0/0; np.errstate would double a short call.
+    taylor = np.subtract(1.0, np.divide(np.multiply(a, a, out=out), 6.0, out=out), out=out)
+    return np.divide(np.sin(a), a, out=np.asarray(taylor), where=~small)
 
 
 SCALAR = _namespace(
@@ -145,7 +148,7 @@ SCALAR = _namespace(
 ARRAY = _namespace(
     "ARRAY",
     sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt, abs=np.abs,
-    sinc=_sinc_array, si=lambda a: _sici(a)[0], where=np.where,
+    sinc=_sinc_array, si=lambda a, out=None: _sici(a, out=(out, None))[0], where=np.where,
 )
 
 

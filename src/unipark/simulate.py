@@ -34,8 +34,9 @@ bitwise the interpreted step, in one of three loops.  The polar loop steps
 one run's floats, in the polar chart and in a batch of at most
 ``_SCALAR_RUNS`` active runs, so such a batch is bitwise :func:`integrate`
 run by run; :func:`_kernel_rows` runs it, and the Cartesian loop.  The
-array loop steps more runs at once, because an array step costs about the
-same whatever its length.  A run that crosses from it differs only in the
+array loop steps more runs at once, because up to a few hundred runs an
+array step costs mostly the fixed cost of its numpy calls.  A run that
+crosses from it differs only in the
 last bits (numpy's ``tan`` and ``arctan`` round a few arguments differently
 from ``math``'s; ``sinc`` and ``psi`` are one rule in both namespaces), so
 its last bits depend on when its batch thins below the constant; a chaotic
@@ -43,8 +44,10 @@ run in a large batch, such as bopa or barfli at dt >= 0.2, may still take
 a different exit than in :func:`integrate`.  The Cartesian loop steps the
 pose, with the closed loop computed at each stage's polar state, and
 rebuilds a continuous polar state by unwrapping the transformed angles
-against the previous step.  A loop's step is straight-line code, with each
-value read only once written into its reader.
+against the previous step.  A loop's step is straight-line code.  In the
+polar and Cartesian loops each value read only once is written into its
+reader; in the array loop each traced operation is one numpy call that
+writes into a scratch buffer, reused once the value it holds is last read.
 
 The points of a sweep and the jobs of ``unipark verify`` (from 5000 samples
 on) run in forked workers, one per usable CPU (:func:`_forked_map`, on
@@ -87,7 +90,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError, UniparkError
-from .kernels import ARRAY, SCALAR, TRACE, Sym, Tape, wrap_angle
+from .kernels import ARRAY, SCALAR, TRACE, TRACED, Sym, Tape, wrap_angle
 from .lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf
 from .spaces import (
     CartesianState,
@@ -347,14 +350,15 @@ _KERNEL_IDS = itertools.count()
 
 # Each kind of kernel's loop around its traced ``{step}`` to ``{out}``: polar
 # steps floats (r, d, c), passing each step to ``extend``; array steps arrays
-# (m,) into ``block[k]`` (3, m); cartesian steps the pose of a row (x, y, th,
+# (m,) into the rows R, D, C of each block[k] (3, m), through the ``{n}``
+# scratch buffers ``{buffers}``; cartesian steps the pose of a row (x, y, th,
 # r, d, c) and passes it with its polar row ``{polar}`` (from ``{map}``), or
 # returns True on a step that lands exactly on the target.
 _LOOPS = {
     "polar": ("def kernel(r, d, c, steps, extend):\n    for _ in range(steps):{step}\n"
               "        r, d, c = {out}\n        extend((r, d, c))\n"),
-    "array": ("def kernel(r, d, c, block):\n    for k in range(len(block)):{step}\n"
-              "        block[k] = r, d, c = {out}\n"),
+    "array": ("def kernel(r, d, c, block):\n    [{buffers}] = empty(({n}, len(r)))\n"
+              "    for R, D, C in block:{step}\n        r, d, c = R, D, C\n"),
     "cartesian": ("def kernel(x, y, th, r, d, c, steps, extend):\n    for _ in range(steps):{step}\n"
                   "        x, y, th = {out}\n        if on_target(x, y):\n            return True{map}\n"
                   "        r, d, c = {polar}\n        extend((x, y, th, r, d, c))\n    return False\n"),
@@ -364,28 +368,71 @@ _LOOPS = {
 _LOCAL = re.compile(r"\bv\d+\b")
 
 
-def _loop_body(lines, live, delete=False) -> str:
+def _loop_body(lines, live) -> str:
     """The traced ``lines`` (expression, local) as a loop body.  A local
     read by exactly one later line, and not in ``live``, is written into
     that line in parentheses: the same operations on the same operands,
-    without the store and load.  With ``delete``, each other local not in
-    ``live`` is deleted after its last use, so an array kernel holds a few
-    of its arrays at a time, not all of them."""
+    without the store and load."""
     reads = collections.Counter(_LOCAL.findall(" ".join(expr for expr, _ in lines)))
-    one, stored = {}, []
+    one, body = {}, []
     for expr, name in lines:
         expr = _LOCAL.sub(lambda v: f"({one.pop(v[0])})" if v[0] in one else v[0], expr)
         if reads[name] == 1 and name not in live:
             one[name] = expr
         else:
-            stored.append((expr, name))
-    body, seen = [], set(live)
-    for expr, name in reversed(stored):
-        dead = [v for v in (name, *_LOCAL.findall(expr)) if v not in seen] if delete else []
-        seen.update(dead)
-        body += [f"\n        del {', '.join(dict.fromkeys(dead))}"] if dead else []
-        body.append(f"\n        {name} = {expr}")
-    return "".join(reversed(body))
+            body.append(f"\n        {name} = {expr}")
+    return "".join(body)
+
+
+# The ufunc of each traced operator, and those ndarray.__pow__ calls in
+# place of ``power`` for these exponents.
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide", "**": "power"}
+_POWERS = {"2": "square", "0.5": "sqrt", "(-1)": "reciprocal"}
+_CALL = re.compile(r"(\w+)\((.*)\)")
+
+
+def _array_body(lines, outs, consts) -> tuple[str, int, dict]:
+    """The traced ``lines`` (expression, local) as an array loop body, each
+    one call with ``out=``: of the ufunc that computes its operator or power
+    on arrays, or of the :data:`~unipark.kernels.ARRAY` primitive it names,
+    so each lane sees the operations of the expression form.  The outputs
+    ``outs`` go into the rows R, D, C and every other local into a scratch
+    buffer ``b<i>``.  A buffer takes a new value after the line that last
+    reads its old one, so no call writes over its own operands (``sinc``
+    reads its argument after writing ``out``).  Each constant, a literal or
+    one of ``consts``, is bound once as a 0-d float64 array ``f<i>``.
+    Returns the body, the buffer count and the names it calls and reads."""
+    last = {v: i for i, (expr, _) in enumerate(lines) for v in _LOCAL.findall(expr)}
+    held, scope, free, body, n = dict(zip(outs, "RDC")), {}, [], [], 0
+    names = {}  # each constant's text to its name
+
+    def operand(x: str) -> str:
+        if x in held or x in ("r", "d", "c"):
+            return held.get(x, x)
+        if x not in names:
+            names[x] = f"f{len(names)}"
+            scope[names[x]] = np.asarray(consts[x] if x in consts else float(x.strip("()")), dtype=float)
+        return names[x]
+
+    for i, (expr, name) in enumerate(lines):
+        if call := _CALL.fullmatch(expr):
+            fn, args = call[1], call[2].split(", ")
+        elif expr[0] == "-":
+            fn, args = "negative", [expr[1:]]
+        else:
+            a, op, b = expr.split(" ")
+            fn, args = (_POWERS[b], [a]) if op == "**" and b in _POWERS else (_UFUNCS[op], [a, b])
+        scope[fn] = getattr(ARRAY if fn in TRACED else np, fn)
+        args = ", ".join(map(operand, args))
+        if name not in held:
+            if not free:
+                free.append(f"b{n}")
+                n += 1
+            held[name] = free.pop()
+        body.append(f"\n        {fn}({args}, out={held[name]})  # {name} = {expr}")
+        free += [held[v] for v in dict.fromkeys([*_LOCAL.findall(expr), name])
+                 if last.get(v, i) == i and v not in outs]
+    return "".join(body), n, scope
 
 
 @lru_cache(maxsize=64)
@@ -395,11 +442,13 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> C
     over the closed-loop field (Cartesian: :func:`_pose_field`, then
     :func:`_pose_to_polar`) traced through :data:`~unipark.kernels.TRACE`,
     the same float operations in the same order calling the same primitives
-    (ARRAY's in the array loop), with ``g`` and ``h`` folded, repeated
-    expressions computed once and every local read once written into its
-    reader (:func:`_loop_body`), so a step is bitwise the interpreted one
-    and raises in the step where it does.  Its source is in
-    :mod:`linecache`, as ``<rk4 law #n>``, while the kernel lives."""
+    (ARRAY's in the array loop), with ``g`` and ``h`` folded and repeated
+    expressions computed once, so a step is bitwise the interpreted one and
+    raises in the step where it does.  The polar and Cartesian loops write
+    every local read once into its reader (:func:`_loop_body`); the array
+    loop computes each line into a buffer (:func:`_array_body`).  Its
+    source is in :mod:`linecache`, as ``<rk4 law #n>``, while the kernel
+    lives."""
     tape = Tape()
     if loop == "cartesian":
         ref = (None, Sym(tape, "d"), Sym(tape, "c"))
@@ -408,16 +457,20 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> C
         out = _rk4_step(ctl.closed_loop_field(cid, g, TRACE), tuple(Sym(tape, v) for v in "rdc"), h)
     n = len(tape.lines)
     polar = ", ".join(map(tape.text, _pose_to_polar(TRACE, out, ref))) if loop == "cartesian" else ""
-    out = ", ".join(map(tape.text, out))
+    outs = list(map(tape.text, out))
     lines = list(tape.lines.items())
-    # The outputs stay live, and so do the step's locals that the map reads.
-    live = set(_LOCAL.findall(" ".join([out, polar, *(expr for expr, _ in lines[n:])])))
-    src = _LOOPS[loop].format(step=_loop_body(lines[:n], live, loop == "array"), out=out,
-                              map=_loop_body(lines[n:], set(_LOCAL.findall(polar))), polar=polar)
+    if loop == "array":
+        step, buffers, scope = _array_body(lines, outs, tape.consts)
+        src = _LOOPS[loop].format(step=step, n=buffers, buffers=", ".join(f"b{i}" for i in range(buffers)))
+        scope["empty"] = np.empty
+    else:
+        # The outputs stay live, and so do the step's locals that the map reads.
+        live = set(_LOCAL.findall(" ".join([*outs, polar, *(expr for expr, _ in lines[n:])])))
+        src = _LOOPS[loop].format(step=_loop_body(lines[:n], live), out=", ".join(outs),
+                                  map=_loop_body(lines[n:], set(_LOCAL.findall(polar))), polar=polar)
+        scope = {name: getattr(SCALAR, name) for name in re.findall(r"(\w+)\(", " ".join(tape.lines))}
+        scope |= tape.consts | {"on_target": on_target}
     filename = f"<rk4 {cid.value} #{next(_KERNEL_IDS)}>"
-    xp = ARRAY if loop == "array" else SCALAR
-    scope = {name: getattr(xp, name) for name in re.findall(r"(\w+)\(", " ".join(tape.lines))}
-    scope |= tape.consts | {"on_target": on_target}
     exec(compile(src, filename, "exec"), scope)
     kernel = scope["kernel"]
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
@@ -451,12 +504,12 @@ _BLOCK_STEPS = 64
 _BLOCK_LANE_STEPS = 16384
 
 # The batch steps at most this many active runs one at a time with the polar
-# kernel, and more with the array kernel.  An array step costs 55-210 us
-# whatever its length (to 48 runs), a scalar run-step 2.3-6 us (glofo, whose
-# Si is slow, 13 us).  At 16 runs the scalar steps take 0.37-0.61 of the
-# array steps' time (glofo 1.6); they break even at 24-48 runs, but moving
-# the constant moves the last bits of runs that cross from the array kernel.
-# Per 64-step block, metric-ball starts, unit gains, dt 0.01, 2-vCPU VM.
+# kernel, and more with the array kernel.  An array step costs 24-53 us
+# at 1 to 48 runs, a scalar run-step 1.0-1.9 us (glofo, whose Si is slow,
+# 4.5 us).  At 16 runs the scalar steps take 0.58-0.76 of the array steps'
+# time (glofo 2.1); they break even at 24-32 runs, but moving the constant
+# moves the last bits of runs that cross from the array kernel.  Per 64-step
+# block, metric-ball starts, unit gains, dt 0.01, 2-vCPU VM.
 _SCALAR_RUNS = 16
 
 
@@ -764,7 +817,8 @@ def _forked_map(fn: Callable, items: Sequence) -> list:
     w takes item w, then whichever is free first takes the next, whose index is the
     one 8-byte record of the ``token`` pipe.  Worker 0 is the caller; the others are
     forked (``fn`` need not pickle) and pickle their ``(index, result)`` pairs, or
-    exception, raised here, to a pipe drained before they are killed and reaped."""
+    exception, raised here, to a pipe drained before they are killed and reaped.  A
+    worker that raises sets the index to the end, so the others take no more items."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n = max(1, min(cpus, len(items)))
     token = os.pipe()
@@ -783,6 +837,9 @@ def _forked_map(fn: Callable, items: Sequence) -> list:
                         try:
                             out = _deal(fn, items, w, token)
                         except Exception as e:
+                            # Every worker stops at its next read of the index.
+                            os.read(token[0], 8)
+                            os.write(token[1], len(items).to_bytes(8, "little"))
                             out = e
                         with open(wfd, "wb") as fh:
                             fh.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))

@@ -409,6 +409,29 @@ class TestForkedMap:
         assert_no_children()
         assert sorted(int(line) for line in log.read_text().split()) == items
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_worker_error_stops_the_dealing(self, tmp_path, monkeypatch, cpus):
+        # Item 1 is a forked worker's first, and raises: as in the loop
+        # [fn(x) for x in items], the items not yet taken are left undone.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        log = tmp_path / "calls.txt"
+
+        def slow(x):
+            with open(log, "a") as fh:
+                fh.write(f"{x}\n")
+            if x == 1:
+                raise ValueError("item 1")
+            time.sleep(0.01)
+            return x
+
+        with pytest.raises(ValueError, match="item 1"):
+            _forked_map(slow, list(range(50)))
+        assert_no_children()
+        calls = log.read_text().split()
+        # Only the items the other workers had taken, or took while the
+        # failing one waited for the shared index, start after it.
+        assert len(calls) - calls.index("1") - 1 < 10
+
     def test_many_trivial_items(self, monkeypatch):
         # Far more indices than a pipe holds at once (64 KiB) are dealt.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,27 @@ class TestNamespaces:
         big = a[np.abs(a) >= t]
         assert ARRAY.sinc(big).tobytes() == scalar[np.abs(a) >= t].tobytes()
         assert [float(ARRAY.sinc(x)) for x in (0.0, 5e-5, 0.3)] == [SCALAR.sinc(x) for x in (0.0, 5e-5, 0.3)]
+
+    @pytest.mark.parametrize("name", ["sinc", "si"])
+    def test_out_form_is_the_plain_call(self, name):
+        # The array kernels call both with out=: the same bits into that
+        # array, and the same warnings, none on finite or NaN arguments.
+        fn, t = getattr(ARRAY, name), 1e-4
+        near = [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
+        mixed = np.array([0.0, -0.0, *near, *(-x for x in near), 5e-5, np.nan, np.inf, -np.inf, 0.3, -2.0])
+        for a in (mixed, mixed[::-1], mixed[mixed != np.inf], mixed[np.isfinite(mixed)], mixed[:2],
+                  mixed[10:11], mixed[13:]):
+            with warnings.catch_warnings(record=True) as plain:
+                warnings.simplefilter("always")
+                want = fn(a)
+            out = np.full_like(a, 7.0)
+            with warnings.catch_warnings(record=True) as into:
+                warnings.simplefilter("always")
+                got = fn(a, out=out)
+            assert got is out and got.tobytes() == want.tobytes(), a
+            assert [str(w.message) for w in into] == [str(w.message) for w in plain], a
+            if not np.isinf(a).any():
+                assert not plain, a
 
     def test_psi_agrees_bitwise(self):
         z = np.concatenate([[0.0], np.geomspace(1e-8, 3.0, 4000), -np.geomspace(1e-8, 3.0, 4000)])

@@ -34,7 +34,7 @@ from unipark.spaces import (
     metric_values,
     polar_to_cartesian,
 )
-from unipark.verify import strict_gain_sets
+from unipark.verify import sample_metric_ball, strict_gain_sets
 
 UNIT = Gains()
 
@@ -635,6 +635,33 @@ class TestRk4Kernel:
                 interpreted(closed_loop_field(cid, g, ARRAY), h)(lanes, 100, rows.append)
             assert block.tobytes() == np.array(rows).tobytes(), h
 
+    @pytest.mark.parametrize("cid", list(ControllerId), ids=lambda c: c.value)
+    def test_array_kernel_at_batch_sizes(self, monkeypatch, cid):
+        # Seeded metric-ball lanes at the lengths a batch steps, plus
+        # KERNEL_STARTS: each block is bitwise the interpreted ARRAY step's,
+        # through the kernel's reused buffers, and blocks where only some
+        # lanes take sinc's Taylor branch occur in every law that calls it.
+        sinc, partial = ARRAY.sinc, []
+
+        def spy(a, out=None):
+            small = np.abs(a) < 1e-4
+            partial.append(out is not None and small.any() and not small.all())
+            return sinc(a, out)
+
+        monkeypatch.setattr(ARRAY, "sinc", spy)
+        rng = np.random.default_rng(25)
+        for m in (1, 17, 301, 3001):
+            starts = sample_metric_ball(ctl.controller_space(cid), m, rng, max_metric=4.0)
+            lanes = tuple(np.concatenate([starts, KERNEL_STARTS]).T.copy())
+            for h in (0.01, 1.0):
+                block, rows = np.empty((64, 3, len(lanes[0]))), []
+                with np.errstate(all="ignore"):
+                    unipark.simulate._rk4_kernel.__wrapped__(cid, UNIT, h, "array")(*lanes, block)
+                    interpreted(closed_loop_field(cid, UNIT, ARRAY), h)(lanes, 64, rows.append)
+                assert block.tobytes() == np.array(rows).tobytes(), (m, h)
+        if partial:  # the law calls sinc
+            assert any(partial)
+
     @pytest.mark.parametrize("loop", ["polar", "cartesian"])
     def test_bagal_step_calls_tan_eight_times(self, loop):
         # raising_step counts on it: two calls per RK4 stage, none merged.
@@ -661,14 +688,22 @@ class TestRk4Kernel:
         # line that takes a step's output.
         kernel = unipark.simulate._rk4_kernel(ControllerId.BAGAL, UNIT, 0.01, loop)
         code = [line.strip() for line in linecache.getlines(kernel.__code__.co_filename)]
-        code = [line for line in code if not line.startswith("del ")]
+        if loop == "array":
+            # Each traced line is one call into a scratch buffer or an output
+            # row instead, the buffers far fewer than the lines.
+            calls = code[code.index("for R, D, C in block:") + 1:code.index("r, d, c = R, D, C")]
+            assert len(calls) > 10
+            assert all(re.fullmatch(r"\w+\((\w+, )*out=(b\d+|R|D|C)\)  # v\d+ = .+", line) for line in calls)
+            assert [line.split("out=")[1][0] for line in calls if "out=b" not in line] == ["R", "D", "C"]
+            assert len(re.findall(r"\bb\d+\b", code[1])) < len(calls) / 4
+            return
         defs = [line.split(" = ", 1)[0] for line in code if re.match(r"v\d+ = ", line)]
         assert len(defs) > 10
         for name in defs:
             readers = [line for line in code if not line.startswith(f"{name} = ")
                        and re.search(rf"\b{name}\b", line)]
             reads = sum(len(re.findall(rf"\b{name}\b", line)) for line in readers)
-            assert reads != 1 or re.match(r"(block\[k\] = )?(r, d, c|x, y, th) = ", readers[0]), name
+            assert reads != 1 or re.match(r"(r, d, c|x, y, th) = ", readers[0]), name
 
     def test_unit_gain_products_folded(self):
         kernel = unipark.simulate._rk4_kernel(ControllerId.GENOVA, UNIT, 0.01)
