@@ -12,6 +12,9 @@ does) and the repository's own ``.git`` is left alone.  Then:
 2. The Tier-1 suite runs once per side, one side after the other, with
    ``--durations=0``; the wall time, the outcome counts and the setup time
    of the ``convergence_batches`` fixture are recorded.
+3. Cold start: each command of ``COLD_START`` runs ``--cold`` times per
+   side in a fresh interpreter, the sides alternating as the pairs do, and
+   the median wall time of each is recorded with the head/base ratio.
 
 The output file holds the machine (cores, CPU model, Python, numpy, scipy),
 and for each side every run's end-to-end metrics with their median and
@@ -25,7 +28,7 @@ Each run lasts ``perfbench/run.py``'s own default length; the seconds it
 spent in the program and its round count are read from its output and
 recorded with the run.  Run the script from anywhere inside the repository
 on an otherwise idle machine; it takes about 2 x pairs x 15 s per workload
-plus two Tier-1 runs.
+plus two Tier-1 runs and 2 x cold x 0.5 s.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0", "-p", "no:cacheprovider"]
 # The fixture is set up by the first test that requests it.
 FIXTURE = ("convergence_batches", "tests/test_acceptance.py::test_criterion_3_convergence")
+# What a user waits for before any work: importing the CLI, and a command
+# that computes little.
+COLD_START = {
+    "import_cli": ["-c", "import unipark.cli"],
+    "gains": ["-m", "unipark.cli", "gains", "--family", "forwarding", "--poles=-1,-2,-3"],
+}
 
 
 def git(*args: str) -> str:
@@ -151,6 +160,25 @@ def tier1(tree: Path) -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "counts": counts, f"{FIXTURE[0]}_setup_s": fixture}
 
 
+def cold_start(trees: dict[str, Path], runs: int, cwd: Path) -> dict:
+    """The wall time of each ``COLD_START`` command, ``runs`` fresh
+    interpreters per side, the base side first in even runs."""
+    times: dict = {side: {name: [] for name in COLD_START} for side in trees}
+    for i in range(runs):
+        for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
+            env = dict(os.environ, PYTHONPATH=str(trees[side] / "src"))
+            for name, args in COLD_START.items():
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, *args], cwd=cwd, env=env, check=True, capture_output=True)
+                times[side][name].append(time.perf_counter() - t0)
+    out: dict = {"runs": runs}
+    for side, by_name in times.items():
+        out[side] = {name: spread(values) for name, values in by_name.items()}
+    out["median_ratio"] = {name: out["head"][name]["median"] / out["base"][name]["median"]
+                           for name in COLD_START}
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", required=True, help="base commit (e.g. HEAD~1)")
@@ -158,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json file to write")
     ap.add_argument("--pairs", action="append", default=[],
                     help="pairs per workload: N for every workload, or WORKLOAD=N (repeatable; default 3)")
+    ap.add_argument("--cold", type=int, default=20, help="fresh interpreters per side per cold-start command")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -185,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         for side in ("base", "head"):
             record["tier1"][side] = tier1(trees[side])
             print(f"tier-1 {side}: {record['tier1'][side]}", file=sys.stderr)
+        record["cold_start_s"] = cold_start(trees, args.cold, Path(tmp))
+        print(f"cold start: {record['cold_start_s']['median_ratio']}", file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

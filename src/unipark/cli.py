@@ -29,7 +29,15 @@ from .controllers import ControllerId, Gains
 from .errors import ConfigError, DomainError, InfeasiblePolesError, TransformError, UniparkError
 from .linearization import DesignFamily, PoleSpec, assign_gains, family_of_controller, jacobian_eigenvalues
 from .lyapunov import CompositeKind, CompositeOrder
-from .simulate import Scenario, Termination, Trajectory, _forked_map, integrate, sweep_point
+from .simulate import (
+    Scenario,
+    Termination,
+    Trajectory,
+    _compile_kernels,
+    _forked_map,
+    integrate,
+    sweep_point,
+)
 from .spaces import CartesianState, PolarState
 from .svg import SvgPath, palette_color, write_svg
 from .verify import eigenvalue_error, run_all
@@ -284,6 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # decay rate, so no worker is left alone with long runs at the end; the
     # laws outside the pole formulas, of unknown rate, go first.
     order = sorted(range(len(bases)), key=lambda ci: _decay_rate(bases[ci]))
+    _compile_kernels(bases)
     dealt = _forked_map(point, [(bases[ci], i, initial) for ci in order for i, initial in enumerate(grid)])
     results = {ci: dealt[k * len(grid):(k + 1) * len(grid)] for k, ci in enumerate(order)}
     summary = {"schema_version": SCHEMA_VERSION, "controllers": {}}

@@ -1,8 +1,13 @@
 """Scalar special functions shared by the steering laws and their certificates.
 
-All kernels are pure total functions of their float arguments, with no global
-state, so they are safe for unrestricted concurrent use.  They operate on
-plain Python floats.
+All kernels are pure total functions of their float arguments.  They operate
+on plain Python floats.  The module's one piece of global state is whether Si
+is loaded: scipy, whose ``sici`` is the one Si routine, is imported on the
+first :func:`sine_integral` call or read of a namespace's ``si``
+(:func:`_load_si`), not with the package, so a process that never uses Si
+(a run of any law but glofo, ``unipark gains``) never imports it.  Loading is
+idempotent and changes no value, so the kernels stay safe for unrestricted
+concurrent use.
 
 :data:`SCALAR` and :data:`ARRAY` are the two primitive namespaces (``sin``,
 ``cos``, ``tan``, ``atan``, ``sqrt``, ``abs``, ``sinc``, ``si``, ``where``)
@@ -34,7 +39,6 @@ import math
 from types import ModuleType
 
 import numpy as np
-from scipy.special import sici as _sici
 
 from .errors import BarrierDomainError, DomainError
 
@@ -69,12 +73,35 @@ def sine_integral(a: float) -> float:
     """Sine integral Si(a) = integral of sinc from 0 to a.  Odd in ``a``.
 
     Backed by the scipy ``sici`` routine (series + asymptotic expansions,
-    absolute error well under 1e-12 across the real line); the test-suite
-    oracle is independent adaptive quadrature of :func:`sinc`.
+    absolute error well under 1e-12 across the real line), which the first
+    use of Si imports (:func:`_load_si`); the test-suite oracle is
+    independent adaptive quadrature of :func:`sinc`.
     """
     a = _require_finite("a", a)
     si, _ = _sici(a)
     return float(si)
+
+
+def _sici(a):
+    """Stands in for scipy's ``sici`` until :func:`_load_si` replaces it."""
+    _load_si()
+    return _sici(a)
+
+
+def _load_si() -> None:
+    """Import scipy's ``sici`` as ``_sici`` and set :data:`SCALAR`'s and
+    :data:`ARRAY`'s ``si``, plain attributes from then on.
+
+    Until then a namespace's ``__getattr__`` calls this on the first read of
+    its ``si``, and ``_sici`` on the first :func:`sine_integral`.  A forked
+    worker that loads scipy loses it when it exits, so a caller loads it
+    before dealing out work that evaluates Si.
+    """
+    global _sici
+    from scipy.special import sici as _sici
+
+    SCALAR.si = sine_integral
+    ARRAY.si = lambda a, out=None: _sici(a, out=(out, None))[0]
 
 
 def psi(z: float, gamma: float) -> float:
@@ -123,6 +150,14 @@ def _namespace(name: str, **primitives) -> ModuleType:
     ns = ModuleType(f"{__name__}.{name}")
     ns.__dict__.update(primitives)
     ns.psi = lambda z, gamma: ns.sinc(z) * ns.cos(z - 2.0 * gamma)
+
+    def __getattr__(attr: str):  # PEP 562: reached only by a name not set
+        if attr != "si":
+            raise AttributeError(f"module {ns.__name__!r} has no attribute {attr!r}")
+        _load_si()
+        return ns.si
+
+    ns.__getattr__ = __getattr__
     return ns
 
 
@@ -141,14 +176,14 @@ def _sinc_array(a, out=None):
 SCALAR = _namespace(
     "SCALAR",
     sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt, abs=abs,
-    sinc=sinc, si=sine_integral, where=lambda cond, a, b: a if cond else b,
+    sinc=sinc, where=lambda cond, a, b: a if cond else b,
     atan2=math.atan2, hypot=math.hypot, round=round,
 )
 
 ARRAY = _namespace(
     "ARRAY",
     sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt, abs=np.abs,
-    sinc=_sinc_array, si=lambda a, out=None: _sici(a, out=(out, None))[0], where=np.where,
+    sinc=_sinc_array, where=np.where,
 )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError
-from .kernels import ARRAY
+from .kernels import ARRAY, _load_si
 from .linearization import (
     _FAMILY_OF,
     DesignFamily,
@@ -415,6 +415,7 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     # in whichever worker finishes its laws first.
     jobs.extend(functools.partial(_lemma_slacks, k) for k in LEMMA_GAINS)
     if samples >= _FORK_MIN_SAMPLES:
+        _load_si()  # for glofo's job: a worker that loaded scipy would lose it on exit
         results = _forked_map(lambda job: job(), jobs)
     else:
         results = [job() for job in jobs]

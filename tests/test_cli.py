@@ -432,6 +432,21 @@ class TestForkedMap:
         # failing one waited for the shared index, start after it.
         assert len(calls) - calls.index("1") - 1 < 10
 
+    def test_worker_that_leaves_without_a_result(self, monkeypatch):
+        # A forked worker that ends inside fn, through os._exit, writes
+        # nothing to its pipe: the call raises once the caller is done.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        caller = os.getpid()
+
+        def leave(x):
+            if os.getpid() != caller:
+                os._exit(0)
+            return x
+
+        with pytest.raises(RuntimeError, match="^a forked worker ended without a result$"):
+            _forked_map(leave, list(range(4)))
+        assert_no_children()
+
     def test_many_trivial_items(self, monkeypatch):
         # Far more indices than a pipe holds at once (64 KiB) are dealt.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import unipark
 from unipark.errors import BarrierDomainError, DomainError
 from unipark.kernels import ARRAY, SCALAR, half_tan, psi, sinc, sine_integral, wrap_angle
 
@@ -97,6 +104,85 @@ class TestSineIntegral:
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError):
             sine_integral(math.nan)
+
+
+def run_fresh(code: str, tmp_path: Path) -> dict:
+    """The JSON that ``code`` prints last, run in a fresh interpreter in
+    ``tmp_path``, where every forked map has two workers and records whether
+    scipy.special was loaded when it began, in ``entered``."""
+    prelude = textwrap.dedent("""
+        import json, os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        import unipark.cli, unipark.simulate, unipark.verify
+        entered = []
+        def spy(fn, items, forked_map=unipark.simulate._forked_map):
+            entered.append("scipy.special" in sys.modules)
+            return forked_map(fn, items)
+        for module in (unipark.cli, unipark.simulate, unipark.verify):
+            module._forked_map = spy
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(unipark.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SWEEP = {"dt": 0.01, "t_max": 1.0, "grid_polar": [[1.0, 0.5, 0.2], [1.5, -0.5, 0.2], [2.0, 1.0, -0.3]]}
+
+
+class TestScipyLoadedOnFirstSi:
+    """Only glofo's law and certificate evaluate Si, so only a process that
+    runs them imports scipy; a caller that forks out such work loads it
+    first, so the workers inherit it."""
+
+    @pytest.mark.parametrize("argv, loaded, entered", [
+        (None, False, []),
+        (["simulate", "--controller", "genova", "--init-polar=1,0.5,0.2", "--t-max", "1"], False, []),
+        (["gains", "--family", "forwarding", "--poles=-1,-2,-3"], False, []),
+        (["sweep", "--config", "globa_barfli_bagal.json"], False, [False]),
+        (["simulate", "--controller", "glofo", "--init-polar=1,0.5,0.2", "--t-max", "1"], True, []),
+        (["verify", "--samples", "5000"], True, [True]),
+        (["sweep", "--config", "glofo.json"], True, [True]),
+    ], ids=["import", "simulate-genova", "gains", "sweep-other-laws", "simulate-glofo", "verify-forked",
+            "sweep-glofo"])
+    def test_cli(self, tmp_path, argv, loaded, entered):
+        (tmp_path / "globa_barfli_bagal.json").write_text(json.dumps(
+            {"controllers": ["globa", "barfli", "bagal"], **SWEEP}))
+        (tmp_path / "glofo.json").write_text(json.dumps({"controller": "glofo", **SWEEP}))
+        got = run_fresh(f"""
+            code = None if {argv!r} is None else unipark.cli.main({argv!r})
+            print(json.dumps({{"code": code, "loaded": "scipy.special" in sys.modules, "entered": entered}}))
+        """, tmp_path)
+        assert got == {"code": None if argv is None else 0, "loaded": loaded, "entered": entered}
+
+    def test_library_sweep_of_glofo(self, tmp_path):
+        got = run_fresh("""
+            from unipark import ControllerId, PolarState, Scenario, sweep
+            records = sweep(Scenario(ControllerId.GLOFO, dt=0.01, t_max=1.0),
+                            [PolarState(1.0, 0.5, 0.2), PolarState(1.5, -0.5, 0.2)])
+            print(json.dumps({"loaded": "scipy.special" in sys.modules, "entered": entered,
+                              "ends": [r.termination for r in records]}))
+        """, tmp_path)
+        assert got["loaded"] and got["entered"] == [True] and len(got["ends"]) == 2
+
+    @pytest.mark.parametrize("first", ["sine_integral(x)", "SCALAR.si(x)", "ARRAY.si(np.array(x))"])
+    def test_every_form_is_scipys_sici_bitwise(self, tmp_path, first):
+        # Whichever form loads scipy, each is sici(x)[0], bit for bit.
+        got = run_fresh(f"""
+            import numpy as np
+            from unipark.kernels import ARRAY, SCALAR, sine_integral
+            xs = [0.0, -0.0, 1e-300, -1e-300, 1e-4, -0.3, 1.0, -1.0, 3.141592653589793, 40.0, -40.0, 1e6]
+            assert "scipy.special" not in sys.modules
+            firsts = [float({first}) for x in xs]
+            from scipy.special import sici
+            want = np.array([sici(x)[0] for x in xs])
+            a, out = np.array(xs), np.full(len(xs), 7.0)
+            forms = [np.array(firsts), np.array([sine_integral(x) for x in xs]),
+                     np.array([SCALAR.si(x) for x in xs]), ARRAY.si(a), ARRAY.si(a, out=out), out]
+            print(json.dumps([f.tobytes() == want.tobytes() for f in forms]))
+        """, tmp_path)
+        assert got == [True] * 6
 
 
 class TestPsi:
