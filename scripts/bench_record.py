@@ -12,7 +12,7 @@ does) and the repository's own ``.git`` is left alone.  Then:
 2. The Tier-1 suite runs once per side, one side after the other, with
    ``--durations=0``; the wall time, the outcome counts and the setup time
    of the ``convergence_batches`` fixture are recorded.
-3. Cold start: each command of ``COLD_START`` runs ``--cold`` times per
+3. Cold start: each command of ``COLD_START`` runs ``COLD_RUNS`` times per
    side in a fresh interpreter, the sides alternating as the pairs do, and
    the median wall time of each is recorded with the head/base ratio.
 
@@ -28,7 +28,7 @@ Each run lasts ``perfbench/run.py``'s own default length; the seconds it
 spent in the program and its round count are read from its output and
 recorded with the run.  Run the script from anywhere inside the repository
 on an otherwise idle machine; it takes about 2 x pairs x 15 s per workload
-plus two Tier-1 runs and 2 x cold x 0.5 s.
+plus two Tier-1 runs and 4 x COLD_RUNS fresh interpreters of 0.1-0.3 s.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ COLD_START = {
     "import_cli": ["-c", "import unipark.cli"],
     "gains": ["-m", "unipark.cli", "gains", "--family", "forwarding", "--poles=-1,-2,-3"],
 }
+# Fresh interpreters per side per cold-start command.
+COLD_RUNS = 20
 
 
 def git(*args: str) -> str:
@@ -186,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", required=True, type=Path, help="the BENCH_<n>.json file to write")
     ap.add_argument("--pairs", action="append", default=[],
                     help="pairs per workload: N for every workload, or WORKLOAD=N (repeatable; default 3)")
-    ap.add_argument("--cold", type=int, default=20, help="fresh interpreters per side per cold-start command")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -214,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in ("base", "head"):
             record["tier1"][side] = tier1(trees[side])
             print(f"tier-1 {side}: {record['tier1'][side]}", file=sys.stderr)
-        record["cold_start_s"] = cold_start(trees, args.cold, Path(tmp))
+        record["cold_start_s"] = cold_start(trees, COLD_RUNS, Path(tmp))
         print(f"cold start: {record['cold_start_s']['median_ratio']}", file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)

@@ -92,10 +92,10 @@ def _load_si() -> None:
     """Import scipy's ``sici`` as ``_sici`` and set :data:`SCALAR`'s and
     :data:`ARRAY`'s ``si``, plain attributes from then on.
 
-    Until then a namespace's ``__getattr__`` calls this on the first read of
-    its ``si``, and ``_sici`` on the first :func:`sine_integral`.  A forked
-    worker that loads scipy loses it when it exits, so a caller loads it
-    before dealing out work that evaluates Si.
+    Until then the ``__getattr__`` of each of the two namespaces calls this
+    on the first read of its ``si``, and ``_sici`` on the first
+    :func:`sine_integral`.  A forked worker that loads scipy loses it when it
+    exits, so a caller loads it before dealing out work that evaluates Si.
     """
     global _sici
     from scipy.special import sici as _sici
@@ -150,14 +150,6 @@ def _namespace(name: str, **primitives) -> ModuleType:
     ns = ModuleType(f"{__name__}.{name}")
     ns.__dict__.update(primitives)
     ns.psi = lambda z, gamma: ns.sinc(z) * ns.cos(z - 2.0 * gamma)
-
-    def __getattr__(attr: str):  # PEP 562: reached only by a name not set
-        if attr != "si":
-            raise AttributeError(f"module {ns.__name__!r} has no attribute {attr!r}")
-        _load_si()
-        return ns.si
-
-    ns.__getattr__ = __getattr__
     return ns
 
 
@@ -185,6 +177,23 @@ ARRAY = _namespace(
     sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt, abs=np.abs,
     sinc=_sinc_array, where=np.where,
 )
+
+
+def _si_on_first_read(ns: ModuleType):
+    """A PEP 562 ``__getattr__`` for ``ns``, reached only by a name not set:
+    the first read of ``ns.si`` loads Si (:func:`_load_si`)."""
+
+    def __getattr__(attr: str):
+        if attr != "si":
+            raise AttributeError(f"module {ns.__name__!r} has no attribute {attr!r}")
+        _load_si()
+        return ns.si
+
+    return __getattr__
+
+
+SCALAR.__getattr__ = _si_on_first_read(SCALAR)
+ARRAY.__getattr__ = _si_on_first_read(ARRAY)
 
 
 # The primitives a traced expression may call; compiled code calls SCALAR's
