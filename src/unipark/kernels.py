@@ -102,6 +102,10 @@ def _load_si() -> None:
 
     SCALAR.si = sine_integral
     ARRAY.si = lambda a, out=None: _sici(a, out=(out, None))[0]
+    # CPython does not specialise attribute loads on a module whose dict
+    # holds __getattr__, so the loader goes once it has nothing to load.
+    for ns in (SCALAR, ARRAY):
+        vars(ns).pop("__getattr__", None)
 
 
 def psi(z: float, gamma: float) -> float:

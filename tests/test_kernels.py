@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 import unipark
 from unipark.errors import BarrierDomainError, DomainError
-from unipark.kernels import ARRAY, SCALAR, half_tan, psi, sinc, sine_integral, wrap_angle
+from unipark.kernels import ARRAY, SCALAR, _namespace, half_tan, psi, sinc, sine_integral, wrap_angle
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -168,7 +168,9 @@ class TestScipyLoadedOnFirstSi:
 
     @pytest.mark.parametrize("first", ["sine_integral(x)", "SCALAR.si(x)", "ARRAY.si(np.array(x))"])
     def test_every_form_is_scipys_sici_bitwise(self, tmp_path, first):
-        # Whichever form loads scipy, each is sici(x)[0], bit for bit.
+        # Whichever form loads scipy, each is sici(x)[0], bit for bit, and
+        # neither namespace keeps the loader, which would cost every
+        # attribute load its specialisation.
         got = run_fresh(f"""
             import numpy as np
             from unipark.kernels import ARRAY, SCALAR, sine_integral
@@ -180,9 +182,14 @@ class TestScipyLoadedOnFirstSi:
             a, out = np.array(xs), np.full(len(xs), 7.0)
             forms = [np.array(firsts), np.array([sine_integral(x) for x in xs]),
                      np.array([SCALAR.si(x) for x in xs]), ARRAY.si(a), ARRAY.si(a, out=out), out]
-            print(json.dumps([f.tobytes() == want.tobytes() for f in forms]))
+            print(json.dumps([f.tobytes() == want.tobytes() for f in forms]
+                             + ["__getattr__" not in vars(ns) for ns in (SCALAR, ARRAY)]))
         """, tmp_path)
-        assert got == [True] * 6
+        assert got == [True] * 8
+
+    def test_only_scalar_and_array_load_si(self):
+        with pytest.raises(AttributeError):
+            _namespace("PLAIN", sin=math.sin).si
 
 
 class TestPsi:
