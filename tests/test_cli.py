@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unipark.cli
+import unipark.lyapunov
 import unipark.svg
 import unipark.verify
 from oracles import (
@@ -824,6 +825,14 @@ class TestVerifyCommand:
         assert {"positive_definiteness", "gradient_fd", "rate_equality",
                 "rate_domination", "barrier_blowup", "jacobian_fd",
                 "pole_roundtrip", "lemma_grid"} <= names
+
+    def test_lemma_slacks_in_blocks_are_the_whole_grids(self):
+        x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
+        assert len(x) % unipark.verify._LEMMA_BLOCK != 0  # a short last block
+        for k in unipark.verify.LEMMA_GAINS:
+            s1, s2 = unipark.lyapunov.appendix_bounds_slack(float(k), x)
+            want = np.array([np.min(s1), np.min(s2)])
+            assert np.array(unipark.verify._lemma_slacks(k)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 12345, 935547811])
     def test_report_independent_of_worker_count(self, monkeypatch, seed):
