@@ -8,6 +8,8 @@ The set is:
   chart from (x, y, theta) = (-1.2, -0.7, 0.4) at dt 0.01;
 - a Cartesian globa run with gains (1, 1, 0.1, 1) from (2, 0.4, 0), which
   crosses the front line;
+- genova from (rho, delta, gamma) = (1.5, 0, 0) at dt 0.01 in both charts,
+  a radial run whose logs hold -0.0 (y = -rho sin 0) and 0.0;
 - runs that end other than by converging, in the step of the integrator's
   block where it ends: bagal from (1, 3, 2) at dt 0.2 (barrier guard);
   globa-cons from (1, 3, 2) at dt 900 in both charts (numeric in polar,
@@ -104,6 +106,8 @@ ENDINGS = {
     "numeric/overflowing-drawing": ["--controller", "globa", "--init-polar=1,3,2", "--dt", "109.1",
                                     "--t-max", "21820", "--frame", "cartesian"],
 }
+RADIAL = {f"radial/{chart}": ["--controller", "genova", "--init-polar=1.5,0,0", "--dt", "0.01", "--frame", chart]
+          for chart in ("polar", "cartesian")}
 # Runs set up by a config, for a field no flag sets: bagal at the front line
 # figure's gains trips a guard 1.904 from pi at step 3193.
 CONFIG_ENDINGS = {
@@ -132,7 +136,7 @@ def produce(out: Path) -> None:
             cli_main(["simulate", "--controller", cid.value, *flags, "--out", str(out / chart)])
     cli_main(["simulate", "--controller", "globa", "--gains", "1,1,0.1,1", "--init-cart", "2,0.4,0",
               "--frame", "cartesian", "--t-max", "120", "--out", str(out / "crossing")])
-    for name, flags in ENDINGS.items():
+    for name, flags in {**RADIAL, **ENDINGS}.items():
         cli_main(["simulate", *flags, "--out", str(out / name)])
     for name, cfg in CONFIG_ENDINGS.items():
         (out / name).mkdir(parents=True)

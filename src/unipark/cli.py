@@ -3,7 +3,10 @@ certificate verification suite.
 
 Exit codes: 0 success / all checks passed, 1 run or check failure, 2 usage
 or configuration error.  All outputs are pure functions of the config plus
-seed; reruns produce byte-identical CSV/JSON.
+seed; reruns produce byte-identical CSV/JSON.  Each logged value is written
+as its ``repr``, from digits computed in numpy a chunk of rows at a time
+(:mod:`unipark._reprtext`); a chunk holding a NaN, an infinity or a
+subnormal value goes through ``repr`` itself.
 
 Scenario files are JSON; inline flags override file fields.  Controller
 names use the lowercase acronyms (genova, bolsa, bopa, bagal, glofo, bofo,
@@ -49,12 +52,11 @@ CSV_COLUMNS = ("t", "x", "y", "theta", "rho", "delta", "gamma", "v", "omega", "V
 # Rows formatted per pass of write_trajectory, so its memory stays bounded
 # however long the run.
 _CHUNK_ROWS = 256
-_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
-# One row of the data array as json.dump(indent=2) lays it out, three levels deep.
-_JSON_ROW = "\n    [\n      " + ",\n      ".join(["%s"] * len(CSV_COLUMNS)) + "\n    ]"
+# The data array as json.dump(indent=2) lays it out, three levels deep: the
+# text around each row and between its values.
+_JSON_ROW_OPEN, _JSON_VALUE_SEP, _JSON_ROW_CLOSE = "\n    [\n      ", ",\n      ", "\n    ]"
 # The top-level "data" key; only top-level keys sit at a two-space indent.
 _JSON_DATA = '\n  "data": '
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _parse_floats(spec, what: str, lo: int = 3, hi: int = 3) -> tuple[float, ...]:
@@ -173,12 +175,19 @@ def write_trajectory(traj: Trajectory, csv_path: Path | None, json_path: Path | 
     """Write the logged columns of ``traj`` as CSV and/or JSON (a ``None``
     path skips that format).
 
-    The 11 columns are stacked and each value is formatted once, with
-    ``repr``, a chunk of rows at a time; the same strings fill both files.
-    The JSON matches ``json.dump`` with ``indent=2, sort_keys=True``: the
-    envelope goes through ``json``, and only the ``data`` rows are spliced
-    in, with non-finite values spelled as ``json`` spells them.
+    The 11 columns are stacked a chunk of rows at a time, and each chunk is
+    formatted once, as CSV rows in which every value reads as its ``repr``
+    (:func:`~unipark._reprtext.repr_rows`: shortest round-trip digits
+    computed in numpy; a chunk holding a non-finite or subnormal value goes
+    through ``repr`` itself).  The JSON rows are that text with the
+    separators replaced.  The JSON matches ``json.dump`` with ``indent=2,
+    sort_keys=True``: the envelope goes through ``json``, and only the
+    ``data`` rows are spliced in, with non-finite values spelled as ``json``
+    spells them.
     """
+    # Imported here, so that its compile time stays off the CLI's start.
+    from ._reprtext import repr_rows
+
     columns = (traj.t, traj.cartesian, traj.polar, traj.v, traj.omega, traj.V, traj.metric)
     rows = len(traj.t)
     with contextlib.ExitStack() as stack:
@@ -202,13 +211,16 @@ def write_trajectory(traj: Trajectory, csv_path: Path | None, json_path: Path | 
         for start in range(0, rows, _CHUNK_ROWS):
             # Stacked per chunk: a whole-run table would be one more copy of the log.
             chunk = np.column_stack([c[start:start + _CHUNK_ROWS] for c in columns])
-            text = list(map(repr, chunk.ravel().tolist()))
+            text = repr_rows(chunk)
             if csv is not None:
-                csv.write(_CSV_ROW * len(chunk) % tuple(text))
+                csv.write(text)
             if js is not None:
                 if not np.isfinite(chunk).all():
-                    text = [_JSON_NONFINITE.get(v, v) for v in text]
-                js.write(("," if start else "") + ",".join([_JSON_ROW] * len(chunk)) % tuple(text))
+                    text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                # "]" marks the row ends while the commas are replaced.
+                body = text[:-1].replace("\n", "]").replace(",", _JSON_VALUE_SEP)
+                body = body.replace("]", _JSON_ROW_CLOSE + "," + _JSON_ROW_OPEN)
+                js.write(("," if start else "") + _JSON_ROW_OPEN + body + _JSON_ROW_CLOSE)
         if js is not None:
             js.write(("\n  ]" if rows else "]") + tail + "\n")
 
@@ -353,12 +365,18 @@ def cmd_gains(args: argparse.Namespace) -> int:
     family = _choice(DesignFamily, args.family, "family")
     if args.epsilon is not None and not math.isfinite(args.epsilon):
         raise ConfigError(f"--epsilon must be finite, got {args.epsilon!r}")
-    poles = [_parse_pole(p) for p in args.poles.split(",") if p.strip()]
+    texts = [p.strip() for p in args.poles.split(",") if p.strip()]
+    poles = [_parse_pole(p) for p in texts]
     if len(poles) != 3:
         raise ConfigError(f"--poles needs three comma-separated values, got {len(poles)}")
     lam1, lam2, lam3 = poles
     if lam1.imag != 0.0:
         raise ConfigError("the first pole must be real")
+    # Checked here, in the poles' own sign: PoleSpec holds p = -lambda.
+    for text, lam in zip(texts, poles):
+        if not lam.real < 0.0:
+            print(f"infeasible: pole {text!r} must have a negative real part", file=sys.stderr)
+            return 1
     try:
         spec = PoleSpec(-lam1.real, -lam2, -lam3)
         solutions = assign_gains(family, spec, strict=args.strict, epsilon=args.epsilon)

@@ -535,8 +535,18 @@ def appendix_bounds_slack(k, x):
     x = np.asarray(x, float)
     if np.any(k < 1.0):
         raise DomainError("appendix bounds require k >= 1")
-    s1 = k * x * x - (1.0 - k * ARRAY.sinc(2.0 * x))
-    cx = np.cos(x)
-    s2 = 2.0 * (1.0 + k) * np.tan(0.5 * x) ** 2 - (1.0 - k * cx * (1.0 + cx))
+    return _appendix_slacks(k, x, *_appendix_terms(x))
+
+
+def _appendix_terms(x):
+    """The gain-independent terms of the appendix inequalities at x:
+    sinc(2x), cos(x) and tan(x/2)^2."""
+    return ARRAY.sinc(2.0 * x), np.cos(x), np.tan(0.5 * x) ** 2
+
+
+def _appendix_slacks(k, x, sinc_2x, cx, tan2_half_x):
+    """:func:`appendix_bounds_slack` from the terms of :func:`_appendix_terms`."""
+    s1 = k * x * x - (1.0 - k * sinc_2x)
+    s2 = 2.0 * (1.0 + k) * tan2_half_x - (1.0 - k * cx * (1.0 + cx))
     return s1, s2
 

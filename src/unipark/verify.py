@@ -42,7 +42,8 @@ from .linearization import (
 from .lyapunov import (
     RateKind,
     SteeringClf,
-    appendix_bounds_slack,
+    _appendix_slacks,
+    _appendix_terms,
     steering_clf,
     steering_directional_derivative,
 )
@@ -317,12 +318,21 @@ def pole_roundtrip_check(
     return CheckResult("pole_roundtrip", family.value, worst < POLE_ROUNDTRIP_TOL, worst)
 
 
-def _lemma_slacks(k: int) -> tuple[float, float]:
-    """The least slack of each appendix inequality at gain k on the grid
-    x in [-20, 20] at step 1e-3, taken ``_LEMMA_BLOCK`` points at a time."""
+@functools.cache
+def _lemma_blocks() -> list[tuple]:
+    """The lemma grid x in [-20, 20] at step 1e-3 in blocks of
+    ``_LEMMA_BLOCK`` points, each with its gain-independent terms.  Computed
+    once per process, by its first lemma job: a forked worker computes its
+    own, and the caller does not compute them before dealing the jobs."""
     x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
-    mins = [[np.min(s) for s in appendix_bounds_slack(float(k), x[i:i + _LEMMA_BLOCK])]
+    return [(x[i:i + _LEMMA_BLOCK], *_appendix_terms(x[i:i + _LEMMA_BLOCK]))
             for i in range(0, len(x), _LEMMA_BLOCK)]
+
+
+def _lemma_slacks(k: int) -> tuple[float, float]:
+    """The least slack of each appendix inequality at gain k on the lemma
+    grid, taken a block at a time."""
+    mins = [[np.min(s) for s in _appendix_slacks(float(k), *block)] for block in _lemma_blocks()]
     s1, s2 = np.min(mins, axis=0)
     return float(s1), float(s2)
 

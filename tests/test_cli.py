@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unipark._reprtext
 import unipark.cli
 import unipark.lyapunov
 import unipark.svg
@@ -226,6 +227,8 @@ def _scenario(kind: str) -> Scenario:
     if kind == "crossing":  # Cartesian chart; crosses the x-axis in front of and behind the target
         return Scenario(controller=ControllerId.GLOBA, gains=Gains(1.0, 1.0, 0.1, 1.0),
                         initial=CartesianState(2.0, 0.4, 0.0), frame="cartesian", dt=0.05, t_max=120.0)
+    if kind == "radial":  # y = -rho sin 0 logs -0.0 in every row
+        return Scenario(controller=ControllerId.GENOVA, initial=PolarState(1.5, 0.0, 0.0), dt=0.01)
     if kind == "one_row":  # converged at t = 0
         return Scenario(controller=ControllerId.GENOVA, initial=PolarState(1e-5, 0.0, 0.0))
     assert kind == "long"  # t_max reached after more rows than one chunk
@@ -240,12 +243,14 @@ class TestTrajectoryWriters:
         assert (tmp_path / "t.csv").read_text() == trajectory_csv_reference(traj)
         assert (tmp_path / "t.json").read_text() == trajectory_json_reference(traj)
 
-    @pytest.mark.parametrize("kind", ["polar", "crossing", "one_row", "long"])
+    @pytest.mark.parametrize("kind", ["polar", "crossing", "radial", "one_row", "long"])
     def test_runs(self, tmp_path, kind):
         traj = integrate(_scenario(kind))
         rows = {"one_row": 1, "long": 6001}.get(kind)
         assert rows is None or len(traj.t) == rows
         assert (kind == "crossing") == bool(traj.crossings)
+        y = traj.cartesian[:, 1]
+        assert kind != "radial" or (np.signbit(y) & (y == 0.0)).sum() > 900
         assert kind != "long" or len(traj.t) > 20 * unipark.cli._CHUNK_ROWS
         self._assert_matches_reference(traj, tmp_path)
 
@@ -373,6 +378,64 @@ class TestPolylineText:
         screen = np.array([p.split(",") for p in points.split()], dtype=float)
         assert screen.shape == (3, 2)
         assert (screen >= 0).all() and (screen[:, 0] <= w).all() and (screen[:, 1] <= h).all()
+
+
+def repr_rows_reference(chunk):
+    """The CSV rows of one chunk, one ``repr`` per value."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in chunk.tolist())
+
+
+# Shortest forms of 1 and 17 digits, the layout switches at 1e-4 and 1e16,
+# and the ends of the normal range.
+REPR_EDGES = [
+    0.0, -0.0, 1.0, 5.0, 3e-7, 2e200, 0.1, 0.3, 1.2345678901234567, 1.7976931348623157e308,
+    2.2250738585072014e-308, 1e-5, 1e-4, 9999999999999998.0, 1e16, 2.0**53 - 1, 2.0**53 + 2,
+    1e22, 1e23, 1e-99, 1e-100, 1e99, 1e100, 123456.789, 0.00012345678901234567, 1234567890123456.0,
+]
+
+
+class TestReprRows:
+    """The numpy digits are byte for byte ``repr``, on every float64."""
+
+    @staticmethod
+    def _assert_matches_reference(values, cols, monkeypatch=None):
+        values = np.asarray(values, dtype=float)
+        chunk = np.append(values, np.ones(-len(values) % cols)).reshape(-1, cols)
+        if monkeypatch is not None:  # finite and normal: no value goes through repr
+            monkeypatch.setattr(unipark._reprtext, "repr", None, raising=False)
+        assert unipark._reprtext.repr_rows(chunk) == repr_rows_reference(chunk)
+
+    def test_edges(self, monkeypatch):
+        normal = np.array(REPR_EDGES + [np.nextafter(v, d) for v in (1e-5, 1e-4) for d in (0.0, 1.0)])
+        self._assert_matches_reference(np.concatenate([normal, -normal]), 11, monkeypatch)
+
+    @pytest.mark.parametrize("odd", [5e-324, np.nextafter(2.2250738585072014e-308, 0.0), math.nan,
+                                     math.inf, -math.inf])
+    def test_fallback(self, odd):
+        self._assert_matches_reference(REPR_EDGES + [odd], 3)
+
+    def test_random_bit_patterns(self, monkeypatch):
+        # 2^20 uniform 64-bit patterns, the non-finite and subnormal ones
+        # (about 1 in 1000) left out, in chunks of 2^16 values.
+        values = np.random.default_rng(27).integers(0, 2**64, 2**20, dtype=np.uint64, endpoint=False)
+        values = values.view(np.float64)
+        values = values[np.isfinite(values) & (np.abs(values) >= 2.2250738585072014e-308)]
+        values = values[:len(values) // 16 * 16]
+        monkeypatch.setattr(unipark._reprtext, "repr", None, raising=False)
+        chunks = [values[i:i + 2**16].reshape(-1, 16) for i in range(0, len(values), 2**16)]
+        assert sum(c.size for c in chunks) > 10**6
+        got = "".join(unipark._reprtext.repr_rows(c) for c in chunks)
+        assert got == "".join(repr_rows_reference(c) for c in chunks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=60), st.integers(1, 11))
+    def test_any_float(self, values, cols):
+        # Any chunk, and the same chunk with its NaN, infinite and subnormal
+        # values set to 1, which takes the numpy digits.
+        self._assert_matches_reference(values, cols)
+        a = np.array(values)
+        self._assert_matches_reference(np.where(np.isfinite(a) & ((np.abs(a) >= 2.2250738585072014e-308)
+                                                                   | (a == 0.0)), a, 1.0), cols)
 
 
 class TestForkedMap:
@@ -772,6 +835,13 @@ class TestGainsCommand:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["solutions"]) == 2
+
+    @pytest.mark.parametrize("poles, typed", [
+        ("1,-2,-3", "1"), ("-1,0.5+1i,0.5-1i", "0.5+1i"), ("-1,-2,0", "0"), ("-1,0+2i,0-2i", "0+2i"),
+    ])
+    def test_infeasible_pole_is_quoted_as_typed(self, tmp_path, capsys, poles, typed):
+        assert run(["gains", "--family", "passivity", f"--poles={poles}", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"infeasible: pole {typed!r} must have a negative real part\n"
 
     def test_bad_pole_count(self, tmp_path):
         assert run(["gains", "--family", "passivity", "--poles=-1,-2", "--out", str(tmp_path)]) == 2

@@ -868,6 +868,12 @@ def assert_lockstep(s, starts, br, exact):
     return kinds
 
 
+# The wide-batch contract's bound on final states, relative to the largest
+# component: a few last-bit differences per step, carried through at most
+# t_max / dt = 600 steps of a contracting loop, stay far below it.
+WIDE_BATCH_RTOL = 1e-9
+
+
 @pytest.fixture(params=[None, 0], ids=["scalar_runs_default", "array_only"])
 def scalar_runs(request, monkeypatch):
     if request.param is not None:
@@ -925,6 +931,28 @@ class TestBatch:
             assert (got is None) == (want is None), f.name
             if got is not None:
                 assert got[1:].tobytes() == want[1:].tobytes(), f.name
+
+    @pytest.mark.parametrize("cid, lanes", [(cid, 64) for cid in ControllerId] + [(ControllerId.BAGAL, 1000)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_wide_batch_contract(self, cid, lanes):
+        # Wider than _SCALAR_RUNS, a batch steps in the array loop, where
+        # numpy's tan, arctan and squares may round the last bit differently
+        # from libm's: each run ends as integrate's does, at the same step,
+        # in a state within WIDE_BATCH_RTOL of the largest component of
+        # integrate's.  The bound was fixed before the test first ran.
+        s = Scenario(controller=cid, gains=UNIT, dt=0.05, t_max=30.0)
+        starts = sample_metric_ball(ctl.controller_space(cid), lanes, np.random.default_rng([27, lanes]))
+        assert lanes > unipark.simulate._SCALAR_RUNS
+        br = integrate_batch(s, starts)
+        for i, start in enumerate(starts):
+            tr = integrate(replace(s, initial=PolarState(*start)))
+            assert br.converged[i] == (tr.termination is Termination.CONVERGED)
+            assert br.barrier_trips[i] == (tr.termination is Termination.BARRIER_GUARD)
+            assert br.numeric_failures[i] == (tr.termination is Termination.NUMERIC)
+            t_conv = tr.convergence_time() if tr.termination is Termination.CONVERGED else math.nan
+            assert np.float64(br.convergence_time[i]).tobytes() == np.float64(t_conv).tobytes()
+            final = tr.polar[-1]
+            assert np.abs(br.final_states[i] - final).max() <= WIDE_BATCH_RTOL * np.abs(final).max()
 
     def test_matches_scalar(self):
         inits = np.array([[1.5, 1.0, -0.5], [0.8, -2.0, 0.7]])
