@@ -86,20 +86,18 @@ def _round_to_odd(g1, g1h, g1l, g0h, g0l, cp):
     return _mul_high(g1h, g1l, ch, cl) + (z >> 63) | ((z & _MASK63) + _MASK63) >> 63
 
 
-def repr_rows(chunk: np.ndarray) -> str:
-    """The rows of the float64 table ``chunk`` as CSV, each value ``repr``."""
-    rows, cols = chunk.shape
-    bits = np.ascontiguousarray(chunk, dtype=np.float64).view(np.uint64).ravel()
-    mag = bits & _MASK63
+def _shortest(mag):
+    """(d, e): the shortest decimal that reads back to each double of
+    magnitude bits ``mag`` (finite, normal or zero), the nearest of those,
+    as its 17 digits d0 d1 ... d16 in d (trailing zeros included) and the
+    exponent e of d0."""
+    g1t, g0t, *_ = _tables()
     zero = mag == 0
-    if not (((mag >> 52) - 1 < 2046) | zero).all():  # NaN, inf or subnormal
-        return ((",".join(["%s"] * cols) + "\n") * rows) % tuple(map(repr, chunk.ravel().tolist()))
-    g1t, g0t, dotted, three, last, keep = _tables()
-    mag |= zero * np.uint64(0x3FF0000000000000)  # 0 is written as 1, then its digit cleared
+    mag = mag | zero * np.uint64(0x3FF0000000000000)  # 0 is written as 1, then its digits cleared
     biased = (mag >> 52).astype(np.int64)
     c = mag & (1 << 52) - 1 | 1 << 52
     q = biased - 1075  # the value is c 2^q
-    irregular = (c == 1 << 52) & (biased > 1)  # the double below is 2^(q-2) closer
+    irregular = (c == 1 << 52) & (biased > 1)  # the double below is half as far as the one above
     k = (q * 661971961083 - irregular * 274743187321) >> 41  # floor(log10((3/4 or 1) 2^q))
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
     g1, g0 = g1t.take(k - _K_MIN), g0t.take(k - _K_MIN)
@@ -120,10 +118,14 @@ def repr_rows(chunk: np.ndarray) -> str:
     mid = 4 * s + 2
     take_s = (vbl <= s << 2) & ~((s + 1 << 2 <= vbr) & ((vb > mid) | (vb == mid) & (s & 1 == 1)))
     r = np.where(low10 ^ high10, np.where(high10, s10 + 10, s10), s + 1 - take_s)
-    # r has 16 or 17 digits; d is r padded to 17, the digits d0 d1 ... d16.
-    wide = r >= 10**16
-    d = np.where(wide, r, r * 10) * ~zero
-    exp10 = k + 15 + wide
+    wide = r >= 10**16  # r has 16 or 17 digits
+    return np.where(wide, r, r * 10) * ~zero, k + 15 + wide
+
+
+def _frames(d, e, rows, cols):
+    """The frames of the decimals (d, e) as (rows, cols, 48) bytes, and
+    the digit count and layout of each as n * _LAYOUTS + layout."""
+    _, _, dotted, three, last, _ = _tables()
     d0 = d // 10**16
     tail = d - d0 * 10**16
     hi = tail // 10**8
@@ -132,17 +134,29 @@ def repr_rows(chunk: np.ndarray) -> str:
     groups = (hi4, hi - hi4 * 10**4, lo4, lo - lo4 * 10**4)
     n = np.maximum(np.maximum(last[0].take(groups[0]), last[1].take(groups[1])),
                    np.maximum(last[2].take(groups[2]), last[3].take(groups[3])))
-    big = np.abs(exp10)
-    sci = (exp10 < -4) | (exp10 > 15)
-    layout = np.where(sci, 20 + (big >= 100), exp10 + 4)
+    big = np.abs(e)
+    layout = np.where((e < -4) | (e > 15), 20 + (big >= 100), e + 4)
     frame = np.empty((rows, cols, 6), dtype="<u8")
     frame[..., 0] = (_FRAME_HEAD | d0 + 48 << 48).reshape(rows, cols)
     for j, group in enumerate(groups):
         frame[..., j + 1] = dotted.take(group).reshape(rows, cols)
-    frame[..., 5] = (np.where(exp10 < 0, np.uint64(0x2D65), np.uint64(0x2B65))
-                     | three.take(big) << 16).reshape(rows, cols)
+    # "e-ddd" or "e+ddd"
+    exponent = np.where(e < 0, np.uint64(0x2D65), np.uint64(0x2B65)) | three.take(big) << 16
+    frame[..., 5] = exponent.reshape(rows, cols)
     text = frame.view(np.uint8).reshape(rows, cols, _FRAME_BYTES)
     text[:, :, 45] = ord(",")
     text[:, -1, 45] = ord("\n")
-    mask = keep.take(((bits >> 63).astype(np.int64) * 17 + n) * _LAYOUTS + layout, axis=0)
+    return text, n.astype(np.int64) * _LAYOUTS + layout
+
+
+def repr_rows(chunk: np.ndarray) -> str:
+    """The rows of the float64 table ``chunk`` as CSV, each value ``repr``."""
+    rows, cols = chunk.shape
+    bits = np.ascontiguousarray(chunk, dtype=np.float64).view(np.uint64).ravel()
+    mag = bits & _MASK63
+    if not (((mag >> 52) - 1 < 2046) | (mag == 0)).all():  # NaN, inf or subnormal
+        return ((",".join(["%s"] * cols) + "\n") * rows) % tuple(map(repr, chunk.ravel().tolist()))
+    text, kind = _frames(*_shortest(mag), rows, cols)
+    *_, keep = _tables()
+    mask = keep.take((bits >> 63).astype(np.int64) * (17 * _LAYOUTS) + kind, axis=0)
     return np.compress(mask.ravel(), text.ravel()).tobytes().decode("ascii")
