@@ -389,7 +389,7 @@ def repr_rows_reference(chunk):
 # and the ends of the normal range.
 REPR_EDGES = [
     0.0, -0.0, 1.0, 5.0, 3e-7, 2e200, 0.1, 0.3, 1.2345678901234567, 1.7976931348623157e308,
-    2.2250738585072014e-308, 1e-5, 1e-4, 9999999999999998.0, 1e16, 2.0**53 - 1, 2.0**53 + 2,
+    2.2250738585072014e-308, 1e-5, 1e-4, 9999999999999998.0, 1e16, 2.0**53 - 1, 2.0**53, 2.0**53 + 2,
     1e22, 1e23, 1e-99, 1e-100, 1e99, 1e100, 123456.789, 0.00012345678901234567, 1234567890123456.0,
 ]
 
