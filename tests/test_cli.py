@@ -781,6 +781,32 @@ class TestSweepCommand:
         assert time.monotonic() - start < 30
         assert_no_children()
 
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
+    def test_heap_trimmed_after_sweep(self, tmp_path, monkeypatch, fails):
+        calls = []
+        monkeypatch.setattr(unipark.cli, "_malloc_trim", lambda: calls.append)
+        if fails:
+            monkeypatch.setattr(unipark.cli, "_compile_kernels", lambda bases: 1 / 0)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"controller": "globa", "dt": 0.01, "t_max": 1.0,
+                                   "grid_polar": [[1.0, 0.5, 0.2]]}))
+        with pytest.raises(ZeroDivisionError) if fails else contextlib.nullcontext():
+            run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert calls == [0]
+
+    def test_no_malloc_trim(self, monkeypatch):
+        import ctypes
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        unipark.cli._malloc_trim.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        try:
+            assert unipark.cli._malloc_trim() is None
+        finally:
+            unipark.cli._malloc_trim.cache_clear()
+
 
 class TestGainsCommand:
     def test_passivity_example(self, tmp_path, capsys):
