@@ -32,6 +32,8 @@ The set is:
 - a sweep of libac, bagal and globa at gains (1, 1, 0.1, 1) over three polar
   starts, where bagal errors on gamma = 3.5, outside its domain: its points
   are dealt libac first and globa last, and put back in controller order;
+  and glofo over the same starts (``sweep/glofo``, its summary JSON alone),
+  whose workers evaluate Si with the scipy their caller loaded;
 - ``unipark gains`` for a complex passivity pair, the two forwarding
   branches and a backstepping ``--epsilon``;
 - ``unipark verify --seed 0 --samples 1000``, and ``--samples 10000`` at
@@ -147,6 +149,8 @@ def produce(out: Path) -> None:
     mixed.mkdir(parents=True)
     (mixed / "config.json").write_text(json.dumps(MIXED_SWEEP))
     cli_main(["sweep", "--config", str(mixed / "config.json"), "--out", str(mixed)])
+    cli_main(["sweep", "--config", str(mixed / "config.json"), "--controller", "glofo", "--format", "json",
+              "--out", str(out / "sweep" / "glofo")])
     for family, flags in GAINS.items():
         cli_main(["gains", "--family", family, *flags, "--out", str(out / "gains" / family)])
     cli_main(["verify", "--seed", "0", "--samples", "1000", "--out", str(out / "verify")])

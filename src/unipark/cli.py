@@ -62,10 +62,7 @@ _JSON_DATA = '\n  "data": '
 def _parse_floats(spec, what: str, lo: int = 3, hi: int = 3) -> tuple[float, ...]:
     """``lo`` to ``hi`` numbers from a JSON list or a comma-separated string."""
     parts = spec if isinstance(spec, list) else [p for p in str(spec).split(",") if p.strip() != ""]
-    try:
-        vals = tuple(float(p) for p in parts)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad {what} {spec!r}: {e}") from None
+    vals = tuple(_number(p, f"each value of {what}") for p in parts)
     if not lo <= len(vals) <= hi:
         count = lo if lo == hi else f"{lo} to {hi}"
         raise ConfigError(f"{what} needs {count} numbers, got {len(vals)} in {spec!r}")
@@ -73,10 +70,11 @@ def _parse_floats(spec, what: str, lo: int = 3, hi: int = 3) -> tuple[float, ...
 
 
 def _number(value, what: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    """``value`` as a float; JSON's true and false are not numbers."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def _parse_gains(spec) -> Gains:
@@ -310,10 +308,10 @@ def _sweep(args: argparse.Namespace) -> int:
     # --controller overrides both config fields, as every flag does its field.
     controllers = [args.controller] if args.controller is not None else cfg.get("controllers")
     if controllers is None:
-        controllers = [cfg.get("controller") or ""]
+        controllers = [cfg["controller"]] if cfg.get("controller") else []
     if not isinstance(controllers, list):
         raise ConfigError(f"controllers must be a list of names, got {controllers!r}")
-    controllers = [_choice(ControllerId, c, "controller") for c in controllers if c]
+    controllers = [_choice(ControllerId, c, "controller") for c in controllers]
     if not controllers:
         raise ConfigError("sweep needs at least one controller")
     fmts = _formats(args, allowed=("json", "svg", "txt"))

@@ -3,7 +3,7 @@
 All kernels are pure total functions of their float arguments.  They operate
 on plain Python floats.  The module's one piece of global state is whether Si
 is loaded: scipy, whose ``sici`` is the one Si routine, is imported on the
-first :func:`sine_integral` call or read of a namespace's ``si``
+first evaluation of Si, or by a caller that will evaluate it
 (:func:`_load_si`), not with the package, so a process that never uses Si
 (a run of any law but glofo, ``unipark gains``) never imports it.  Loading is
 idempotent and changes no value, so the kernels stay safe for unrestricted
@@ -82,30 +82,21 @@ def sine_integral(a: float) -> float:
     return float(si)
 
 
-def _sici(a):
+def _sici(a, out=(None, None)):
     """Stands in for scipy's ``sici`` until :func:`_load_si` replaces it."""
     _load_si()
-    return _sici(a)
+    return _sici(a, out=out)
 
 
 def _load_si() -> None:
-    """Import scipy's ``sici`` as ``_sici`` and set :data:`SCALAR`'s and
-    :data:`ARRAY`'s ``si``, plain attributes from then on.
+    """Import scipy's ``sici`` as ``_sici``.
 
-    Until then the ``__getattr__`` of each of the two namespaces calls this
-    on the first read of its ``si``, and ``_sici`` on the first
-    :func:`sine_integral`.  A forked worker that loads scipy loses it when it
-    exits, so a caller loads it before dealing out work that evaluates Si.
+    The first Si evaluation calls this through ``_sici``.  A forked worker
+    that loads scipy loses it when it exits, so a caller loads it before
+    dealing out work that evaluates Si.
     """
     global _sici
     from scipy.special import sici as _sici
-
-    SCALAR.si = sine_integral
-    ARRAY.si = lambda a, out=None: _sici(a, out=(out, None))[0]
-    # CPython does not specialise attribute loads on a module whose dict
-    # holds __getattr__, so the loader goes once it has nothing to load.
-    for ns in (SCALAR, ARRAY):
-        vars(ns).pop("__getattr__", None)
 
 
 def psi(z: float, gamma: float) -> float:
@@ -172,32 +163,15 @@ def _sinc_array(a, out=None):
 SCALAR = _namespace(
     "SCALAR",
     sin=math.sin, cos=math.cos, tan=math.tan, atan=math.atan, sqrt=math.sqrt, abs=abs,
-    sinc=sinc, where=lambda cond, a, b: a if cond else b,
+    sinc=sinc, si=sine_integral, where=lambda cond, a, b: a if cond else b,
     atan2=math.atan2, hypot=math.hypot, round=round,
 )
 
 ARRAY = _namespace(
     "ARRAY",
     sin=np.sin, cos=np.cos, tan=np.tan, atan=np.arctan, sqrt=np.sqrt, abs=np.abs,
-    sinc=_sinc_array, where=np.where,
+    sinc=_sinc_array, si=lambda a, out=None: _sici(a, out=(out, None))[0], where=np.where,
 )
-
-
-def _si_on_first_read(ns: ModuleType):
-    """A PEP 562 ``__getattr__`` for ``ns``, reached only by a name not set:
-    the first read of ``ns.si`` loads Si (:func:`_load_si`)."""
-
-    def __getattr__(attr: str):
-        if attr != "si":
-            raise AttributeError(f"module {ns.__name__!r} has no attribute {attr!r}")
-        _load_si()
-        return ns.si
-
-    return __getattr__
-
-
-SCALAR.__getattr__ = _si_on_first_read(SCALAR)
-ARRAY.__getattr__ = _si_on_first_read(ARRAY)
 
 
 # The primitives a traced expression may call; compiled code calls SCALAR's

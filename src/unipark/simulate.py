@@ -59,8 +59,9 @@ on) run in forked workers, one per usable CPU (:func:`_forked_map`, on
 index).  Each item goes, in the order given, to whichever worker is free
 first, so callers hand over their longest items first; the results equal
 one process's.  Before dealing, a sweep compiles its kernels
-(:func:`_compile_kernels`) and ``verify`` loads Si, so the workers inherit
-both rather than each building them and losing them on exit.
+(:func:`_compile_kernels`; compiling one that calls ``si`` loads Si) and
+``verify`` loads Si, so the workers inherit both rather than each building
+them and losing them on exit.
 
 After a Cartesian-chart run, every crossing of the x-axis is read off the
 logged poses with the linearly interpolated crossing time and abscissa,
@@ -96,7 +97,7 @@ import numpy as np
 from . import controllers as ctl
 from .controllers import ControllerId, Gains
 from .errors import ConfigError, UniparkError
-from .kernels import ARRAY, SCALAR, TRACE, TRACED, Sym, Tape, wrap_angle
+from .kernels import ARRAY, SCALAR, TRACE, TRACED, Sym, Tape, _load_si, wrap_angle
 from .lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf
 from .spaces import (
     CartesianState,
@@ -476,6 +477,8 @@ def _rk4_kernel(cid: ControllerId, g: Gains, h: float, loop: str = "polar") -> C
                                   map=_loop_body(lines[n:], set(_LOCAL.findall(polar))), polar=polar)
         scope = {name: getattr(SCALAR, name) for name in re.findall(r"(\w+)\(", " ".join(tape.lines))}
         scope |= tape.consts | {"on_target": on_target}
+    if "si" in scope:
+        _load_si()  # in a sweep's caller, whose forked workers then inherit scipy
     filename = f"<rk4 {cid.value} #{next(_KERNEL_IDS)}>"
     exec(compile(src, filename, "exec"), scope)
     kernel = scope["kernel"]
@@ -878,8 +881,8 @@ def _forked_map(fn: Callable, items: Sequence) -> list:
 def _compile_kernels(bases: Sequence[Scenario]) -> None:
     """Compile the kernel of each base of a sweep in the caller, before
     :func:`_forked_map` deals out its points.  The workers inherit the
-    kernels, and so scipy: compiling glofo's reads ``SCALAR.si``, which
-    loads it here once, where a worker would lose it on exit."""
+    kernels, and so scipy: :func:`_rk4_kernel` loads Si for a kernel that
+    calls ``si`` (glofo's), here once, where a worker would lose it on exit."""
     for b in bases:
         _rk4_kernel(b.controller, b.gains, b.dt, b.frame)
 

@@ -75,7 +75,7 @@ LEMMA_SLACK = -1e-12
 LEMMA_GAINS = range(1, 11)
 # The lemma grid's 40001 points are taken in blocks of this many.  The
 # whole grid's temporaries, about 2.3 MiB per gain, could be handed back to
-# the kernel after each job and faulted in again by the next, which made
+# the kernel after each gain and faulted in again by the next, which made
 # repeated in-process verify calls about 10 % slower in some processes; a
 # block's (64 KiB each) mostly stay in the allocator's free lists.  Smaller
 # blocks add numpy calls: at 4096 points a 2000-sample run took about 4 %
@@ -318,41 +318,19 @@ def pole_roundtrip_check(
     return CheckResult("pole_roundtrip", family.value, worst < POLE_ROUNDTRIP_TOL, worst)
 
 
-@functools.cache
-def _lemma_blocks() -> list[tuple]:
-    """The lemma grid x in [-20, 20] at step 1e-3 in blocks of
-    ``_LEMMA_BLOCK`` points, each with its gain-independent terms.
-
-    A process computes them in its first lemma job of a run, so the caller
-    does not compute them before dealing the jobs, and a forked worker
-    computes its own.  The caller drops them when the run ends: kept, their
-    1.3 MB would stay resident and raise every later peak of the process."""
-    x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
-    return [(x[i:i + _LEMMA_BLOCK], *_appendix_terms(x[i:i + _LEMMA_BLOCK]))
-            for i in range(0, len(x), _LEMMA_BLOCK)]
-
-
-def _lemma_slacks(k: int) -> tuple[float, float]:
-    """The least slack of each appendix inequality at gain k on the lemma
-    grid, taken a block at a time."""
-    mins = [[np.min(s) for s in _appendix_slacks(float(k), *block)] for block in _lemma_blocks()]
-    s1, s2 = np.min(mins, axis=0)
-    return float(s1), float(s2)
-
-
-def _lemma_result(slacks: list[tuple[float, float]]) -> CheckResult:
-    worst = math.inf
-    for s1, s2 in slacks:
-        worst = min(worst, s1, s2)
-    return CheckResult("lemma_grid", "appendix", worst >= LEMMA_SLACK, worst)
-
-
 def lemma_grid_check() -> CheckResult:
     """Both appendix inequalities on the grid k in {1..10}, x in [-20, 20]
-    at step 1e-3."""
-    result = _lemma_result([_lemma_slacks(k) for k in LEMMA_GAINS])
-    _lemma_blocks.cache_clear()
-    return result
+    at step 1e-3, taken ``_LEMMA_BLOCK`` points at a time, each block's
+    gain-independent terms computed once for all ten gains."""
+    x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
+    worst = math.inf
+    for i in range(0, len(x), _LEMMA_BLOCK):
+        block = x[i:i + _LEMMA_BLOCK]
+        terms = _appendix_terms(block)
+        for k in LEMMA_GAINS:
+            s1, s2 = _appendix_slacks(float(k), block, *terms)
+            worst = min(worst, np.min(s1), np.min(s2))
+    return CheckResult("lemma_grid", "appendix", worst >= LEMMA_SLACK, worst)
 
 
 def certificate_samples(clf: SteeringClf, pts: np.ndarray) -> list[dict]:
@@ -414,9 +392,9 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     """Full verification sweep over unit gains and 3 random strict gain
     sets; returns a JSON-ready report.
 
-    The checks run as one job per law, one per pole family and one per gain
-    of the lemma grid, longest first, in forked workers that each take the
-    next job when free (:func:`unipark.simulate._forked_map`) from
+    The checks run as one job per law, in the table order, then one per
+    pole family, then one for the lemma grid, in forked workers that each
+    take the next job when free (:func:`unipark.simulate._forked_map`) from
     ``_FORK_MIN_SAMPLES`` samples on, and the report equals one process's.
     Each job draws its stretch of the one serial stream from a copy of the
     generator's state, which the caller advances past it (a PCG64 double is
@@ -435,19 +413,13 @@ def run_all(seed: int = 0, samples: int = 1000) -> dict:
     for family in DesignFamily:
         jobs.append(functools.partial(_pole_checks, family, n, rng.bit_generator.state))
         rng.bit_generator.advance(n * _POLE_DRAWS[family])
-    # Whole, the lemma grid (about 20 ms) would outweigh any law's job below
-    # about 10000 samples; as one short job per gain, dealt last, it fills
-    # in whichever worker finishes its laws first.
-    jobs.extend(functools.partial(_lemma_slacks, k) for k in LEMMA_GAINS)
+    jobs.append(lambda: [lemma_grid_check().to_record()])
     if samples >= _FORK_MIN_SAMPLES:
         _load_si()  # for glofo's job: a worker that loaded scipy would lose it on exit
         results = _forked_map(lambda job: job(), jobs)
     else:
         results = [job() for job in jobs]
-    _lemma_blocks.cache_clear()
-    cut = len(jobs) - len(LEMMA_GAINS)
-    records = [r for recs in results[:cut] for r in recs]
-    records.append(_lemma_result(results[cut:]).to_record())
+    records = [r for recs in results for r in recs]
     return {
         "schema_version": 1,
         "seed": seed,

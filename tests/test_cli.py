@@ -140,6 +140,10 @@ class TestSimulateCommand:
         ({"barrier_margin": -5}, []),
         ({}, ["--gains=-1"]),
         ({"init_polar": [1, "nan", 0]}, []),
+        ({"dt": True}, []),
+        ({"init_polar": [True, 0.5, 0.2]}, []),
+        ({"gains": [True, 1, 1, 1]}, []),
+        ({"gains": {"k1": True}}, []),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, fields, flags):
         cfg = {"controller": "genova", "init_polar": [1, 0.5, 0.2], **fields}
@@ -563,6 +567,18 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("fields", [{"controllers": [None, "genova"]}, {"controllers": ["genova", False]},
+                                        {"controllers": [""]}, {"controller": "genova", "dt": True},
+                                        {"controller": "genova", "grid_polar": [[1.0, True, 0.2]]}, {}])
+    def test_wrong_typed_field_usage_error(self, tmp_path, capsys, fields):
+        # The last case has no controller at all.
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"t_max": 1.0, "grid_polar": [[1.0, 0.5, 0.2]], **fields}))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "sweep_summary.json").exists()
+
     @pytest.mark.parametrize("grid", [{"grid_cart": [[1.0, 0.0, 0.0], [math.nan, 0, 0]]},
                                       {"grid_polar": [[-1.0, 0.5, 0.2]]}])
     def test_invalid_grid_state_usage_error(self, tmp_path, capsys, grid):
@@ -925,15 +941,15 @@ class TestVerifyCommand:
     def test_lemma_slacks_in_blocks_are_the_whole_grids(self):
         x = np.arange(-20.0, 20.0 + 0.5 * 1e-3, 1e-3)
         assert len(x) % unipark.verify._LEMMA_BLOCK != 0  # a short last block
-        for k in unipark.verify.LEMMA_GAINS:
-            s1, s2 = unipark.lyapunov.appendix_bounds_slack(float(k), x)
-            want = np.array([np.min(s1), np.min(s2)])
-            assert np.array(unipark.verify._lemma_slacks(k)).tobytes() == want.tobytes()
+        want = min(np.min(s) for k in unipark.verify.LEMMA_GAINS
+                   for s in unipark.lyapunov.appendix_bounds_slack(float(k), x))
+        assert np.float64(unipark.verify.lemma_grid_check().worst).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 12345, 935547811])
     def test_report_independent_of_worker_count(self, monkeypatch, seed):
-        # One job per law, per pole family and per lemma gain, each replaying
-        # its stretch of the serial draws; one process draws them in turn.
+        # One job per law and per pole family, each replaying its stretch of
+        # the serial draws, and one for the lemma grid; one process draws
+        # them in turn.
         # 2000 samples would not fork, so the threshold is lowered.
         monkeypatch.setattr(unipark.verify, "_FORK_MIN_SAMPLES", 100)
         expected = json.dumps(verify_report_reference(seed, 2000), sort_keys=True)

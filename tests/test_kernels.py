@@ -169,27 +169,44 @@ class TestScipyLoadedOnFirstSi:
     @pytest.mark.parametrize("first", ["sine_integral(x)", "SCALAR.si(x)", "ARRAY.si(np.array(x))"])
     def test_every_form_is_scipys_sici_bitwise(self, tmp_path, first):
         # Whichever form loads scipy, each is sici(x)[0], bit for bit, and
-        # neither namespace keeps the loader, which would cost every
-        # attribute load its specialisation.
+        # neither namespace holds a module __getattr__, before or after,
+        # which would cost every attribute load its specialisation.
         got = run_fresh(f"""
             import numpy as np
             from unipark.kernels import ARRAY, SCALAR, sine_integral
             xs = [0.0, -0.0, 1e-300, -1e-300, 1e-4, -0.3, 1.0, -1.0, 3.141592653589793, 40.0, -40.0, 1e6]
             assert "scipy.special" not in sys.modules
+            unloaded = ["__getattr__" not in vars(ns) for ns in (SCALAR, ARRAY)]
             firsts = [float({first}) for x in xs]
             from scipy.special import sici
             want = np.array([sici(x)[0] for x in xs])
             a, out = np.array(xs), np.full(len(xs), 7.0)
             forms = [np.array(firsts), np.array([sine_integral(x) for x in xs]),
                      np.array([SCALAR.si(x) for x in xs]), ARRAY.si(a), ARRAY.si(a, out=out), out]
-            print(json.dumps([f.tobytes() == want.tobytes() for f in forms]
+            print(json.dumps(unloaded + [f.tobytes() == want.tobytes() for f in forms]
                              + ["__getattr__" not in vars(ns) for ns in (SCALAR, ARRAY)]))
         """, tmp_path)
-        assert got == [True] * 8
+        assert got == [True] * 10
 
     def test_only_scalar_and_array_load_si(self):
         with pytest.raises(AttributeError):
             _namespace("PLAIN", sin=math.sin).si
+
+
+class TestKernelCompileLoadsSi:
+    def test_only_a_kernel_that_calls_si_loads_it(self, tmp_path):
+        # A sweep's caller compiles its kernels before forking, so the
+        # compile of glofo's is where its workers' scipy comes from.
+        got = run_fresh("""
+            from unipark.controllers import ControllerId, Gains
+            from unipark.simulate import _LOOPS, _rk4_kernel
+            others = [_rk4_kernel(cid, Gains(), 0.01, loop)
+                      for cid in ControllerId if cid is not ControllerId.GLOFO for loop in _LOOPS]
+            before = "scipy.special" in sys.modules
+            _rk4_kernel(ControllerId.GLOFO, Gains(), 0.01, "polar")
+            print(json.dumps([len(others), before, "scipy.special" in sys.modules]))
+        """, tmp_path)
+        assert got == [30, False, True]
 
 
 class TestPsi:
