@@ -57,8 +57,8 @@ The points of a sweep and the jobs of ``unipark verify`` (from 5000 samples
 on) run in forked workers, one per usable CPU (:func:`_forked_map`, on
 ``os.fork``, a pipe per worker and one shared pipe holding the next item's
 index).  Each item goes, in the order given, to whichever worker is free
-first, so callers hand over their longest items first; the results equal
-one process's.  Before dealing, a sweep compiles its kernels
+first, so a sweep hands over its slowest law's points first; the results
+equal one process's.  Before dealing, a sweep compiles its kernels
 (:func:`_compile_kernels`; compiling one that calls ``si`` loads Si) and
 ``verify`` loads Si, so the workers inherit both rather than each building
 them and losing them on exit.
