@@ -28,7 +28,9 @@ The set is:
   by zero in the first step's second RK4 stage (numeric at t = 0); globa
   from (1, 3, 2) at dt 109.1 in Cartesian, numeric at t = 6000.5 with
   coordinates near 1.7e308, whose drawing's padded extent overflows;
-- both figures of ``scripts/reproduce_figures.py``;
+- both figures of ``scripts/reproduce_figures.py``; the front-line overlay
+  (``figures/fig_frontline``) is the digested sweep whose workers send back
+  the most drawn poses, about a million (22 MiB) over its 27 points;
 - a sweep of libac, bagal and globa at gains (1, 1, 0.1, 1) over three polar
   starts, where bagal errors on gamma = 3.5, outside its domain: its points
   are dealt libac first and globa last, and put back in controller order;

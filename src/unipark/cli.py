@@ -60,19 +60,22 @@ _JSON_DATA = '\n  "data": '
 
 
 def _parse_floats(spec, what: str, lo: int = 3, hi: int = 3) -> tuple[float, ...]:
-    """``lo`` to ``hi`` numbers from a JSON list or a comma-separated string."""
-    parts = spec if isinstance(spec, list) else [p for p in str(spec).split(",") if p.strip() != ""]
-    vals = tuple(_number(p, f"each value of {what}") for p in parts)
+    """``lo`` to ``hi`` numbers from a JSON list of numbers or a comma-separated string."""
+    text = not isinstance(spec, list)
+    parts = [p for p in str(spec).split(",") if p.strip() != ""] if text else spec
+    vals = tuple(_number(p, f"each value of {what}", text) for p in parts)
     if not lo <= len(vals) <= hi:
         count = lo if lo == hi else f"{lo} to {hi}"
         raise ConfigError(f"{what} needs {count} numbers, got {len(vals)} in {spec!r}")
     return vals
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float; JSON's true and false are not numbers."""
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError, ValueError):
+def _number(value, what: str, text: bool = False) -> float:
+    """``value`` as a float: a JSON number, or with ``text`` the text of one
+    (a part of a comma-separated string).  JSON's true and false are not
+    numbers, nor are its strings."""
+    if isinstance(value, str if text else (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
             return float(value)
     raise ConfigError(f"{what} must be a number, got {value!r}")
 
@@ -155,8 +158,22 @@ def _scenario_from(cfg: dict, args: argparse.Namespace, controller=None, initial
 def _out_dir(args: argparse.Namespace) -> Path:
     out = os.environ.get("UNIPARK_OUT") or args.out
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    with _writing():
+        path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+@contextlib.contextmanager
+def _writing():
+    """An ``OSError`` naming a path, as creating the output directory or
+    opening a file in it raises, as a config error: the output location is
+    unusable.  One with no path, such as a failed write, propagates."""
+    try:
+        yield
+    except OSError as e:
+        if e.filename is None:
+            raise
+        raise ConfigError(f"cannot write {os.fsdecode(e.filename)!r}: {e.strerror}") from None
 
 
 def _formats(args: argparse.Namespace, allowed=("csv", "json", "svg")) -> set[str]:
@@ -224,20 +241,22 @@ def write_trajectory(traj: Trajectory, csv_path: Path | None, json_path: Path | 
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _writing():
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _scenario_from(_load_config(args.config), args)
     fmts = _formats(args)
-    traj = integrate(scenario)
     out = _out_dir(args)
+    traj = integrate(scenario)
     stem = f"traj_{scenario.controller.value}"
-    if fmts & {"csv", "json"}:
-        write_trajectory(traj, out / f"{stem}.csv" if "csv" in fmts else None,
-                         out / f"{stem}.json" if "json" in fmts else None)
-    if "svg" in fmts:
-        write_svg(out / f"{stem}.svg", [SvgPath(traj.cartesian, label=scenario.controller.value)])
+    with _writing():
+        if fmts & {"csv", "json"}:
+            write_trajectory(traj, out / f"{stem}.csv" if "csv" in fmts else None,
+                             out / f"{stem}.json" if "json" in fmts else None)
+        if "svg" in fmts:
+            write_svg(out / f"{stem}.svg", [SvgPath(traj.cartesian, label=scenario.controller.value)])
     print(
         f"{scenario.controller.value}: {traj.termination.value} at t={traj.final_time:g}, "
         f"metric={traj.metric[-1]:.3e}, outputs in {out}"
@@ -341,13 +360,14 @@ def _sweep(args: argparse.Namespace) -> int:
             recs.append(dataclasses.asdict(r))
             failures += int(r.termination in _FAILED_TERMINATIONS or r.error is not None)
         summary["controllers"][cid.value] = recs
-    if "json" in fmts:
-        _write_json(summary, out / "sweep_summary.json")
     text = _summary_text(summary)
-    if "txt" in fmts:
-        (out / "sweep_summary.txt").write_text(text)
-    if "svg" in fmts and paths:
-        write_svg(out / "sweep_overlay.svg", paths)
+    with _writing():
+        if "json" in fmts:
+            _write_json(summary, out / "sweep_summary.json")
+        if "txt" in fmts:
+            (out / "sweep_summary.txt").write_text(text)
+        if "svg" in fmts and paths:
+            write_svg(out / "sweep_overlay.svg", paths)
     print(text, end="")
     print(f"outputs in {out}")
     return 1 if failures else 0
@@ -423,11 +443,11 @@ def cmd_gains(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
     report = run_all(seed=args.seed, samples=args.samples)
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"{status} {c['name']:24s} {c['subject']:14s} worst={c['worst']:.3e}")
-    out = _out_dir(args)
     _write_json(report, out / "verify_report.json")
     print(f"report: {out / 'verify_report.json'}")
     if not report["all_passed"]:

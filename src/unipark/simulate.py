@@ -58,10 +58,11 @@ on) run in forked workers, one per usable CPU (:func:`_forked_map`, on
 ``os.fork``, a pipe per worker and one shared pipe holding the next item's
 index).  Each item goes, in the order given, to whichever worker is free
 first, so a sweep hands over its slowest law's points first; the results
-equal one process's.  Before dealing, a sweep compiles its kernels
-(:func:`_compile_kernels`; compiling one that calls ``si`` loads Si) and
-``verify`` loads Si, so the workers inherit both rather than each building
-them and losing them on exit.
+equal one process's.  The caller unpickles each worker's results from its
+pipe as it reads them, so it holds one copy of them, not the pickle too.
+Before dealing, a sweep compiles its kernels (:func:`_compile_kernels`;
+compiling one that calls ``si`` loads Si) and ``verify`` loads Si, so the
+workers inherit both rather than each building them and losing them on exit.
 
 After a Cartesian-chart run, every crossing of the x-axis is read off the
 logged poses with the linearly interpolated crossing time and abscissa,
@@ -829,7 +830,8 @@ def _forked_map(fn: Callable, items: Sequence) -> list:
     w takes item w, then whichever is free first takes the next, whose index is the
     one 8-byte record of the ``token`` pipe.  Worker 0 is the caller; the others are
     forked (``fn`` need not pickle) and pickle their ``(index, result)`` pairs, or
-    exception, raised here, to a pipe drained before they are killed and reaped.  A
+    exception, raised here, to a pipe drained before they are killed and reaped.  The
+    caller unpickles each pipe as it reads it, so it holds each result once.  A
     worker that raises sets the index to the end, so the others take no more items."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     n = max(1, min(cpus, len(items)))
@@ -864,8 +866,10 @@ def _forked_map(fn: Callable, items: Sequence) -> list:
         done = _deal(fn, items, 0, token)
         for fd in fds:
             with open(fd, "rb", closefd=False) as fh:
-                data = fh.read()
-            out = pickle.loads(data) if data else RuntimeError("a forked worker ended without a result")
+                try:
+                    out = pickle.load(fh)
+                except EOFError:
+                    out = RuntimeError("a forked worker ended without a result")
             if isinstance(out, Exception):
                 raise out
             done += out

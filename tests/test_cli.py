@@ -144,6 +144,15 @@ class TestSimulateCommand:
         ({"init_polar": [True, 0.5, 0.2]}, []),
         ({"gains": [True, 1, 1, 1]}, []),
         ({"gains": {"k1": True}}, []),
+        ({"dt": "0.01", "t_max": 2}, []),
+        ({"t_max": "2"}, []),
+        ({"tol": "1e-4", "t_max": 2}, []),
+        ({"barrier_margin": "1e-9", "t_max": 2}, []),
+        ({"dt": 10 ** 400}, []),
+        ({"init_polar": ["1", "0.5", "0.2"], "t_max": 2}, []),
+        ({"init_cart": [1, "0.5", 0], "t_max": 2}, []),
+        ({"gains": ["1", 1, 1], "t_max": 2}, []),
+        ({"gains": {"k1": "1"}, "t_max": 2}, []),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, fields, flags):
         cfg = {"controller": "genova", "init_polar": [1, 0.5, 0.2], **fields}
@@ -155,6 +164,36 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_comma_separated_strings_parse(self, tmp_path):
+        # A list field may be a comma-separated string, in a config file as
+        # on the command line; all three spellings run the same scenario.
+        lists = {"gains": [1, 1, 0.1, 1], "init_polar": [1, 0.5, 0.2]}
+        strings = {"gains": "1,1,0.1,1", "init_polar": "1,0.5,0.2"}
+        for name, fields in (("lists", lists), ("strings", strings), ("flags", {})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"controller": "genova", "dt": 0.01, "t_max": 2, **fields}))
+            flags = ["--gains", "1,1,0.1,1", "--init-polar", "1,0.5,0.2"] if name == "flags" else []
+            assert run(["simulate", "--config", str(cfg), *flags, "--format", "csv",
+                        "--out", str(tmp_path / name)]) == 0
+        want = (tmp_path / "lists" / "traj_genova.csv").read_bytes()
+        for name in ("strings", "flags"):
+            assert (tmp_path / name / "traj_genova.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("where", ["under_a_file", "file_is_a_directory"])
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, monkeypatch, where):
+        (tmp_path / "file").write_text("")
+        if where == "under_a_file":
+            # The output directory cannot be made, so nothing is integrated.
+            out, bad = tmp_path / "file" / "out", tmp_path / "file" / "out"
+            monkeypatch.setattr(unipark.cli, "integrate", None)
+        else:
+            out, bad = tmp_path, tmp_path / "traj_genova.csv"
+            bad.mkdir()
+        assert run(["simulate", "--controller", "genova", "--init-polar", "1,0,0", "--dt", "0.01",
+                    "--t-max", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(bad)!r}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [["--t-max", "1e300", "--dt", "1e-300"], ["--dt", "1e-320"]])
     def test_step_count_overflow_is_usage_error(self, tmp_path, capsys, flags):
@@ -515,6 +554,21 @@ class TestForkedMap:
             _forked_map(leave, list(range(4)))
         assert_no_children()
 
+    def test_caller_holds_one_copy_of_a_worker_result(self, monkeypatch):
+        # The caller takes item 0 and a worker item 1, each an 8 MiB array.
+        # The worker's pickle is unpickled as it is read, so the caller never
+        # holds it whole beside the array built from it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tracemalloc.start()
+        try:
+            out = _forked_map(lambda x: np.full(1 << 20, float(x)), [0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_no_children()
+        assert [a[0] for a in out] == [0.0, 1.0]
+        assert peak <= sum(a.nbytes for a in out) + (1 << 20)
+
     def test_many_trivial_items(self, monkeypatch):
         # Far more indices than a pipe holds at once (64 KiB) are dealt.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -569,7 +623,11 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("fields", [{"controllers": [None, "genova"]}, {"controllers": ["genova", False]},
                                         {"controllers": [""]}, {"controller": "genova", "dt": True},
-                                        {"controller": "genova", "grid_polar": [[1.0, True, 0.2]]}, {}])
+                                        {"controller": "genova", "grid_polar": [[1.0, True, 0.2]]},
+                                        {"controller": "genova", "grid_polar": [["1", 0.5, 0.2]]},
+                                        {"controller": "genova", "dt": "0.01"},
+                                        {"controller": "genova", "gains": ["1", "1", "1"]},
+                                        {"controller": "genova", "gains": {"k1": "1"}}, {}])
     def test_wrong_typed_field_usage_error(self, tmp_path, capsys, fields):
         # The last case has no controller at all.
         cfg = tmp_path / "sweep.json"
@@ -587,6 +645,15 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        monkeypatch.setattr(unipark.cli, "_forked_map", None)  # nothing is integrated
+        cfg = self._config(tmp_path, [[2.0, 0.4, 0.0]])
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out)!r}: ") and err.count("\n") == 1
 
     def test_step_count_overflow_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.json"
@@ -909,6 +976,14 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unusable_out_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        monkeypatch.setattr(unipark.cli, "run_all", None)  # no check is run
+        assert run(["verify", "--samples", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out)!r}: ") and err.count("\n") == 1
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         assert run(["verify", "--seed", "-1", "--samples", "1", "--out", str(tmp_path)]) == 2
