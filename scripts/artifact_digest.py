@@ -28,6 +28,13 @@ The set is:
   by zero in the first step's second RK4 stage (numeric at t = 0); globa
   from (1, 3, 2) at dt 109.1 in Cartesian, numeric at t = 6000.5 with
   coordinates near 1.7e308, whose drawing's padded extent overflows;
+- a ``simulate`` config (``config/every-field-simulate``: CSV, JSON and SVG)
+  and a ``sweep`` config (``config/every-field-sweep``: summary JSON and
+  SVG) that each set every field their command reads in the file, none by
+  flag: ``schema_version``, the controller, gains as an object and as a
+  list, ``init_polar`` as a comma-separated string, a polar grid, the
+  Cartesian frame, ``dt``, ``t_max``, ``tol``, ``barrier_margin``,
+  ``composite`` and ``composite_order``;
 - both figures of ``scripts/reproduce_figures.py``; the front-line overlay
   (``figures/fig_frontline``) is the digested sweep whose workers send back
   the most drawn poses, about a million (22 MiB) over its 27 points;
@@ -119,6 +126,15 @@ CONFIG_ENDINGS = {
                             "t_max": 50.0, "barrier_margin": 1.904, "frame": chart}
     for chart in ("polar", "cartesian")
 }
+# Every field each command reads, set in its config file and by no flag.
+EVERY_FIELD = {
+    "simulate": {"schema_version": 1, "controller": "globa", "gains": {"k1": 1, "k2": 1, "k3": 0.1, "k4": 2},
+                 "init_polar": "1.2,0.7,-0.4", "frame": "cartesian", "dt": 0.01, "t_max": 5.0, "tol": 1e-3,
+                 "barrier_margin": 0.01, "composite": "cross", "composite_order": "v-first"},
+    "sweep": {"schema_version": 1, "controller": "bagal", "gains": [1, 1, 0.1, 1, 2],
+              "grid_polar": [[1.2, 0.7, -0.4], [1.5, -1.0, 0.5]], "frame": "cartesian", "dt": 0.01,
+              "t_max": 5.0, "tol": 1e-3, "barrier_margin": 0.01, "composite": "log", "composite_order": "v-first"},
+}
 # Given in neither controller nor dealing order (libac, bagal, globa).
 MIXED_SWEEP = {"controllers": ["globa", "bagal", "libac"], "gains": [1, 1, 0.1, 1], "dt": 0.01, "t_max": 15.0,
                "grid_polar": [[2.0, 0.4, 0.2], [1.0, 0.5, 3.5], [1.5, -1.0, -0.5]]}
@@ -146,6 +162,12 @@ def produce(out: Path) -> None:
         (out / name).mkdir(parents=True)
         (out / name / "config.json").write_text(json.dumps(cfg))
         cli_main(["simulate", "--config", str(out / name / "config.json"), "--out", str(out / name)])
+    for command, cfg in EVERY_FIELD.items():
+        path = out / "config" / f"every-field-{command}"
+        path.mkdir(parents=True)
+        (path / "config.json").write_text(json.dumps(cfg))
+        formats = ["--format", "json,svg"] if command == "sweep" else []
+        cli_main([command, "--config", str(path / "config.json"), *formats, "--out", str(path)])
     reproduce_figures.run(out / "figures")
     mixed = out / "sweep" / "mixed"
     mixed.mkdir(parents=True)

@@ -8,10 +8,13 @@ as its ``repr``, from digits computed in numpy a chunk of rows at a time
 (:mod:`unipark._reprtext`); a chunk holding a NaN, an infinity or a
 subnormal value goes through ``repr`` itself.
 
-Scenario files are JSON; inline flags override file fields.  Controller
-names use the lowercase acronyms (genova, bolsa, bopa, bagal, glofo, bofo,
-globa, globa-interp, globa-cons, barfli, libac).  The output directory comes
-from --out, overridden by the UNIPARK_OUT environment variable when set.
+Scenario files and sweep configs are JSON objects.  ``FIELDS`` holds one
+row per config field: the commands that read it, its kind, its default and
+its flag.  A flag overrides its field, and a field that the command does not
+read is a config error.  Controller names use the lowercase acronyms
+(genova, bolsa, bopa, bagal, glofo, bofo, globa, globa-interp, globa-cons,
+barfli, libac).  The output directory comes from --out, overridden by the
+UNIPARK_OUT environment variable when set.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,8 +65,10 @@ _JSON_DATA = '\n  "data": '
 
 def _parse_floats(spec, what: str, lo: int = 3, hi: int = 3) -> tuple[float, ...]:
     """``lo`` to ``hi`` numbers from a JSON list of numbers or a comma-separated string."""
-    text = not isinstance(spec, list)
-    parts = [p for p in str(spec).split(",") if p.strip() != ""] if text else spec
+    if not isinstance(spec, (list, str)):
+        raise ConfigError(f"{what} must be a list of numbers or a comma-separated string, got {spec!r}")
+    text = isinstance(spec, str)
+    parts = [p for p in spec.split(",") if p.strip() != ""] if text else spec
     vals = tuple(_number(p, f"each value of {what}", text) for p in parts)
     if not lo <= len(vals) <= hi:
         count = lo if lo == hi else f"{lo} to {hi}"
@@ -80,29 +86,80 @@ def _number(value, what: str, text: bool = False) -> float:
     raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
-def _parse_gains(spec) -> Gains:
+def _parse_gains(spec, what: str = "gains") -> Gains:
     names = ("k1", "k2", "k3", "k4", "k0")
     if isinstance(spec, dict):
         unknown = sorted(set(spec) - set(names))
         if unknown:
-            raise ConfigError(f"unknown gains {unknown}; expected k1..k4, k0")
+            raise ConfigError(f"unknown {what} {unknown}; expected k1..k4, k0")
         return Gains(**{k: _number(v, f"gain {k}") for k, v in spec.items()})
-    return Gains(**dict(zip(names, _parse_floats(spec, "gains (k1..k4, k0)", 1, 5))))
+    return Gains(**dict(zip(names, _parse_floats(spec, f"{what} (k1..k4, k0)", 1, 5))))
 
 
-def _choice(enum_cls, value, what: str):
-    """The member of ``enum_cls`` named by the config value ``value``."""
-    try:
-        return enum_cls(value)
-    except ValueError:
-        raise ConfigError(
-            f"unknown {what} {value!r}; expected one of " + ", ".join(m.value for m in enum_cls)
-        ) from None
+def _choice(choices, value, what: str):
+    """The member of ``choices``, an enum or a tuple of names, that the
+    config value ``value`` names."""
+    members = list(choices)
+    names = [getattr(m, "value", m) for m in members]
+    if value not in names:
+        raise ConfigError(f"unknown {what} {value!r}; expected one of " + ", ".join(names))
+    return members[names.index(value)]
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _state(state, spec, what: str):
+    return state(*_parse_floats(spec, what))
+
+
+def _list(item, spec, what: str) -> list:
+    """A non-empty JSON list, each element parsed by ``item``."""
+    if not isinstance(spec, list) or not spec:
+        raise ConfigError(f"{what} must be a non-empty list, got {spec!r}")
+    return [item(e, f"{what} entry") for e in spec]
+
+
+def _schema_version(value, what: str) -> int:
+    if type(value) is not int or value != SCHEMA_VERSION:
+        raise ConfigError(f"{what} must be {SCHEMA_VERSION}, got {value!r}")
+    return value
+
+
+class Field(NamedTuple):
+    """A config field: the commands that read it, its kind as the parser
+    ``kind(value, name)`` of a config or flag value, its default (None: the
+    field has none), and the argparse keywords of the flag that overrides
+    it (None: no flag sets it)."""
+
+    commands: tuple[str, ...]
+    kind: Callable
+    default: object = None
+    flag: dict | None = None
+
+
+_SIMULATE, _SWEEP, _BOTH = ("simulate",), ("sweep",), ("simulate", "sweep")
+_FRAMES = ("polar", "cartesian")
+_controller = functools.partial(_choice, ControllerId)
+_cart, _polar = functools.partial(_state, CartesianState), functools.partial(_state, PolarState)
+FIELDS = {
+    "schema_version": Field(_BOTH, _schema_version, SCHEMA_VERSION),
+    "controller": Field(_BOTH, _controller, None, {"help": "controller acronym (e.g. globa)"}),
+    "controllers": Field(_SWEEP, functools.partial(_list, _controller)),
+    "gains": Field(_BOTH, _parse_gains, "1,1,1,1", {"help": "comma list k1,k2,k3[,k4[,k0]]"}),
+    "frame": Field(_BOTH, functools.partial(_choice, _FRAMES), "polar", {"choices": _FRAMES}),
+    "dt": Field(_BOTH, _number, 1e-3, {"type": float}),
+    "t_max": Field(_BOTH, _number, 100.0, {"type": float}),
+    "tol": Field(_BOTH, _number, 1e-4, {"type": float}),
+    "composite": Field(_BOTH, functools.partial(_choice, CompositeKind), "add",
+                       {"help": "certificate combiner for logging"}),
+    "barrier_margin": Field(_BOTH, _number, 1e-9),
+    "composite_order": Field(_BOTH, functools.partial(_choice, CompositeOrder), "rho-first"),
+    "init_cart": Field(_SIMULATE, _cart, None, {"help": "x,y,theta"}),
+    "init_polar": Field(_SIMULATE, _polar, None, {"help": "rho,delta,gamma"}),
+    "grid_cart": Field(_SWEEP, functools.partial(_list, _cart)),
+    "grid_polar": Field(_SWEEP, functools.partial(_list, _polar)),
+}
+
+
+def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -115,49 +172,51 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _scenario_from(cfg: dict, args: argparse.Namespace, controller=None, initial=None) -> Scenario:
-    """The scenario of the flags of ``args``, each overriding the config
-    field of its name in ``cfg``.  ``controller`` and ``initial``, when
-    given, replace --controller and --init-cart or --init-polar."""
-    def get(name, default=None):
-        flag = getattr(args, name)
-        return flag if flag is not None else cfg.get(name, default)
-
-    controller = controller or get("controller")
-    if controller is None:
-        raise ConfigError("a controller is required (--controller or config field)")
-    # Out-of-range gains and non-finite states are config errors too.
+def _config(args: argparse.Namespace) -> dict:
+    """Each config field of ``args.command`` that is set, by name: its flag
+    if given, else its value in the config file, else its default, parsed
+    by its kind.  A field in the file that the command does not read is a
+    config error, as is a schema_version other than 1."""
+    cfg = _load_config(args.config) if args.config is not None else {}
+    fields = {name: f for name, f in FIELDS.items() if args.command in f.commands}
+    unknown = [name for name in cfg if name not in fields]
+    if unknown:
+        raise ConfigError(f"{args.command} reads no config field " + ", ".join(map(repr, unknown)))
+    defaults = {name: f.default for name, f in fields.items() if f.default is not None}
+    flags = {name: getattr(args, name) for name, f in fields.items() if f.flag is not None}
+    given = {**defaults, **cfg, **{name: v for name, v in flags.items() if v is not None}}
     try:
-        if initial is None:
-            init_cart, init_polar = get("init_cart"), get("init_polar")
-            if init_cart is not None and init_polar is not None:
-                raise ConfigError("give exactly one of init_cart / init_polar")
-            if init_cart is not None:
-                initial = CartesianState(*_parse_floats(init_cart, "init_cart"))
-            elif init_polar is not None:
-                initial = PolarState(*_parse_floats(init_polar, "init_polar"))
-            else:
-                raise ConfigError("an initial state is required (--init-cart or --init-polar)")
-        return Scenario(
-            controller=_choice(ControllerId, controller, "controller"),
-            gains=_parse_gains(get("gains", "1,1,1,1")),
-            initial=initial,
-            frame=get("frame", "polar"),
-            dt=_number(get("dt", 1e-3), "dt"),
-            t_max=_number(get("t_max", 100.0), "t_max"),
-            stop_tol=_number(get("tol", 1e-4), "tol"),
-            barrier_margin=_number(cfg.get("barrier_margin", 1e-9), "barrier_margin"),
-            composite=_choice(CompositeKind, get("composite", "add"), "composite"),
-            composite_order=_choice(CompositeOrder, cfg.get("composite_order", "rho-first"),
-                                    "composite_order"),
-        )
+        return {name: fields[name].kind(value, name) for name, value in given.items()}
     except (DomainError, TransformError) as e:
         raise ConfigError(str(e)) from None
 
 
+def _one_of(config: dict, a: str, b: str, missing: str):
+    """The value of whichever of the fields ``a`` and ``b`` is set."""
+    given = [config[name] for name in (a, b) if name in config]
+    if len(given) != 1:
+        raise ConfigError(f"give exactly one of {a} / {b}" if given else missing)
+    return given[0]
+
+
+def _scenario_from(config: dict, controller=None, initial=None) -> Scenario:
+    """The scenario of the parsed fields ``config``.  ``controller`` and
+    ``initial``, when given, replace the controller and the initial state."""
+    controller = controller or config.get("controller")
+    if controller is None:
+        raise ConfigError("a controller is required (--controller or config field)")
+    if initial is None:
+        initial = _one_of(config, "init_cart", "init_polar",
+                          "an initial state is required (--init-cart or --init-polar)")
+    return Scenario(
+        controller=controller, gains=config["gains"], initial=initial, frame=config["frame"], dt=config["dt"],
+        t_max=config["t_max"], stop_tol=config["tol"], barrier_margin=config["barrier_margin"],
+        composite=config["composite"], composite_order=config["composite_order"],
+    )
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = os.environ.get("UNIPARK_OUT") or args.out
-    path = Path(out)
+    path = Path(os.environ.get("UNIPARK_OUT") or args.out)
     with _writing():
         path.mkdir(parents=True, exist_ok=True)
     return path
@@ -246,7 +305,7 @@ def _write_json(payload: dict, path: Path) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _scenario_from(_load_config(args.config), args)
+    scenario = _scenario_from(_config(args))
     fmts = _formats(args)
     out = _out_dir(args)
     traj = integrate(scenario)
@@ -265,20 +324,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"run failed: termination {traj.termination.value}", file=sys.stderr)
         return 1
     return 0
-
-
-def _sweep_grid(cfg: dict) -> list:
-    if "grid_cart" in cfg and "grid_polar" in cfg:
-        raise ConfigError("give exactly one of grid_cart / grid_polar")
-    for key, state in (("grid_cart", CartesianState), ("grid_polar", PolarState)):
-        if key in cfg:
-            if not isinstance(cfg[key], list):
-                raise ConfigError(f"{key} must be a list of states, got {cfg[key]!r}")
-            try:
-                return [state(*_parse_floats(row, f"{key} row")) for row in cfg[key]]
-            except (DomainError, TransformError) as e:
-                raise ConfigError(str(e)) from None
-    raise ConfigError("sweep config needs grid_cart or grid_polar")
 
 
 def _decay_rate(s: Scenario) -> float:
@@ -318,25 +363,16 @@ def _malloc_trim():
 
 
 def _sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    if not cfg:
-        raise ConfigError("sweep requires --config with a grid")
-    grid = _sweep_grid(cfg)
-    if len(grid) == 0:
-        raise ConfigError("sweep grid is empty")
+    config = _config(args)
+    grid = _one_of(config, "grid_cart", "grid_polar", "sweep config needs grid_cart or grid_polar")
     # --controller overrides both config fields, as every flag does its field.
-    controllers = [args.controller] if args.controller is not None else cfg.get("controllers")
-    if controllers is None:
-        controllers = [cfg["controller"]] if cfg.get("controller") else []
-    if not isinstance(controllers, list):
-        raise ConfigError(f"controllers must be a list of names, got {controllers!r}")
-    controllers = [_choice(ControllerId, c, "controller") for c in controllers]
-    if not controllers:
-        raise ConfigError("sweep needs at least one controller")
+    laws = config["controller"] if args.controller is not None else _one_of(
+        config, "controller", "controllers", "sweep needs a controller or controllers")
+    controllers = laws if isinstance(laws, list) else [laws]
     fmts = _formats(args, allowed=("json", "svg", "txt"))
     out = _out_dir(args)
     # Scenario's default start is a placeholder; the grid has the real ones.
-    bases = [_scenario_from(cfg, args, cid, Scenario.initial) for cid in controllers]
+    bases = [_scenario_from(config, cid, Scenario.initial) for cid in controllers]
 
     def point(job):  # a worker sends back the record and only the drawn poses
         r, traj = sweep_point(*job)
@@ -374,12 +410,10 @@ def _sweep(args: argparse.Namespace) -> int:
 
 
 def _summary_text(summary: dict) -> str:
-    lines = []
-    header = (
+    lines = [
         f"{'controller':14s} {'idx':>3s} {'termination':12s} {'t_conv':>8s} "
         f"{'path_len':>9s} {'effort':>9s} {'margin':>9s} {'Vviol':>5s} {'xfront':>6s}"
-    )
-    lines.append(header)
+    ]
     for cname, recs in summary["controllers"].items():
         for r in recs:
             tconv = "-" if r["convergence_time"] is None else f"{r['convergence_time']:.2f}"
@@ -476,30 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default="out", help="output directory (env UNIPARK_OUT overrides)")
 
-    def add_scenario(p):  # the flags of simulate and sweep that override config fields
-        p.add_argument("--controller", help="controller acronym (e.g. globa)")
-        p.add_argument("--gains", help="comma list k1,k2,k3[,k4[,k0]]")
-        p.add_argument("--frame", choices=("polar", "cartesian"))
-        p.add_argument("--dt", type=float)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--composite", help="certificate combiner for logging")
-
-    sim = sub.add_parser("simulate", help="integrate one scenario")
-    sim.add_argument("--config", help="scenario JSON file")
-    add_scenario(sim)
-    sim.add_argument("--init-cart", dest="init_cart", help="x,y,theta")
-    sim.add_argument("--init-polar", dest="init_polar", help="rho,delta,gamma")
-    sim.add_argument("--format", default="csv,json,svg")
-    add_common(sim)
-    sim.set_defaults(fn=cmd_simulate)
-
-    sw = sub.add_parser("sweep", help="run a grid of initial states")
-    sw.add_argument("--config", help="sweep JSON file with grid")
-    add_scenario(sw)
-    sw.add_argument("--format", default="json,svg,txt")
-    add_common(sw)
-    sw.set_defaults(fn=cmd_sweep)
+    for command, about, config, formats, fn in (
+        ("simulate", "integrate one scenario", "scenario JSON file", "csv,json,svg", cmd_simulate),
+        ("sweep", "run a grid of initial states", "sweep JSON file with grid", "json,svg,txt", cmd_sweep),
+    ):
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help=config)
+        for name, field in FIELDS.items():  # the flags that override config fields
+            if command in field.commands and field.flag is not None:
+                p.add_argument("--" + name.replace("_", "-"), dest=name, **field.flag)
+        p.add_argument("--format", default=formats)
+        add_common(p)
+        p.set_defaults(fn=fn)
 
     ga = sub.add_parser("gains", help="assign gains for requested poles")
     ga.add_argument("--family", required=True, help="passivity | forwarding | backstepping")
@@ -528,12 +550,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except UniparkError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ConfigError) else 1
 
 
 if __name__ == "__main__":

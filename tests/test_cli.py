@@ -153,6 +153,12 @@ class TestSimulateCommand:
         ({"init_cart": [1, "0.5", 0], "t_max": 2}, []),
         ({"gains": ["1", 1, 1], "t_max": 2}, []),
         ({"gains": {"k1": "1"}, "t_max": 2}, []),
+        ({"t_max": 0.2, "t_mx": 5}, []),
+        ({"t_max": 0.2, "grid_polar": [[1, 0.5, 0.2]]}, []),
+        ({"t_max": 0.2, "controllers": ["genova"]}, []),
+        ({"t_max": 0.2, "schema_version": 2}, []),
+        ({"t_max": 0.2, "schema_version": True}, []),
+        ({"t_max": 0.2, "gains": 2}, []),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, fields, flags):
         cfg = {"controller": "genova", "init_polar": [1, 0.5, 0.2], **fields}
@@ -164,6 +170,23 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unknown_fields_are_named(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"controller": "genova", "init_polar": [1, 0.5, 0.2], "t_max": 0.2,
+                                    "t_mx": 5, "controler": "globa"}))
+        assert run(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: simulate ") and "'t_mx'" in line and "'controler'" in line
+
+    @pytest.mark.parametrize("command, fields", [
+        ("simulate", {"controller": "genova", "init_polar": [1, 0.5, 0.2]}),
+        ("sweep", {"controller": "genova", "grid_polar": [[1, 0.5, 0.2]]}),
+    ])
+    def test_schema_version_one_runs(self, tmp_path, command, fields):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema_version": 1, "dt": 0.01, "t_max": 0.2, **fields}))
+        assert run([command, "--config", str(path), "--format", "json", "--out", str(tmp_path / "out")]) == 0
 
     def test_comma_separated_strings_parse(self, tmp_path):
         # A list field may be a comma-separated string, in a config file as
@@ -627,7 +650,11 @@ class TestSweepCommand:
                                         {"controller": "genova", "grid_polar": [["1", 0.5, 0.2]]},
                                         {"controller": "genova", "dt": "0.01"},
                                         {"controller": "genova", "gains": ["1", "1", "1"]},
-                                        {"controller": "genova", "gains": {"k1": "1"}}, {}])
+                                        {"controller": "genova", "gains": {"k1": "1"}},
+                                        {"controller": "genova", "extra": 1},
+                                        {"controller": "genova", "init_polar": [1.0, 0.5, 0.2]},
+                                        {"controller": "genova", "controllers": ["globa"]},
+                                        {"controller": "genova", "schema_version": 2}, {}])
     def test_wrong_typed_field_usage_error(self, tmp_path, capsys, fields):
         # The last case has no controller at all.
         cfg = tmp_path / "sweep.json"
@@ -734,7 +761,7 @@ class TestSweepCommand:
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({
             "controllers": ["globa"], "gains": [1, 2, 3, 4], "dt": 0.01, "t_max": 0.5, "tol": 0.5,
-            "init_polar": [2.0, 0.5, 0.5], "grid_polar": [[1.0, 0.5, 0.2]],
+            "grid_polar": [[1.0, 0.5, 0.2]],
         }))
         assert run(["sweep", "--config", str(cfg), "--dt", "0.02", "--composite", "cross",
                     "--out", str(tmp_path / "out")]) == 0
@@ -1099,6 +1126,7 @@ GAINS = st.one_of(
     st.dictionaries(st.sampled_from(["k0", "k1", "k2", "k3", "k4", "k9"]), st.floats(-0.5, 3.0), max_size=3),
 )
 SCENARIO_FIELDS = {
+    "schema_version": st.one_of(st.just(1), JUNK),
     "controller": st.one_of(LAWS, JUNK),
     "gains": st.one_of(GAINS, JUNK),
     "init_cart": st.one_of(VECTOR, JUNK),
@@ -1110,19 +1138,77 @@ SCENARIO_FIELDS = {
     "barrier_margin": st.one_of(st.floats(-0.1, 3.5), JUNK),
     "composite": st.one_of(st.sampled_from([k.value for k in CompositeKind] + ["bogus"]), JUNK),
     "composite_order": st.one_of(st.sampled_from([o.value for o in CompositeOrder]), JUNK),
-    "unknown_field": JUNK,
 }
-SWEEP_FIELDS = {
-    **SCENARIO_FIELDS,
+GRID_FIELDS = {
     "controllers": st.one_of(st.lists(st.one_of(LAWS, JUNK), max_size=2), JUNK),
     "grid_cart": st.one_of(st.lists(st.one_of(VECTOR, JUNK), max_size=3), JUNK),
     "grid_polar": st.one_of(st.lists(st.one_of(VECTOR, JUNK), max_size=3), JUNK),
 }
+SWEEP_FIELDS = {name: v for name, v in {**SCENARIO_FIELDS, **GRID_FIELDS}.items()
+                if name not in ("init_cart", "init_polar")}
 
 
-def _run_config(command: str, cfg: dict) -> tuple[int, str]:
-    """Exit code and stderr of ``unipark <command> --config`` in-process.
-    A config without t_max gets --t-max 0.2, so every run stays short."""
+def _listed(states: st.SearchStrategy) -> st.SearchStrategy:
+    """A state as a JSON list of numbers, or as one comma-separated string."""
+    return st.one_of(states, states.map(lambda v: ",".join(map(repr, v))))
+
+
+CART = _listed(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).filter(lambda v: v[:2] != [0.0, 0.0]))
+POLAR = _listed(st.tuples(st.floats(0.1, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(list))
+# A value of each field that is well-formed and in its range (a polar start
+# may still lie outside a law's state space).
+GOOD = {
+    "schema_version": st.just(1),
+    "controller": LAWS,
+    "gains": st.one_of(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5),
+                       st.dictionaries(st.sampled_from(["k0", "k1", "k2", "k3", "k4"]), st.floats(0.1, 3.0))),
+    "init_cart": CART,
+    "init_polar": POLAR,
+    "frame": st.sampled_from(["polar", "cartesian"]),
+    "dt": st.floats(0.01, 0.1),
+    "t_max": st.floats(0.1, 0.3),
+    "tol": st.floats(1e-6, 1.0),
+    "barrier_margin": st.floats(0.0, 0.5),
+    "composite": st.sampled_from([k.value for k in CompositeKind]),
+    "composite_order": st.sampled_from([o.value for o in CompositeOrder]),
+    "controllers": st.lists(LAWS, min_size=1, max_size=2),
+    "grid_cart": st.lists(CART, min_size=1, max_size=3),
+    "grid_polar": st.lists(POLAR, min_size=1, max_size=3),
+}
+
+
+def configs(fields: dict, groups: list[tuple[str, ...]]) -> st.SearchStrategy:
+    """A config of any of ``fields``; or one that sets exactly one field of
+    each group, and either no other field or all of them, from ``GOOD``, so
+    that it usually runs."""
+    others = {name: GOOD[name] for name in fields if name not in sum(groups, ())}
+
+    def well_formed(names):
+        required = {name: GOOD[name] for name in names}
+        return st.one_of(st.fixed_dictionaries(required), st.fixed_dictionaries({**required, **others}))
+
+    return st.one_of(st.fixed_dictionaries({}, optional=fields),
+                     st.tuples(*map(st.sampled_from, groups)).flatmap(well_formed))
+
+
+SIMULATE_CONFIGS = configs(SCENARIO_FIELDS, [("controller",), ("init_cart", "init_polar")])
+SWEEP_CONFIGS = configs(SWEEP_FIELDS, [("controller", "controllers"), ("grid_cart", "grid_polar")])
+NEAR_MISSES = ["t_mx", "init_polr", "controler", "gridcart", "Dt", "t-max", "unknown_field"]
+
+
+def unknown_fields(known: dict) -> st.SearchStrategy:
+    """Keys that a command does not read, each with junk: near misses of
+    field names, the other command's fields, and any short text."""
+    names = NEAR_MISSES + [name for name in {**SCENARIO_FIELDS, **GRID_FIELDS} if name not in known]
+    keys = st.one_of(st.sampled_from(names), st.text(max_size=5)).filter(lambda k: k not in known)
+    return st.dictionaries(keys, JUNK, max_size=2)
+
+
+def _run_config(command: str, cfg: dict) -> tuple[int, str, dict | None]:
+    """Exit code, stderr and the JSON output (the trajectory of simulate,
+    the summary of sweep; None if none was written) of ``unipark <command>
+    --config`` in-process.  A config without t_max gets --t-max 0.2, so
+    every run stays short."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
@@ -1132,7 +1218,104 @@ def _run_config(command: str, cfg: dict) -> tuple[int, str]:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
-    return code, err.getvalue()
+        written = sorted((Path(tmp) / "out").glob("*.json"))
+        payload = json.loads(written[0].read_text()) if written else None
+    return code, err.getvalue(), payload
+
+
+class Rejected(Exception):
+    """README's config contract makes the config a config error."""
+
+
+LAW_NAMES = [c.value for c in ControllerId]
+
+
+def _read_number(value) -> float:
+    # "A number ... must be a JSON number, not a string, true or false."
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise Rejected
+    return float(value)
+
+
+def _read_numbers(value, lo: int = 3, hi: int = 3) -> list[float]:
+    # A list of JSON numbers, or "one comma-separated string, as its flag is".
+    if isinstance(value, str):
+        try:
+            numbers = [float(part) for part in value.split(",") if part.strip()]
+        except ValueError:
+            raise Rejected from None
+    elif isinstance(value, list):
+        numbers = [_read_number(v) for v in value]
+    else:
+        raise Rejected
+    if not lo <= len(numbers) <= hi:
+        raise Rejected
+    return numbers
+
+
+def _read_one_of(cfg: dict, a: str, b: str) -> str:
+    given = [name for name in (a, b) if name in cfg]
+    if len(given) != 1:
+        raise Rejected
+    return given[0]
+
+
+def _read_choice(cfg: dict, name: str, default: str, names: list[str]) -> str:
+    value = cfg.get(name, default)
+    if value not in names:
+        raise Rejected
+    return value
+
+
+def _read_scenario(cfg: dict) -> dict:
+    """The run's JSON meta that README's table gives the fields both
+    commands read, less the controller; t_max is 0.2 when the config sets
+    none, as ``_run_config`` passes --t-max 0.2."""
+    if "schema_version" in cfg and (type(cfg["schema_version"]) is not int or cfg["schema_version"] != 1):
+        raise Rejected
+    gains = cfg.get("gains", "1,1,1,1")
+    if isinstance(gains, dict):
+        if not set(gains) <= {"k0", "k1", "k2", "k3", "k4"}:
+            raise Rejected
+        for v in gains.values():
+            _read_number(v)
+    else:
+        _read_numbers(gains, 1, 5)
+    return {
+        "dt": _read_number(cfg.get("dt", 1e-3)),
+        "t_max": _read_number(cfg["t_max"]) if "t_max" in cfg else 0.2,
+        "stop_tol": _read_number(cfg.get("tol", 1e-4)),
+        "barrier_margin": _read_number(cfg.get("barrier_margin", 1e-9)),
+        "frame": _read_choice(cfg, "frame", "polar", ["polar", "cartesian"]),
+        "composite": _read_choice(cfg, "composite", "add",
+                                  ["add", "log", "expm1", "exp-prod", "cross", "cosh", "sqrt"]),
+        "composite_order": _read_choice(cfg, "composite_order", "rho-first", ["rho-first", "v-first"]),
+    }
+
+
+def _read_simulate(cfg: dict) -> tuple[dict, str, list[float]]:
+    """The JSON meta of the run that a scenario file means, and its initial
+    state: the name of the init field that sets it and its three numbers."""
+    meta = _read_scenario(cfg)
+    meta["controller"] = _read_choice(cfg, "controller", None, LAW_NAMES)
+    init = _read_one_of(cfg, "init_cart", "init_polar")
+    return meta, init, _read_numbers(cfg[init])
+
+
+def _read_sweep(cfg: dict) -> tuple[list[str], int]:
+    """The controllers that a sweep config runs, in its order, and its number of grid points."""
+    _read_scenario(cfg)
+    grid = cfg[_read_one_of(cfg, "grid_cart", "grid_polar")]
+    if not isinstance(grid, list) or not grid:
+        raise Rejected
+    for row in grid:
+        _read_numbers(row)
+    if _read_one_of(cfg, "controller", "controllers") == "controller":
+        return [_read_choice(cfg, "controller", None, LAW_NAMES)], len(grid)
+    laws = cfg["controllers"]
+    if not isinstance(laws, list) or not laws or any(law not in LAW_NAMES for law in laws):
+        raise Rejected
+    return laws, len(grid)
 
 
 class TestUsageErrors:
@@ -1154,16 +1337,66 @@ class TestUsageErrors:
 
 
 class TestConfigFuzz:
-    """Any JSON config exits 0, 1 or 2 with a message, never a traceback."""
+    """Any JSON config exits 0, 1 or 2 with a message, never a traceback.  A
+    config with a field the command does not read exits 2 and names it.
+    Otherwise README's config contract is the oracle: a config it rejects
+    exits 2, and a run that ends 0 or 1 ran what the config means."""
 
-    @given(st.fixed_dictionaries({}, optional=SCENARIO_FIELDS))
+    @given(SIMULATE_CONFIGS, unknown_fields(SCENARIO_FIELDS))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_simulate(self, cfg):
-        code, err = _run_config("simulate", cfg)
+    def test_simulate(self, cfg, extra):
+        code, err, payload = _run_config("simulate", {**cfg, **extra})
         assert code in (0, 1, 2) and "Traceback" not in err
+        if extra:
+            assert code == 2 and err.startswith("error: simulate ")
+            assert all(repr(name) in err for name in extra)
+            return
+        try:
+            meta, init, numbers = _read_simulate(cfg)
+        except Rejected:
+            assert code == 2
+            return
+        if code == 2:
+            return  # a value out of its range, or a start outside the law's state space
+        assert payload["meta"] == meta
+        rho, delta, gamma = payload["data"][0][4:7]
+        if init == "init_polar":
+            assert [rho, delta, gamma] == numbers
+        else:  # the polar state of the pose (x, y, theta)
+            x, y, theta = numbers
+            assert -rho * math.cos(delta) == pytest.approx(x, abs=1e-9)
+            assert -rho * math.sin(delta) == pytest.approx(y, abs=1e-9)
+            assert math.remainder(delta - gamma - theta, 2 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
-    @given(st.fixed_dictionaries({}, optional=SWEEP_FIELDS))
+    @given(SWEEP_CONFIGS, unknown_fields(SWEEP_FIELDS))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_sweep(self, cfg):
-        code, err = _run_config("sweep", cfg)
+    def test_sweep(self, cfg, extra):
+        code, err, summary = _run_config("sweep", {**cfg, **extra})
         assert code in (0, 1, 2) and "Traceback" not in err
+        if extra:
+            assert code == 2 and err.startswith("error: sweep ")
+            assert all(repr(name) in err for name in extra)
+            return
+        try:
+            laws, points = _read_sweep(cfg)
+        except Rejected:
+            assert code == 2
+            return
+        if code != 2:
+            assert sorted(summary["controllers"]) == sorted(set(laws))  # the JSON sorts its keys
+            assert all(len(recs) == points for recs in summary["controllers"].values())
+
+
+class TestFieldTable:
+    def test_readme_lists_each_commands_fields(self):
+        # README's config table has a row per field: its name, whether
+        # simulate and sweep read it, its value, its default and its flag.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in readme.splitlines() if re.match(r"\| `\w+` \| (yes|no) \|", line)]
+        for column, command in ((1, "simulate"), (2, "sweep")):
+            documented = {row[0].strip("`") for row in rows if row[column] == "yes"}
+            assert documented == {name for name, f in unipark.cli.FIELDS.items() if command in f.commands}
+        flags = {row[0].strip("`"): row[5] for row in rows}
+        assert flags == {name: "none" if f.flag is None else "`--" + name.replace("_", "-") + "`"
+                         for name, f in unipark.cli.FIELDS.items()}
