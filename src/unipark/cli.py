@@ -139,6 +139,7 @@ _SIMULATE, _SWEEP, _BOTH = ("simulate",), ("sweep",), ("simulate", "sweep")
 _FRAMES = ("polar", "cartesian")
 _controller = functools.partial(_choice, ControllerId)
 _cart, _polar = functools.partial(_state, CartesianState), functools.partial(_state, PolarState)
+# The rows' order is the order of the flags in --help.
 FIELDS = {
     "schema_version": Field(_BOTH, _schema_version, SCHEMA_VERSION),
     "controller": Field(_BOTH, _controller, None, {"help": "controller acronym (e.g. globa)"}),
