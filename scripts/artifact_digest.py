@@ -52,8 +52,10 @@ The set is:
   dt 0.01, with the 7 x 2 composite monitors on genova, glofo and globa
   (``batch/metric_ball/<law>``), over 1000 such starts for bagal, glofo
   (whose law calls ``si``), globa and libac at dt 0.01, whose array blocks
-  are far wider (``batch/large/<law>``), and of the six batches of the
-  suite's lockstep tests (``batch/lockstep/<case>``).
+  are far wider (``batch/large/<law>``), over 3000 such starts for globa
+  at dt 0.01, wide enough to be stepped on every usable CPU
+  (``batch/split/globa``), and of the six batches of the suite's lockstep
+  tests (``batch/lockstep/<case>``).
 
 Artifacts are written into a temporary directory that is removed afterwards;
 a batch is digested from the dtype, shape and bytes of every field.  Each
@@ -148,6 +150,7 @@ BATCH_STARTS = 64
 COMPOSITE_LAWS = (ControllerId.GENOVA, ControllerId.GLOFO, ControllerId.GLOBA)
 LARGE_STARTS = 1000
 LARGE_LAWS = (ControllerId.BAGAL, ControllerId.GLOFO, ControllerId.GLOBA, ControllerId.LIBAC)
+SPLIT_STARTS = 3000
 
 
 def produce(out: Path) -> None:
@@ -197,6 +200,9 @@ def batches():
     for cid in LARGE_LAWS:
         grid = sample_metric_ball(controller_space(cid), LARGE_STARTS, rng, max_metric=4.0)
         yield f"batch/large/{cid.value}", integrate_batch(Scenario(controller=cid, dt=0.01, t_max=100.0), grid)
+    globa = ControllerId.GLOBA
+    grid = sample_metric_ball(controller_space(globa), SPLIT_STARTS, np.random.default_rng(3000), max_metric=4.0)
+    yield "batch/split/globa", integrate_batch(Scenario(controller=globa, dt=0.01, t_max=100.0), grid)
     for case in LOCKSTEP_CASES:
         yield f"batch/lockstep/{case}", lockstep_batch(case)[2]
 

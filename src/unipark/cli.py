@@ -139,11 +139,22 @@ _SIMULATE, _SWEEP, _BOTH = ("simulate",), ("sweep",), ("simulate", "sweep")
 _FRAMES = ("polar", "cartesian")
 _controller = functools.partial(_choice, ControllerId)
 _cart, _polar = functools.partial(_state, CartesianState), functools.partial(_state, PolarState)
+
+
+def _controllers(spec, what: str) -> list:
+    """A non-empty JSON list of controller names, none of them repeated."""
+    laws = _list(_controller, spec, what)
+    for i, cid in enumerate(laws):
+        if cid in laws[:i]:
+            raise ConfigError(f"{what} names {cid.value!r} more than once")
+    return laws
+
+
 # The rows' order is the order of the flags in --help.
 FIELDS = {
     "schema_version": Field(_BOTH, _schema_version, SCHEMA_VERSION),
     "controller": Field(_BOTH, _controller, None, {"help": "controller acronym (e.g. globa)"}),
-    "controllers": Field(_SWEEP, functools.partial(_list, _controller)),
+    "controllers": Field(_SWEEP, _controllers),
     "gains": Field(_BOTH, _parse_gains, "1,1,1,1", {"help": "comma list k1,k2,k3[,k4[,k0]]"}),
     "frame": Field(_BOTH, functools.partial(_choice, _FRAMES), "polar", {"choices": _FRAMES}),
     "dt": Field(_BOTH, _number, 1e-3, {"type": float}),

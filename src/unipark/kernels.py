@@ -151,10 +151,11 @@ def _namespace(name: str, **primitives) -> ModuleType:
 def _sinc_array(a, out=None):
     """:func:`sinc`'s rule elementwise, into ``out`` if given (an array
     apart from ``a``): the Taylor polynomial where |a| < 1e-4, sin(a)/a
-    elsewhere."""
-    small = np.abs(a) < _SINC_TAYLOR_THRESHOLD
-    if not small.any():
+    elsewhere.  The threshold is tested on min |a|, taken into ``out``; a
+    NaN min takes the masked rule, which divides where |a| is NaN too."""
+    if np.abs(a, out=out).min(initial=np.inf) >= _SINC_TAYLOR_THRESHOLD:
         return np.divide(np.sin(a, out=out), a, out=out)
+    small = np.abs(a) < _SINC_TAYLOR_THRESHOLD
     # The masked divide skips 0/0; np.errstate would double a short call.
     taylor = np.subtract(1.0, np.divide(np.multiply(a, a, out=out), 6.0, out=out), out=out)
     return np.divide(np.sin(a), a, out=np.asarray(taylor), where=~small)

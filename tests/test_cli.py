@@ -654,6 +654,7 @@ class TestSweepCommand:
                                         {"controller": "genova", "extra": 1},
                                         {"controller": "genova", "init_polar": [1.0, 0.5, 0.2]},
                                         {"controller": "genova", "controllers": ["globa"]},
+                                        {"controllers": ["globa", "bagal", "globa"]},
                                         {"controller": "genova", "schema_version": 2}, {}])
     def test_wrong_typed_field_usage_error(self, tmp_path, capsys, fields):
         # The last case has no controller at all.
@@ -663,6 +664,8 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out" / "sweep_summary.json").exists()
+        if fields.get("controllers") == ["globa", "bagal", "globa"]:
+            assert err == "error: controllers names 'globa' more than once\n"
 
     @pytest.mark.parametrize("grid", [{"grid_cart": [[1.0, 0.0, 0.0], [math.nan, 0, 0]]},
                                       {"grid_polar": [[-1.0, 0.5, 0.2]]}])

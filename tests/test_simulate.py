@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import linecache
 import math
+import os
 import re
 import traceback
 from dataclasses import astuple, replace
@@ -16,7 +17,7 @@ from oracles import integrate_reference
 from unipark.controllers import ControllerId, Gains, closed_loop_field, open_loop_field
 from unipark.errors import ConfigError, DomainError, SingularityError
 from unipark.kernels import ARRAY, SCALAR, TRACE, Sym, Tape, wrap_angle
-from unipark.lyapunov import CompositeKind
+from unipark.lyapunov import CompositeKind, CompositeOrder, LyapunovFn, logging_clf
 from unipark.simulate import (
     Scenario,
     Termination,
@@ -979,6 +980,126 @@ class TestBatch:
         assert br.extra_v_violations is not None
         assert br.extra_v_violations.shape == (len(extras), 1)
         assert br.extra_v_violations.sum() == 0
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to this process."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def split_and_serial(monkeypatch, cpus, s, starts, extras=()):
+    """The batch's results over ``cpus`` usable CPUs, and over one."""
+    monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: cpus)
+    split = integrate_batch(s, starts, extra_lyapunov=extras)
+    monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: 1)
+    return split, integrate_batch(s, starts, extra_lyapunov=extras)
+
+
+def assert_same_batch(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x is None) == (y is None), f.name
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+class RaisingMonitor(LyapunovFn):
+    """A certificate whose block values raise once a block holds a run
+    with rho above 10."""
+
+    def of_parts(self, rho_sq, v_dg):
+        if (rho_sq > 100.0).any():
+            raise ValueError("a run left the monitored ball")
+        return super().of_parts(rho_sq, v_dg)
+
+
+class RisingFirst(LyapunovFn):
+    """A certificate whose value at the start is -inf, so each run counts a
+    rise in its first step, and one more wherever a block starts from that
+    value again rather than from the run's last."""
+
+    def value(self, rho, delta, gamma):
+        return np.full(np.shape(rho), -np.inf)
+
+
+class TestSplitBatch:
+    # A batch of at least _SPLIT_RUNS runs is dealt over the usable CPUs,
+    # the caller and a forked worker per share, and equals the batch run in
+    # one process bit for bit.
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_every_field_with_composite_monitors(self, monkeypatch, forks, cpus):
+        # Every run goes on to t_max, where the workers send their runs back;
+        # the runs at the target end at the start and are in no share.
+        s = Scenario(controller=ControllerId.GLOBA, gains=UNIT, dt=0.01, t_max=2.0)
+        clf = logging_clf(s.controller, UNIT)
+        extras = [LyapunovFn(clf, kind, order) for kind in CompositeKind for order in CompositeOrder]
+        n = 3 * unipark.simulate._SPLIT_RUNS // 2 + 64
+        starts = sample_metric_ball(ctl.controller_space(s.controller), n, np.random.default_rng([35, n]),
+                                    max_metric=4.0)
+        starts[::97] = 0.0
+        split, one = split_and_serial(monkeypatch, cpus, s, starts, extras)
+        assert len(forks) == cpus - 1
+        assert_same_batch(split, one)
+        assert split.converged.sum() == len(starts[::97])
+
+    def test_thinning_past_both_constants(self, monkeypatch, forks):
+        # The batch thins below _SPLIT_RUNS, where the workers send their
+        # runs back, monitors' last values included, and then to
+        # _SCALAR_RUNS and fewer, stepped run by run; the runs of the
+        # lockstep bagal case, last, trip the barrier guard in the worker's
+        # share.
+        widths, stops = [], unipark.simulate._block_stops
+
+        def spy(space, states, *args):
+            widths.append(states.shape[2])
+            return stops(space, states, *args)
+
+        monkeypatch.setattr(unipark.simulate, "_block_stops", spy)
+        s = Scenario(controller=ControllerId.BAGAL, gains=UNIT, dt=0.05, t_max=30.0)
+        ball = sample_metric_ball(ctl.controller_space(s.controller), unipark.simulate._SPLIT_RUNS + 64,
+                                  np.random.default_rng(35), max_metric=4.0)
+        starts = np.concatenate([ball, BAGAL_STARTS])
+        extras = [RisingFirst(logging_clf(s.controller, UNIT))]
+        monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: 2)
+        split = integrate_batch(s, starts, extra_lyapunov=extras)
+        assert len(forks) == 1
+        widths.clear()
+        monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: 1)
+        assert_same_batch(split, integrate_batch(s, starts, extra_lyapunov=extras))
+        assert split.extra_v_violations[0, split.converged].min() >= 1
+        # The runs going on, block by block, in one process.
+        wide, narrow = unipark.simulate._SPLIT_RUNS, unipark.simulate._SCALAR_RUNS
+        assert widths[0] >= wide and any(narrow < w < wide for w in widths) and widths[-1] <= narrow
+        assert split.barrier_trips[-len(BAGAL_STARTS):].any() and split.converged.any()
+
+    def test_one_process_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert unipark.simulate._usable_cpus() == 1
+
+    @pytest.mark.parametrize("lane", [0, -1], ids=["caller_share", "worker_share"])
+    def test_raising_monitor(self, monkeypatch, forks, lane):
+        # The error is raised in the caller, and every worker is reaped.
+        s = Scenario(controller=ControllerId.GLOBA, gains=UNIT, dt=0.01, t_max=2.0)
+        starts = sample_metric_ball(ctl.controller_space(s.controller), unipark.simulate._SPLIT_RUNS,
+                                    np.random.default_rng(35), max_metric=4.0)
+        starts[lane] = (20.0, 0.5, 0.5)
+        monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="^a run left the monitored ball$"):
+            integrate_batch(s, starts, extra_lyapunov=[RaisingMonitor(logging_clf(s.controller, UNIT))])
+        assert len(forks) == 1
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestSweep:
