@@ -151,8 +151,9 @@ def _namespace(name: str, **primitives) -> ModuleType:
 def _sinc_array(a, out=None):
     """:func:`sinc`'s rule elementwise, into ``out`` if given (an array
     apart from ``a``): the Taylor polynomial where |a| < 1e-4, sin(a)/a
-    elsewhere.  The threshold is tested on min |a|, taken into ``out``; a
-    NaN min takes the masked rule, which divides where |a| is NaN too."""
+    elsewhere.  The threshold is tested on min |a|, taken into ``out``, so
+    the test allocates nothing; a NaN min takes the masked rule, which
+    divides where |a| is NaN too."""
     if np.abs(a, out=out).min(initial=np.inf) >= _SINC_TAYLOR_THRESHOLD:
         return np.divide(np.sin(a, out=out), a, out=out)
     small = np.abs(a) < _SINC_TAYLOR_THRESHOLD

@@ -705,9 +705,9 @@ def integrate_batch(
     usable, the blocks are stepped in shares of the runs, by the caller and
     by forked workers (:func:`_split_blocks`), as the module docstring
     describes; the result is bitwise one process's.  ``_SPLIT_RUNS`` is the
-    width from which split blocks beat one process's in wall time, timed on
-    globa batches of 256 to 2048 runs that none of them leaves (its comment
-    gives the figures).
+    narrowest width at which split blocks did not lose to one process in
+    wall time, timed on globa batches of 256 to 2048 runs that none of them
+    leaves (its comment gives the figures).
     """
     ys = np.array(initial_states, dtype=float).reshape(-1, 3).T.copy()  # (3, N)
     n = ys.shape[1]
@@ -769,7 +769,7 @@ def integrate_batch(
 
     lanes, k = np.flatnonzero(end == 0), 0  # the runs still going on, and the steps they took
     with np.errstate(all="ignore"):
-        if lanes.size >= _SPLIT_RUNS and n_max and _usable_cpus() > 1:
+        if lanes.size >= _SPLIT_RUNS and _usable_cpus() > 1:
             _rk4_kernel(s.controller, s.gains, h, "array")  # compiled once, for the workers too
             lanes, k = _split_blocks(step_block, lanes, n_max, [ys, viol, max_ad, max_ag, *prev, end, end_step])
         while k < n_max and lanes.size:

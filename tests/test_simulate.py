@@ -5,6 +5,7 @@ import linecache
 import math
 import os
 import re
+import signal
 import traceback
 from dataclasses import astuple, replace
 
@@ -997,14 +998,6 @@ def forks(monkeypatch):
     return pids
 
 
-def split_and_serial(monkeypatch, cpus, s, starts, extras=()):
-    """The batch's results over ``cpus`` usable CPUs, and over one."""
-    monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: cpus)
-    split = integrate_batch(s, starts, extra_lyapunov=extras)
-    monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: 1)
-    return split, integrate_batch(s, starts, extra_lyapunov=extras)
-
-
 def assert_same_batch(a, b):
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
@@ -1036,6 +1029,20 @@ class TestSplitBatch:
     # A batch of at least _SPLIT_RUNS runs is dealt over the usable CPUs,
     # the caller and a forked worker per share, and equals the batch run in
     # one process bit for bit.
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # A process left waiting on a pipe fails the test rather than hangs it.
+        def expire(signum, frame):
+            raise TimeoutError("the batch took over 60 s")
+
+        before = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, before)
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_every_field_with_composite_monitors(self, monkeypatch, forks, cpus):
         # Every run goes on to t_max, where the workers send their runs back;
@@ -1047,9 +1054,11 @@ class TestSplitBatch:
         starts = sample_metric_ball(ctl.controller_space(s.controller), n, np.random.default_rng([35, n]),
                                     max_metric=4.0)
         starts[::97] = 0.0
-        split, one = split_and_serial(monkeypatch, cpus, s, starts, extras)
+        monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: cpus)
+        split = integrate_batch(s, starts, extra_lyapunov=extras)
         assert len(forks) == cpus - 1
-        assert_same_batch(split, one)
+        monkeypatch.setattr(unipark.simulate, "_usable_cpus", lambda: 1)
+        assert_same_batch(split, integrate_batch(s, starts, extra_lyapunov=extras))
         assert split.converged.sum() == len(starts[::97])
 
     def test_thinning_past_both_constants(self, monkeypatch, forks):
@@ -1083,8 +1092,10 @@ class TestSplitBatch:
         assert split.barrier_trips[-len(BAGAL_STARTS):].any() and split.converged.any()
 
     def test_one_process_without_fork(self, monkeypatch):
+        # Where os has no fork, split batches and forked maps run in the caller.
         monkeypatch.delattr(os, "fork")
         assert unipark.simulate._usable_cpus() == 1
+        assert unipark.simulate._forked_map(lambda x: -x, range(5)) == [0, -1, -2, -3, -4]
 
     @pytest.mark.parametrize("lane", [0, -1], ids=["caller_share", "worker_share"])
     def test_raising_monitor(self, monkeypatch, forks, lane):
